@@ -19,9 +19,9 @@ be regenerated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from functools import lru_cache
 
 from .integrator import Trajectory, run
 from .model import Scenario
@@ -50,60 +50,65 @@ class AtomSystem:
         if not self.atoms:
             raise ValueError("atom system needs at least one atom")
         for a in self.atoms:
-            if not (a.b > 0.0 and a.d > 0.0):
-                raise ValueError(f"atom rates must be positive, got b={a.b}, d={a.d}")
-            if a.m < 0.0:
-                raise ValueError(f"atom mass must be >= 0, got {a.m}")
-        if not (self.rho > 0.0):
-            raise ValueError("total mass must be positive")
+            for name, rate in (("b", a.b), ("d", a.d)):
+                if not (0.0 < rate < math.inf):
+                    raise ValueError(f"atom rate {name} must be finite and positive, got {rate}")
+            if not (0.0 <= a.m < math.inf):
+                raise ValueError(f"atom mass m must be finite and >= 0, got {a.m}")
+        if not (0.0 <= self.c0 < math.inf):
+            raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
+        if not (0.0 < self.rho < math.inf):
+            raise ValueError(f"total mass must be finite and positive, got {self.rho}")
 
     @property
     def rho(self) -> float:
         return sum(a.m for a in self.atoms)
 
 
-def _rk4_atoms_py(b, d, m, c0, dt, n_steps):
-    m = m.copy()
-    n = m.size
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    tmp = np.empty(n)
-    for _ in range(n_steps):
-        rho = 0.0
-        for i in range(n):
-            rho += m[i]
-        for i in range(n):
-            k1[i] = (b[i] / (1.0 + c0 * rho) - d[i] * rho) * m[i]
-            tmp[i] = m[i] + 0.5 * dt * k1[i]
-        rho = 0.0
-        for i in range(n):
-            rho += tmp[i]
-        for i in range(n):
-            k2[i] = (b[i] / (1.0 + c0 * rho) - d[i] * rho) * tmp[i]
-            tmp[i] = m[i] + 0.5 * dt * k2[i]
-        rho = 0.0
-        for i in range(n):
-            rho += tmp[i]
-        for i in range(n):
-            k3[i] = (b[i] / (1.0 + c0 * rho) - d[i] * rho) * tmp[i]
-            tmp[i] = m[i] + dt * k3[i]
-        rho = 0.0
-        for i in range(n):
-            rho += tmp[i]
-        for i in range(n):
-            k4[i] = (b[i] / (1.0 + c0 * rho) - d[i] * rho) * tmp[i]
-            m[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-    return m
+@lru_cache(maxsize=None)
+def _rk4_loop(n: int):
+    """The fixed-step RK4 loop for ``n`` atoms, generated as straight-line code.
 
+    The oracle runs ~1e7 steps at its fidelity, and indexing arrays from the
+    interpreter costs about ten times the arithmetic, so the loop body holds
+    one local float per atom and stage.  Its operation order is that of the
+    indexed reference loop in ``tests/test_oracle.py`` (rho summed left to
+    right; ``0.5 * dt``, ``dt / 6.0`` and ``1.0 + c0 * rho`` are computed
+    once instead of per use, which changes no rounding), so both give the
+    same bits.  Built at the first call for each ``n``, not at import.
+    """
+    atoms = range(n)
 
-try:  # the loop runs ~1e7 steps at oracle fidelity; compile it when we can
-    from numba import njit
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in atoms)
 
-    _rk4_atoms = njit(cache=True)(_rk4_atoms_py)
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _rk4_atoms = _rk4_atoms_py
+    def stage(k: str, x: str, step: str | None) -> list[str]:
+        lines = [f"rho = {' + '.join(f'{x}{i}' for i in atoms)}", "s = 1.0 + c0 * rho"]
+        lines += [f"{k}{i} = (b{i} / s - d{i} * rho) * {x}{i}" for i in atoms]
+        if step is not None:
+            lines += [f"t{i} = m{i} + {step} * {k}{i}" for i in atoms]
+        return lines
+
+    body = (
+        stage("k1_", "m", "half")
+        + stage("k2_", "t", "half")
+        + stage("k3_", "t", "dt")
+        + stage("k4_", "t", None)
+        + [f"m{i} += sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in atoms]
+    )
+    source = "\n".join(
+        [
+            f"def rk4({names('b')}{names('d')}{names('m')}c0, dt, n_steps):",
+            "    half = 0.5 * dt",
+            "    sixth = dt / 6.0",
+            "    for _ in range(n_steps):",
+            *(f"        {line}" for line in body),
+            f"    return {names('m')}",
+        ]
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<rk4 loop for {n} atoms>", "exec"), namespace)
+    return namespace["rk4"]
 
 
 def integrate_atoms(system: AtomSystem, t_end: float, dt: float) -> AtomSystem:
@@ -113,19 +118,22 @@ def integrate_atoms(system: AtomSystem, t_end: float, dt: float) -> AtomSystem:
     oracle is that its time-stepping error is negligible against every
     tolerance it certifies.  Deterministic: same inputs, same bits.
     """
-    if not (0.0 < dt <= ORACLE_MAX_DT):
-        raise ValueError(f"oracle requires 0 < dt <= {ORACLE_MAX_DT}, got {dt}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
-    b = np.array([a.b for a in system.atoms])
-    d = np.array([a.d for a in system.atoms])
-    m = np.array([a.m for a in system.atoms])
-    n_steps = int(round(t_end / dt))
-    m_final = _rk4_atoms(b, d, m, system.c0, dt, n_steps)
-    atoms = tuple(
-        Atom(a.b, a.d, float(mi)) for a, mi in zip(system.atoms, m_final)
+    if not (0.0 <= t_end < math.inf):
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    if not (0.0 < dt <= ORACLE_MAX_DT and t_end / dt < math.inf):
+        raise ValueError(
+            f"oracle requires 0 < dt <= {ORACLE_MAX_DT} and a finite t_end / dt, got dt = {dt}"
+        )
+    atoms = system.atoms
+    masses = _rk4_loop(len(atoms))(
+        *(float(a.b) for a in atoms),
+        *(float(a.d) for a in atoms),
+        *(float(a.m) for a in atoms),
+        float(system.c0),
+        float(dt),
+        round(t_end / dt),
     )
-    return AtomSystem(atoms=atoms, c0=system.c0)
+    return AtomSystem(tuple(Atom(a.b, a.d, m) for a, m in zip(atoms, masses)), system.c0)
 
 
 def reference_grid_run(scenario: Scenario, dt_fine: float) -> Trajectory:

@@ -26,7 +26,8 @@ Builtins: ``exp``, ``sin``, ``cos``, ``sqrt``, ``abs`` (one argument),
 out the support of the initial density cell-exactly on the grid.
 
 Expression values are immutable after parsing and safe to share between
-threads.
+threads.  Each is compiled once, at its first evaluation, into a scalar
+Python function that does a tree walk's arithmetic in the walk's order.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -100,31 +102,45 @@ class EvalError(ExprError):
 # excluded from structural equality, so a round-tripped tree compares equal
 # to the original.
 
+class _Node:
+    """Base of the node classes: the compiled evaluator, built at first use."""
+
+    @cached_property
+    def _fn(self):
+        return _compile(self)
+
+    def __getstate__(self):
+        # an exec-built function does not pickle; the copy compiles its own
+        state = self.__dict__.copy()
+        state.pop("_fn", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
     span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     name: str
     span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
     span: Span = field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
@@ -132,7 +148,7 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     args: tuple["Expr", ...]
     span: Span = field(default=(0, 0), compare=False, repr=False)
@@ -288,6 +304,10 @@ def parse(source: str) -> Expr:
 
 # --------------------------------------------------------------------------
 # Evaluation
+#
+# Each expression is compiled once, at first use, into straight-line Python
+# making the same math calls and checks in the same order as a recursive walk
+# of the tree (left to right, post-order), so values and errors are the walk's.
 
 def eval_expr(expr: Expr, x: float) -> float:
     """Evaluate ``expr`` at the trait value ``x`` in IEEE-754 double precision.
@@ -296,37 +316,7 @@ def eval_expr(expr: Expr, x: float) -> float:
     numbers and fractional powers of negative bases; overflow saturates to
     infinity as in IEEE arithmetic.
     """
-    if not math.isfinite(x):
-        raise EvalError("evaluation point must be finite", 0)
-    return _ev(expr, x)
-
-
-def _ev(e: Expr, x: float) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        return -_ev(e.operand, x)
-    if isinstance(e, Bin):
-        lhs = _ev(e.lhs, x)
-        rhs = _ev(e.rhs, x)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if e.op == "/":
-            if rhs == 0.0:
-                raise EvalError(f"division by zero at offset {e.span[0]}", e.span[0])
-            return lhs / rhs
-        return _power(lhs, rhs, e.span)
-    if isinstance(e, Call):
-        return _call(e, x)
-    raise TypeError(f"not an expression node: {e!r}")
+    return expr._fn(x)
 
 
 def _power(base: float, exponent: float, span: Span) -> float:
@@ -343,33 +333,74 @@ def _power(base: float, exponent: float, span: Span) -> float:
         ) from None
 
 
-def _call(e: Call, x: float) -> float:
-    args = [_ev(a, x) for a in e.args]
-    name = e.name
-    if name == "exp":
-        try:
-            return math.exp(args[0])
-        except OverflowError:
-            return math.inf
-    if name == "sin":
-        return math.sin(args[0])
-    if name == "cos":
-        return math.cos(args[0])
-    if name == "sqrt":
-        if args[0] < 0.0:
-            raise EvalError(f"square root of negative at offset {e.span[0]}", e.span[0])
-        return math.sqrt(args[0])
-    if name == "abs":
-        return math.fabs(args[0])
-    if name == "min":
-        return min(args[0], args[1])
-    if name == "max":
-        return max(args[0], args[1])
-    if name == "clamp":
-        return min(max(args[0], args[1]), args[2])
-    if name == "ind":
-        return 1.0 if args[0] <= x <= args[1] else 0.0
-    raise EvalError(f"unknown function '{name}' at offset {e.span[0]}", e.span[0])
+#: builtin calls other than exp, as Python code over their evaluated arguments
+_CALL_CODE = {
+    "sin": "sin({0})",
+    "cos": "cos({0})",
+    "sqrt": "sqrt({0})",
+    "abs": "fabs({0})",
+    "min": "min({0}, {1})",
+    "max": "max({0}, {1})",
+    "clamp": "min(max({0}, {1}), {2})",
+    "ind": "1.0 if {0} <= x <= {1} else 0.0",
+}
+
+
+def _compile(root: Expr):
+    """Generate, compile and return the scalar evaluator of ``root``."""
+    env = {"isfinite": math.isfinite, "exp": math.exp, "sin": math.sin, "cos": math.cos,
+           "sqrt": math.sqrt, "fabs": math.fabs, "inf": math.inf,
+           "EvalError": EvalError, "_power": _power}
+    body = ["if not isfinite(x):", "    raise EvalError('evaluation point must be finite', 0)"]
+
+    def check(condition: str, message: str, at: int) -> None:
+        body.append(f"if {condition}: raise EvalError('{message} at offset {at}', {at})")
+
+    def assign(code: str) -> str:
+        name = f"t{len(body)}"
+        body.append(f"{name} = {code}")
+        return name
+
+    def value(e: Expr) -> str:
+        """Emit the statements computing ``e``; return the local or literal holding it."""
+        if isinstance(e, Var):
+            return "x"
+        if isinstance(e, (Num, Const)):
+            v = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+            if not math.isfinite(v):  # no literal spells it: bind it by name
+                env[f"k{len(env)}"] = v
+                return f"k{len(env) - 1}"
+            return f"({v!r})"
+        if isinstance(e, Neg):
+            return assign(f"-{value(e.operand)}")
+        if isinstance(e, Bin):
+            lhs, rhs = value(e.lhs), value(e.rhs)
+            if e.op == "^":
+                return assign(f"_power({lhs}, {rhs}, {e.span!r})")
+            if e.op == "/":
+                check(f"{rhs} == 0.0", "division by zero", e.span[0])
+            return assign(f"{lhs} {e.op} {rhs}")
+        if isinstance(e, Call):
+            args = [value(a) for a in e.args]
+            if e.name == "exp":
+                t = f"t{len(body)}"
+                body.extend(["try:", f"    {t} = exp({args[0]})",
+                             "except OverflowError:", f"    {t} = inf"])
+                return t
+            if e.name == "sqrt":
+                check(f"{args[0]} < 0.0", "square root of negative", e.span[0])
+            return assign(_CALL_CODE[e.name].format(*args))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    body.append(f"return {value(root)}")
+    source = "def evaluate(x):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, "<expression>", "exec"), env)
+    return env["evaluate"]
+
+
+def _sample(e: Expr, nodes) -> np.ndarray:
+    """``e`` at every node as a float64 array, streamed without a list."""
+    return np.fromiter(map(e._fn, map(float, nodes)), float, count=len(nodes))
 
 
 # --------------------------------------------------------------------------
@@ -412,8 +443,8 @@ def bound_on_grid(e: Expr, grid) -> tuple[float, float]:
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
     if nodes.size == 0:
         raise ValueError("cannot bound an expression on an empty grid")
-    values = [eval_expr(e, float(xi)) for xi in nodes]
-    return min(values), max(values)
+    values = _sample(e, nodes)
+    return float(values.min()), float(values.max())
 
 
 @dataclass(frozen=True)
@@ -432,7 +463,7 @@ class TraitFunction:
 
     def sample(self, nodes: np.ndarray) -> np.ndarray:
         """Evaluate on every node; returns a float64 array."""
-        return np.array([eval_expr(self.expr, float(xi)) for xi in nodes], dtype=float)
+        return _sample(self.expr, nodes)
 
     def bounds_on(self, grid) -> tuple[float, float]:
         return bound_on_grid(self.expr, grid)

@@ -90,9 +90,11 @@ class Scenario:
     """Full problem description: domain, coefficients and integration controls.
 
     Construction is cheap and does not evaluate the expressions; call
-    :meth:`validate` (entry points do) to certify the invariants:
-    grid-certified b > 0 and d > 0, nonnegative u0 with positive initial
-    mass, positive dt and a known scheme.
+    :meth:`validate` (entry points do) to certify the invariants: finite
+    b > 0 and d > 0 at every node, finite nonnegative u0 with positive
+    initial mass, every number finite and in range (snapshot times within
+    [0, t_end]) and a known scheme.  b, d and u0 are sampled once per
+    scenario and cached; validation and prediction read those arrays.
     """
 
     grid: Grid
@@ -142,24 +144,31 @@ class Scenario:
         return quadrature(self.u0_nodes, self.grid)
 
     def validate(self) -> "Scenario":
-        if self.c0 < 0.0:
-            raise ValueError(f"c0 must be >= 0, got {self.c0}")
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
+        if not (0.0 <= self.c0 < math.inf):
+            raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
+        if not (0.0 <= self.t_end < math.inf):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        if not (0.0 < self.dt < math.inf and self.t_end / self.dt < math.inf):
+            raise ValueError(f"dt must be finite and > 0 with a finite t_end / dt, got {self.dt}")
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme '{self.scheme}', expected one of {SCHEMES}")
-        if self.epsilon is not None and not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        b_m, b_M = self.b.bounds_on(self.grid)
-        if not (b_m > 0.0) or not math.isfinite(b_M):
-            raise ValueError(f"b must be positive and finite on the grid, range [{b_m}, {b_M}]")
-        d_m, d_M = self.d.bounds_on(self.grid)
-        if not (d_m > 0.0) or not math.isfinite(d_M):
-            raise ValueError(f"d must be positive and finite on the grid, range [{d_m}, {d_M}]")
+        if self.stop_tol is not None and not (0.0 < self.stop_tol < math.inf):
+            raise ValueError(f"stop_tol must be finite and > 0, got {self.stop_tol}")
+        if self.epsilon is not None and not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if self.tail_R is not None and not math.isfinite(self.tail_R):
+            raise ValueError(f"tail_R must be finite, got {self.tail_R}")
+        for tau in self.snapshot_times:
+            if not (0.0 <= tau <= self.t_end):
+                raise ValueError(f"snapshot_times must lie in [0, t_end = {self.t_end}], got {tau}")
+        for key, values in (("b", self.b_nodes), ("d", self.d_nodes)):
+            lo, hi = float(values.min()), float(values.max())  # NaN if any node is NaN
+            if not (lo > 0.0 and hi < math.inf):
+                raise ValueError(
+                    f"{key} must be positive and finite on the grid, range [{lo}, {hi}]"
+                )
         u = self.u0_nodes
         if not np.all(np.isfinite(u)):
             raise ValueError("u0 must be finite on the grid")
@@ -308,12 +317,10 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
         warnings.warn(note, AssumptionWarning, stacklevel=2)
     rho_bar = equilibrium_mass(kappa, scenario.c0)
 
-    b_m, b_M = scenario.b.bounds_on(grid)
-    d_m, d_M = scenario.d.bounds_on(grid)
+    b_m, b_M = float(scenario.b_nodes.min()), float(scenario.b_nodes.max())
+    d_m, d_M = float(scenario.d_nodes.min()), float(scenario.d_nodes.max())
     r_m = equilibrium_mass(b_m / d_M, scenario.c0)
     r_M = equilibrium_mass(b_M / d_m, scenario.c0)
-    rho0 = scenario.initial_mass()
-    rho_m, rho_M = min(r_m, rho0), max(r_M, rho0)
 
     # boundary means endpoint of a maximal run of the closed support
     on_boundary = False
@@ -333,12 +340,14 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
         d_M=d_M,
         r_m=r_m,
         r_M=r_M,
-        rho_m=rho_m,
-        rho_M=rho_M,
+        rho_m=r_m,  # widened by apriori_corridor below to take in rho(0)
+        rho_M=r_M,
         x_bar_on_boundary=on_boundary,
         alpha_R=None,
         notes=tuple(notes),
     )
+    rho_m, rho_M = apriori_corridor(pred, scenario.initial_mass())
+    pred = replace(pred, rho_m=rho_m, rho_M=rho_M)
     if scenario.tail_R is not None:
         alpha = check_tail_condition(scenario, pred, scenario.tail_R)
         extra: list[str] = list(notes)

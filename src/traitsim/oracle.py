@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .integrator import Trajectory, run
+from .integrator import IntegrationError, Trajectory, run
 from .model import Scenario
 
 __all__ = ["Atom", "AtomSystem", "integrate_atoms", "reference_grid_run", "ORACLE_MAX_DT"]
@@ -116,7 +116,8 @@ def integrate_atoms(system: AtomSystem, t_end: float, dt: float) -> AtomSystem:
 
     ``dt`` must not exceed :data:`ORACLE_MAX_DT`; the whole point of this
     oracle is that its time-stepping error is negligible against every
-    tolerance it certifies.  Deterministic: same inputs, same bits.
+    tolerance it certifies.  Deterministic: same inputs, same bits.  Raises
+    :class:`~traitsim.integrator.IntegrationError` if the masses diverge.
     """
     if not (0.0 <= t_end < math.inf):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -133,7 +134,11 @@ def integrate_atoms(system: AtomSystem, t_end: float, dt: float) -> AtomSystem:
         float(dt),
         round(t_end / dt),
     )
-    return AtomSystem(tuple(Atom(a.b, a.d, m) for a, m in zip(atoms, masses)), system.c0)
+    try:
+        return AtomSystem(tuple(Atom(a.b, a.d, m) for a, m in zip(atoms, masses)), system.c0)
+    except ValueError as err:
+        # the input was valid, so the loop itself diverged
+        raise IntegrationError(f"dt = {dt!r} is too coarse for these rates: {err}") from None
 
 
 def reference_grid_run(scenario: Scenario, dt_fine: float) -> Trajectory:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR, SCENARIO_DIR
+from traitsim import exprlang
 from traitsim.cli import (
     ScenarioFileError,
     _json_dump,
@@ -90,6 +91,47 @@ class TestLoadScenario:
     def test_missing_file(self):
         with pytest.raises(ScenarioFileError, match="cannot read"):
             load_scenario("/nonexistent/nowhere.ini")
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("c0 = 1.0", "c0 = nan", "c0"),
+            ("t_end = 0.01", "t_end = inf", "t_end"),
+            ("dt = 1e-3", "dt = 1e-320", "dt"),
+            ("scheme = exponential", "scheme = exponential\nstop_tol = -1", "stop_tol"),
+            ("scheme = exponential", "scheme = exponential\nsnapshot_times = -5, 1e9",
+             "snapshot_times"),
+            ("b = 2 - (x - 0.3)^2", "b = 1 + 0*(exp(1000*x) - exp(1000*x))", "b"),
+        ],
+    )
+    def test_bad_values_exit_2_naming_the_key(self, tmp_path, capsys, old, new, key):
+        path = write_scenario(tmp_path, GOOD_BODY.replace(old, new))
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_each_expression_sampled_once(self, monkeypatch):
+        # validate and predict read the cached node arrays instead of
+        # evaluating b, d and u0 again
+        calls = {}
+        compile_expr = exprlang._compile
+
+        def counting(e):
+            fn = compile_expr(e)
+
+            def counted(x):
+                calls[id(e)] = calls.get(id(e), 0) + 1
+                return fn(x)
+
+            return counted
+
+        monkeypatch.setattr(exprlang, "_compile", counting)
+        scenario = load_scenario(TINY)
+        run(scenario)
+        n = scenario.grid.n_nodes
+        exprs = (scenario.b.expr, scenario.d.expr, scenario.u0.expr)
+        assert [calls.get(id(e)) for e in exprs] == [n, n, n]
+        assert len(calls) == 3
 
 
 class TestParser:

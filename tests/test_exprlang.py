@@ -1,5 +1,6 @@
 """Expression language: grammar goldens, errors, round-trips, eval oracle."""
 
+import itertools
 import math
 import random
 
@@ -8,9 +9,16 @@ import pytest
 
 from conftest import random_expr, reference_eval
 from traitsim.exprlang import (
+    FUNCTIONS,
+    Bin,
+    Call,
+    Const,
     EvalError,
+    Neg,
+    Num,
     ParseError,
     TraitFunction,
+    Var,
     bound_on_grid,
     eval_expr,
     parse,
@@ -213,3 +221,170 @@ class TestTraitFunction:
     def test_keeps_source(self):
         f = TraitFunction.from_source("ind(0, 1)")
         assert f.source == "ind(0, 1)"
+
+
+# --------------------------------------------------------------------------
+# The recursive tree-walking interpreter the compiled evaluator replaced,
+# kept as its reference: same math calls, same checks, same order.
+
+def walk_eval(e, x):
+    if not math.isfinite(x):
+        raise EvalError("evaluation point must be finite", 0)
+    return _walk(e, x)
+
+
+def _walk(e, x):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Const):
+        return {"pi": math.pi, "e": math.e}[e.name]
+    if isinstance(e, Neg):
+        return -_walk(e.operand, x)
+    if isinstance(e, Bin):
+        lhs = _walk(e.lhs, x)
+        rhs = _walk(e.rhs, x)
+        if e.op == "+":
+            return lhs + rhs
+        if e.op == "-":
+            return lhs - rhs
+        if e.op == "*":
+            return lhs * rhs
+        if e.op == "/":
+            if rhs == 0.0:
+                raise EvalError(f"division by zero at offset {e.span[0]}", e.span[0])
+            return lhs / rhs
+        return _walk_power(lhs, rhs, e.span)
+    args = [_walk(a, x) for a in e.args]
+    name = e.name
+    if name == "exp":
+        try:
+            return math.exp(args[0])
+        except OverflowError:
+            return math.inf
+    if name == "sin":
+        return math.sin(args[0])
+    if name == "cos":
+        return math.cos(args[0])
+    if name == "sqrt":
+        if args[0] < 0.0:
+            raise EvalError(f"square root of negative at offset {e.span[0]}", e.span[0])
+        return math.sqrt(args[0])
+    if name == "abs":
+        return math.fabs(args[0])
+    if name == "min":
+        return min(args[0], args[1])
+    if name == "max":
+        return max(args[0], args[1])
+    if name == "clamp":
+        return min(max(args[0], args[1]), args[2])
+    return 1.0 if args[0] <= x <= args[1] else 0.0  # ind
+
+
+def _walk_power(base, exponent, span):
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        negative = base < 0 and exponent == int(exponent) and int(exponent) % 2 == 1
+        return -math.inf if negative else math.inf
+    except ValueError:
+        if base == 0.0:
+            raise EvalError(f"division by zero at offset {span[0]}", span[0]) from None
+        raise EvalError(
+            f"fractional power of negative base at offset {span[0]}", span[0]
+        ) from None
+
+
+# Literals that reach every failure: signed zeros, overflow, infinity.
+_WILD_NUMBERS = [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, 0.3, 1e-300, 1e300, 7.25, math.inf, 2.5]
+
+
+def wild_expr(rng, depth, offsets):
+    """A random AST over every operator and builtin with arbitrary operands.
+
+    Each node gets its own span, so a wrong error offset shows.
+    """
+    span = (next(offsets), 0)
+    if depth <= 0 or rng.random() < 0.2:
+        roll = rng.random()
+        if roll < 0.45:
+            return Num(rng.choice(_WILD_NUMBERS), span)
+        if roll < 0.85:
+            return Var(span)
+        return Const(rng.choice(["pi", "e"]), span)
+    roll = rng.random()
+    if roll < 0.45:
+        op = rng.choice("+-*/^")
+        return Bin(op, wild_expr(rng, depth - 1, offsets), wild_expr(rng, depth - 1, offsets), span)
+    if roll < 0.55:
+        return Neg(wild_expr(rng, depth - 1, offsets), span)
+    name = rng.choice(sorted(FUNCTIONS))
+    args = tuple(wild_expr(rng, depth - 1, offsets) for _ in range(FUNCTIONS[name]))
+    return Call(name, args, span)
+
+
+def _outcome(fn):
+    try:
+        return "value", fn().tobytes()
+    except Exception as err:  # the reference's exception, whatever it is
+        return "error", (type(err), str(err), getattr(err, "offset", None))
+
+
+def _kinds(e):
+    if isinstance(e, Bin):
+        return {e.op} | _kinds(e.lhs) | _kinds(e.rhs)
+    if isinstance(e, Neg):
+        return {"neg"} | _kinds(e.operand)
+    if isinstance(e, Call):
+        return {e.name}.union(*(_kinds(a) for a in e.args))
+    return set()
+
+
+class TestCompiledEvaluator:
+    NODES = np.array([*np.linspace(-2.0, 2.0, 17), -0.0, 0.3, 1e-10])
+
+    def test_bit_identical_to_tree_walk(self):
+        rng = random.Random(20261018)
+        offsets = itertools.count(1)
+        outcomes = {"value": 0, "error": 0}
+        messages, kinds = set(), set()
+        for _ in range(3000):
+            e = wild_expr(rng, 4, offsets)
+            kinds |= _kinds(e)
+            f = TraitFunction("", e)
+            ours = _outcome(lambda: f.sample(self.NODES))
+            ref = _outcome(
+                lambda: np.array([walk_eval(e, float(x)) for x in self.NODES], dtype=float)
+            )
+            assert ours == ref, unparse(e)
+            outcomes[ours[0]] += 1
+            if ours[0] == "error":
+                messages.add(ours[1][1].split(" at offset")[0])
+        assert kinds == set("+-*/^") | {"neg"} | set(FUNCTIONS)
+        assert {"division by zero", "square root of negative",
+                "fractional power of negative base", "math domain error"} <= messages
+        assert min(outcomes.values()) >= 500, outcomes
+
+    def test_non_finite_point_error_matches(self):
+        e = parse("1/x")
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(EvalError) as ours:
+                TraitFunction("1/x", e).sample(np.array([0.5, x]))
+            assert (str(ours.value), ours.value.offset) == ("evaluation point must be finite", 0)
+
+    def test_signed_zero_literals_keep_their_sign(self):
+        # Num(0.0) == Num(-0.0), so a cache keyed on tree equality would mix them up
+        assert Num(0.0) == Num(-0.0)
+        for e in (Num(0.0), Num(-0.0), Call("max", (Num(-0.0), Num(0.0))),
+                  Call("min", (Num(0.0), Num(-0.0))), Bin("*", Num(-0.0), Var())):
+            ours = TraitFunction("", e).sample(self.NODES)
+            ref = np.array([walk_eval(e, float(x)) for x in self.NODES])
+            assert ours.tobytes() == ref.tobytes(), e
+        assert math.copysign(1.0, eval_expr(Num(-0.0), 1.0)) == -1.0
+        assert math.copysign(1.0, eval_expr(Num(0.0), 1.0)) == 1.0
+
+    def test_deep_left_nested_sum(self):
+        # long sums nest deeply on the left; straight-line code has no nesting limit
+        e = parse(" + ".join(["x"] * 400))
+        assert eval_expr(e, 0.5) == 200.0

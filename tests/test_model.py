@@ -1,6 +1,7 @@
 """Static analysis: equilibrium algebra, corridor, quadrature, predictions."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -345,6 +346,47 @@ class TestScenarioValidation:
 
     def test_t_end_zero_allowed(self):
         make_scenario(t_end=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"c0": math.nan}, "c0"),
+            ({"c0": math.inf}, "c0"),
+            ({"t_end": math.inf}, "t_end"),
+            ({"t_end": math.nan}, "t_end"),
+            ({"dt": math.nan}, "dt"),
+            ({"dt": math.inf}, "dt"),
+            ({"dt": 1e-320, "t_end": 1e10}, "dt"),  # t_end / dt overflows
+            ({"stop_tol": -1.0}, "stop_tol"),
+            ({"stop_tol": math.nan}, "stop_tol"),
+            ({"epsilon": math.inf}, "epsilon"),
+            ({"tail_R": math.nan}, "tail_R"),
+            ({"snapshot_times": (-5.0,)}, "snapshot_times"),
+            ({"snapshot_times": (0.0, 1e9)}, "snapshot_times"),
+            ({"snapshot_times": (math.nan,)}, "snapshot_times"),
+        ],
+    )
+    def test_rejects_non_finite_or_out_of_range(self, changes, key):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            make_scenario(**changes).validate()
+
+    def test_rejects_nan_rate_nodes(self):
+        # NaN for x >= 0.71; min and max of the nodes must not skip it
+        s = make_scenario(b="1 + 0*(exp(1000*x) - exp(1000*x))")
+        assert np.isnan(s.b_nodes).any() and not np.isnan(s.b_nodes).all()
+        with pytest.raises(ValueError, match="b must be positive and finite"):
+            s.validate()
+        with pytest.raises(ValueError, match="d must be positive and finite"):
+            make_scenario(d="exp(1000*x)").validate()
+
+    def test_pickle_round_trip_samples_identically(self):
+        s = make_scenario(b="1 + exp(-200*(x - 0.25)^2)", u0="ind(0.1, 0.9)").validate()
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s
+        nodes = s.grid.nodes
+        for original, restored in ((s.b, copy.b), (s.d, copy.d), (s.u0, copy.u0)):
+            assert restored.sample(nodes).tobytes() == original.sample(nodes).tobytes()
+        assert predict_equilibrium(copy) == predict_equilibrium(s)
 
     def test_concentration_epsilon_default(self):
         s = make_scenario(n_cells=100)

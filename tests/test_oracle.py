@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_scenario
 from traitsim.model import positive_root
-from traitsim.integrator import run
+from traitsim.integrator import IntegrationError, run
 from traitsim.oracle import Atom, AtomSystem, integrate_atoms, reference_grid_run
 
 
@@ -117,6 +117,18 @@ class TestIntegrateAtoms:
         # loser dies like exp(-t/2) once rho is near 1
         assert out.atoms[1].m < 1e-9
         assert abs(out.rho - 1.0) < 1e-6
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            (Atom(1e300, 1, 1.0),),  # mass overflows to -inf
+            (Atom(2, 1e9, 1.0), Atom(1, 1, 1.0)),  # masses become NaN
+        ],
+    )
+    def test_divergence_is_a_runtime_error(self, atoms):
+        # valid input whose rates are too fast for dt: not reported as bad input
+        with pytest.raises(IntegrationError, match="too coarse"):
+            integrate_atoms(AtomSystem(atoms), 1e-3, 1e-4)
 
     def test_deterministic(self):
         sys_ = AtomSystem((Atom(2, 1, 0.5), Atom(1, 1, 0.5)))

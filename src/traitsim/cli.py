@@ -48,7 +48,8 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -69,18 +70,10 @@ __all__ = [
 
 OUT_DIR_ENV = "TRAITSIM_OUT"
 
-TRAJECTORY_COLUMNS = (
-    "t",
-    "rho",
-    "V",
-    "D",
-    "W",
-    "max_log_u",
-    "x_mode",
-    "mass_near_xbar",
-    "tail_mass",
-    "undershoot_clamps",
-)
+#: serialized record fields in declaration order; ``rescaled`` is diagnostic only
+_RECORD_FIELDS = tuple(f for f in fields(DiagnosticsRecord) if f.name != "rescaled")
+TRAJECTORY_COLUMNS = tuple(f.name for f in _RECORD_FIELDS)
+_record_values = attrgetter(*TRAJECTORY_COLUMNS)
 
 #: verification tolerances, pinned to the acceptance criteria
 CORRIDOR_SLACK = 1e-6
@@ -202,7 +195,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
         changes["dt"] = args.dt
     if getattr(args, "t_end", None) is not None:
         changes["t_end"] = args.t_end
-    return replace(scenario, **changes) if changes else scenario
+    return scenario.with_controls(**changes) if changes else scenario
 
 
 # --------------------------------------------------------------------------
@@ -210,6 +203,10 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+#: integer fields print as integers, every other field with :func:`_fmt`
+_RECORD_FORMATS = tuple(str if f.type in (int, "int") else _fmt for f in _RECORD_FIELDS)
 
 
 def _fmt_short(x: float) -> str:
@@ -246,35 +243,11 @@ def _json_dump(value, indent: int = 0) -> str:
 
 
 def _record_row(rec: DiagnosticsRecord) -> str:
-    return ",".join(
-        [
-            _fmt(rec.t),
-            _fmt(rec.rho),
-            _fmt(rec.V),
-            _fmt(rec.D),
-            _fmt(rec.W),
-            _fmt(rec.max_log_u),
-            _fmt(rec.x_mode),
-            _fmt(rec.mass_near_xbar),
-            _fmt(rec.tail_mass),
-            str(rec.undershoot_clamps),
-        ]
-    )
+    return ",".join([fmt(v) for fmt, v in zip(_RECORD_FORMATS, _record_values(rec))])
 
 
 def _record_dict(rec: DiagnosticsRecord) -> dict:
-    return {
-        "t": rec.t,
-        "rho": rec.rho,
-        "V": rec.V,
-        "D": rec.D,
-        "W": rec.W,
-        "max_log_u": rec.max_log_u,
-        "x_mode": rec.x_mode,
-        "mass_near_xbar": rec.mass_near_xbar,
-        "tail_mass": rec.tail_mass,
-        "undershoot_clamps": rec.undershoot_clamps,
-    }
+    return dict(zip(TRAJECTORY_COLUMNS, _record_values(rec)))
 
 
 def _prediction_dict(pred) -> dict:
@@ -626,7 +599,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioFileError("sweep needs at least 2 values")
     if parameter == "dt":
         values = [_as_float(v, "--values") for v in raw_values]
-        scenarios = [replace(scenario, dt=v) for v in values]
+        scenarios = [scenario.with_controls(dt=v) for v in values]
         steps = values
     elif parameter == "n_cells":
         values = [_as_int(v, "--values") for v in raw_values]

@@ -17,7 +17,7 @@ c0 = 1 they are exposed directly as :func:`lyapunov_P` and
 
 All integrals reuse the solver's trapezoid rule so the discrete dV/dt = D
 identity mirrors the continuous one up to time-stepping error; mixing
-quadratures would break it beyond that.
+quadratures would break it beyond that.  Each record takes one exp(log_u).
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import (
-    EquilibriumPrediction,
-    Scenario,
-    fitness_on_nodes,
-    trapezoid_weights,
-)
+from .model import EquilibriumPrediction, Scenario, fitness_on_nodes
 
 if TYPE_CHECKING:  # runtime import would be circular; only types are needed
     from .integrator import PopulationState, Trajectory
@@ -114,22 +109,14 @@ def crowding_Q(rho: float, c0: float) -> float:
     return c0 * rho * rho + rho
 
 
-def _density(state: "PopulationState") -> tuple[np.ndarray, float]:
-    """exp(log_u) under a max shift: returns (exp(log_u - shift), shift).
-
-    The shift is 0 whenever the density is representable, so the common path
-    is untouched; blow-up scenarios keep every integral finite in shifted
-    form long after raw exp(log_u) overflows.
-    """
-    m = float(np.max(state.log_u))
+@np.errstate(under="ignore")  # as a decorator it costs half of a with block
+def _density(state: "PopulationState") -> tuple[np.ndarray, float, int]:
+    """(exp(log_u - shift), shift, argmax of log_u); the shift is nonzero only
+    where exp(log_u) could overflow, so blow-up integrals stay finite."""
+    mode = int(state.log_u.argmax())
+    m = float(state.log_u[mode])
     shift = m if m > _RESCALE_THRESHOLD else 0.0
-    with np.errstate(under="ignore"):
-        u = np.exp(state.log_u - shift)
-    return u, shift
-
-
-def _integral(values: np.ndarray, scenario: Scenario) -> float:
-    return float(trapezoid_weights(scenario.grid) @ values)
+    return np.exp(state.log_u - shift if shift else state.log_u), shift, mode
 
 
 def _unscale(raw: float, shift: float) -> float:
@@ -142,31 +129,43 @@ def _unscale(raw: float, shift: float) -> float:
         return math.copysign(math.inf, raw)
 
 
+def _V(u: np.ndarray, shift: float, rho: float, scenario: Scenario, ratio: np.ndarray) -> float:
+    v = ratio - crowding_P(rho, scenario.c0)
+    v *= u
+    return _unscale(float(scenario.grid.weights.dot(v)), shift)
+
+
+def _D(u: np.ndarray, shift: float, rho: float, scenario: Scenario) -> float:
+    g = fitness_on_nodes(rho, scenario)
+    g *= g
+    g /= scenario.d_nodes
+    g *= u
+    return _unscale((1.0 + scenario.c0 * rho) * float(scenario.grid.weights.dot(g)), shift)
+
+
+def _W(u: np.ndarray, shift: float, rho: float, scenario: Scenario, ratio: np.ndarray) -> float:
+    dev = ratio - crowding_Q(rho, scenario.c0)
+    dev *= dev
+    dev *= u
+    return _unscale(float(scenario.grid.weights.dot(dev)), shift)
+
+
 def compute_V(state: "PopulationState", scenario: Scenario) -> float:
     """Lyapunov functional V = integral (b/d - P(rho)) u dx."""
-    u, shift = _density(state)
-    p = crowding_P(state.rho, scenario.c0)
-    raw = _integral((scenario.b_nodes / scenario.d_nodes - p) * u, scenario)
-    return _unscale(raw, shift)
+    u, shift, _ = _density(state)
+    return _V(u, shift, state.rho, scenario, scenario.b_nodes / scenario.d_nodes)
 
 
 def compute_D(state: "PopulationState", scenario: Scenario) -> float:
     """Dissipation D = integral (1 + c0*rho)/d * G^2 u dx; nonnegative by construction."""
-    u, shift = _density(state)
-    g = fitness_on_nodes(state.rho, scenario)
-    raw = (1.0 + scenario.c0 * state.rho) * _integral(
-        g * g / scenario.d_nodes * u, scenario
-    )
-    return _unscale(raw, shift)
+    u, shift, _ = _density(state)
+    return _D(u, shift, state.rho, scenario)
 
 
 def compute_W(state: "PopulationState", scenario: Scenario) -> float:
     """Selection residual W = integral (b/d - Q(rho))^2 u dx."""
-    u, shift = _density(state)
-    q = crowding_Q(state.rho, scenario.c0)
-    dev = scenario.b_nodes / scenario.d_nodes - q
-    raw = _integral(dev * dev * u, scenario)
-    return _unscale(raw, shift)
+    u, shift, _ = _density(state)
+    return _W(u, shift, state.rho, scenario, scenario.b_nodes / scenario.d_nodes)
 
 
 def concentration_report(
@@ -180,51 +179,50 @@ def concentration_report(
     ``epsilon`` defaults to the scenario's concentration window (5 cells).
     The fraction is shift invariant, so it stays meaningful in blow-up runs.
     """
+    u, _, mode = _density(state)
+    x_mode, max_log_u = float(scenario.grid.nodes[mode]), float(state.log_u[mode])
+    return ConcentrationReport(_window_fraction(u, scenario, pred, epsilon), x_mode, max_log_u)
+
+
+def _window_fraction(
+    u: np.ndarray, scenario: Scenario, pred: EquilibriumPrediction, epsilon: float | None
+) -> float:
     eps = scenario.concentration_epsilon if epsilon is None else epsilon
     if not (eps > 0.0):
         raise ValueError(f"epsilon must be > 0, got {eps}")
-    u, _ = _density(state)
-    w = trapezoid_weights(scenario.grid)
-    total = float(w @ u)
-    # 1e-9 relative slack keeps nodes exactly epsilon away inside the window
-    near = np.abs(scenario.grid.nodes - pred.x_bar) <= eps * (1.0 + 1e-9)
-    fraction = float(w[near] @ u[near]) / total if total > 0.0 else 0.0
-    mode_index = int(np.argmax(state.log_u))
-    return ConcentrationReport(
-        mass_near_xbar=fraction,
-        x_mode=float(scenario.grid.nodes[mode_index]),
-        max_log_u=float(state.log_u[mode_index]),
-    )
+    w = scenario.grid.weights
+    total = float(w.dot(u))
+    # sorted nodes: |x - x_bar| <= eps (1e-9 slack keeps nodes eps away in) is a slice
+    d, c = scenario.grid.nodes - pred.x_bar, eps * (1.0 + 1e-9)
+    lo, hi = d.searchsorted(-c), d.searchsorted(c, "right")
+    return float(w[lo:hi].dot(u[lo:hi])) / total if total > 0.0 else 0.0
 
 
-def _tail_mass(state: "PopulationState", scenario: Scenario) -> float:
+def _tail_mass(u: np.ndarray, shift: float, scenario: Scenario) -> float:
     if scenario.tail_R is None:
         return 0.0
-    tail = np.abs(scenario.grid.nodes) >= scenario.tail_R
-    if not tail.any():
-        return 0.0
-    u, shift = _density(state)
-    w = trapezoid_weights(scenario.grid)
-    return _unscale(float(w[tail] @ u[tail]), shift)
+    tail = np.abs(scenario.grid.nodes) >= scenario.tail_R  # may be empty: the sum is 0.0
+    return _unscale(float(scenario.grid.weights[tail].dot(u[tail])), shift)
 
 
 def make_record(
     state: "PopulationState", scenario: Scenario, pred: EquilibriumPrediction
 ) -> DiagnosticsRecord:
-    """Assemble the full diagnostics row for one sampled state."""
-    conc = concentration_report(state, scenario, pred)
+    """Assemble the full diagnostics row for one sampled state from one density."""
+    u, shift, mode = _density(state)
+    ratio = scenario.b_nodes / scenario.d_nodes
     return DiagnosticsRecord(
         t=state.t,
         rho=state.rho,
-        V=compute_V(state, scenario),
-        D=compute_D(state, scenario),
-        W=compute_W(state, scenario),
-        max_log_u=conc.max_log_u,
-        x_mode=conc.x_mode,
-        mass_near_xbar=conc.mass_near_xbar,
-        tail_mass=_tail_mass(state, scenario),
+        V=_V(u, shift, state.rho, scenario, ratio),
+        D=_D(u, shift, state.rho, scenario),
+        W=_W(u, shift, state.rho, scenario, ratio),
+        max_log_u=float(state.log_u[mode]),
+        x_mode=float(scenario.grid.nodes[mode]),
+        mass_near_xbar=_window_fraction(u, scenario, pred, None),
+        tail_mass=_tail_mass(u, shift, scenario),
         undershoot_clamps=state.undershoot_clamps,
-        rescaled=bool(np.max(state.log_u) > _RESCALE_THRESHOLD),
+        rescaled=shift > 0.0,
     )
 
 
@@ -254,7 +252,7 @@ def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
 
     scenario = trajectory.scenario
     state = trajectory.final_state
-    u, shift = _density(state)
+    u, shift, _ = _density(state)
     i = trajectory.prediction.x_bar_index
     dx = scenario.grid.dx
     # trapezoid mass of the one or two cells touching x_bar

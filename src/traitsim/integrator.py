@@ -42,7 +42,6 @@ from .model import (
     fitness_on_nodes,
     predict_equilibrium,
     quadrature,
-    trapezoid_weights,
 )
 
 __all__ = [
@@ -133,29 +132,48 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class _Tables:
-    """Support-restricted arrays shared by every step of a run."""
+    """Support-restricted arrays shared by every step of a run.
 
+    The scalar ranges of b_s, d_s and log_u0_s bound every density exponent
+    (see :func:`_mass_at`).
+    """
+
+    n_nodes: int
     support: np.ndarray
     b_s: np.ndarray
     d_s: np.ndarray
     log_u0_s: np.ndarray
     w_s: np.ndarray
-    w_full: np.ndarray
+    b_lo: float
+    b_hi: float
+    d_lo: float
+    d_hi: float
+    log_u0_hi: float
 
 
 @lru_cache(maxsize=64)
 def _tables(scenario: Scenario) -> _Tables:
     support = np.flatnonzero(scenario.support_mask)
-    w_full = trapezoid_weights(scenario.grid)
+    # Copies of the gathered arrays: the freed gathers leave heap holes the
+    # size of _mass_at's per-call arrays below the tables.  Without them glibc
+    # trims the heap top after every _mass_at on large grids and the next call
+    # page-faults it back in (at 5e4 nodes: 163 faults per call, twice the time).
+    b_s = scenario.b_nodes[support].copy()
+    d_s = scenario.d_nodes[support].copy()
     with np.errstate(divide="ignore"):
         log_u0_s = np.log(scenario.u0_nodes[support])
     return _Tables(
+        n_nodes=scenario.grid.n_nodes,
         support=support,
-        b_s=scenario.b_nodes[support].copy(),
-        d_s=scenario.d_nodes[support].copy(),
+        b_s=b_s,
+        d_s=d_s,
         log_u0_s=log_u0_s,
-        w_s=w_full[support].copy(),
-        w_full=w_full,
+        w_s=scenario.grid.weights[support].copy(),
+        b_lo=float(b_s.min()),
+        b_hi=float(b_s.max()),
+        d_lo=float(d_s.min()),
+        d_hi=float(d_s.max()),
+        log_u0_hi=float(log_u0_s.max()),
     )
 
 
@@ -200,17 +218,21 @@ def _mass_at(t: _Tables, A: float, B: float) -> float:
     Plain summation while the largest density exponent is representable,
     max-shifted (log-sum-exp) otherwise; numpy's default error state already
     flushes underflow to zero, which is the wanted behavior for dying tails.
+    Rounding is monotone, so no exponent exceeds the scalar bound computed
+    from the table ranges in the same order; the exact max is taken only
+    when that bound (or NaN) does not settle the branch.  ``ndarray.dot``
+    makes the same BLAS call as ``@`` with less dispatch.
     """
     e = t.b_s * A
     e -= t.d_s * B
     e += t.log_u0_s
-    m = float(e.max())
-    if m <= _SAFE_EXP:
+    bound = max(t.b_hi * A, t.b_lo * A) - min(t.d_lo * B, t.d_hi * B) + t.log_u0_hi
+    if bound <= _SAFE_EXP or (m := float(e.max())) <= _SAFE_EXP:
         np.exp(e, out=e)
-        return float(t.w_s @ e)
+        return float(t.w_s.dot(e))
     e -= m
     np.exp(e, out=e)
-    log_rho = m + math.log(float(t.w_s @ e))
+    log_rho = m + math.log(float(t.w_s.dot(e)))
     if log_rho > _LOG_MAX:
         raise ExponentOverflow(
             f"total mass overflows: log rho = {log_rho:.6g} "
@@ -234,10 +256,11 @@ def rho_from_exponents(A: float, B: float, scenario: Scenario) -> float:
     return _mass_at(_tables(scenario), A, B)
 
 
-def _exponent_log_u(A: float, B: float, scenario: Scenario) -> np.ndarray:
-    t = _tables(scenario)
-    log_u = np.full(scenario.grid.n_nodes, -np.inf)
-    log_u[t.support] = t.log_u0_s + t.b_s * A - t.d_s * B
+def _exponent_log_u(t: _Tables, A: float, B: float) -> np.ndarray:
+    log_u = t.log_u0_s + t.b_s * A - t.d_s * B
+    if log_u.size < t.n_nodes:  # cells outside the initial support stay empty
+        values, log_u = log_u, np.full(t.n_nodes, -np.inf)
+        log_u[t.support] = values
     log_u.setflags(write=False)
     return log_u
 
@@ -271,14 +294,15 @@ def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> P
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
+    tables = _tables(scenario)
     A1, B1, rho1 = _advance_exponential(
-        _tables(scenario), scenario.c0, state.A, state.B, state.rho, dt
+        tables, scenario.c0, state.A, state.B, state.rho, dt
     )
     return PopulationState(
         t=state.t + dt,
         A=A1,
         B=B1,
-        log_u=_exponent_log_u(A1, B1, scenario),
+        log_u=_exponent_log_u(tables, A1, B1),
         rho=rho1,
         undershoot_clamps=state.undershoot_clamps,
     )
@@ -293,7 +317,7 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    t = _tables(scenario)
+    w = scenario.grid.weights
     max_log = float(np.max(state.log_u))
     if max_log > _LOG_MAX:
         raise ExponentOverflow(
@@ -305,7 +329,7 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
         u = np.exp(state.log_u)
 
     def mass(v: np.ndarray) -> float:
-        return float(t.w_full @ v)
+        return float(w @ v)
 
     def rates(rho: float) -> np.ndarray:
         return fitness_on_nodes(rho, scenario)
@@ -407,7 +431,7 @@ def run(scenario: Scenario) -> Trajectory:
             t=s.t,
             A=s.A,
             B=s.B,
-            log_u=_exponent_log_u(s.A, s.B, scenario),
+            log_u=_exponent_log_u(tables, s.A, s.B),
             rho=s.rho,
             undershoot_clamps=s.undershoot_clamps,
         )
@@ -432,7 +456,7 @@ def run(scenario: Scenario) -> Trajectory:
                     t=state.t + dt,
                     A=A1,
                     B=B1,
-                    log_u=_exponent_log_u(A1, B1, scenario)
+                    log_u=_exponent_log_u(tables, A1, B1)
                     if observed
                     else state.log_u,
                     rho=rho1,

@@ -84,6 +84,13 @@ class Grid:
         x.setflags(write=False)
         return x
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only trapezoid weights, one array per grid shared by all users."""
+        w = trapezoid_weights(self)
+        w.setflags(write=False)
+        return w
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -139,6 +146,20 @@ class Scenario:
     def concentration_epsilon(self) -> float:
         """Window for the Dirac-mass diagnostic; defaults to 5 grid cells."""
         return self.epsilon if self.epsilon is not None else 5.0 * self.grid.dx
+
+    def with_controls(self, **changes) -> "Scenario":
+        """A copy with run controls changed, as ``dataclasses.replace`` makes it.
+
+        The grid, b, d and u0 stay, so the sampled node arrays carry over
+        instead of being sampled again.
+        """
+        if changes.keys() & {"grid", "b", "d", "u0"}:
+            raise ValueError(f"with_controls cannot change {sorted(changes)}")
+        new = replace(self, **changes)
+        for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask"):
+            if name in self.__dict__:
+                new.__dict__[name] = self.__dict__[name]
+        return new
 
     def initial_mass(self) -> float:
         return quadrature(self.u0_nodes, self.grid)
@@ -242,7 +263,9 @@ def eval_fitness(x: float, rho: float, scenario: Scenario) -> float:
 
 def fitness_on_nodes(rho: float, scenario: Scenario) -> np.ndarray:
     """G(x_i, rho) on every grid node (vectorized counterpart of eval_fitness)."""
-    return scenario.b_nodes / (1.0 + scenario.c0 * rho) - scenario.d_nodes * rho
+    g = scenario.b_nodes / (1.0 + scenario.c0 * rho)
+    g -= scenario.d_nodes * rho
+    return g
 
 
 def trapezoid_weights(grid: Grid) -> np.ndarray:

@@ -110,7 +110,7 @@ class TestLoadScenario:
         assert capsys.readouterr().err.startswith(f"error: {key} must")
         assert not (tmp_path / "out" / "summary.json").exists()
 
-    def test_each_expression_sampled_once(self, monkeypatch):
+    def test_each_expression_sampled_once(self, monkeypatch, tmp_path):
         # validate and predict read the cached node arrays instead of
         # evaluating b, d and u0 again
         calls = {}
@@ -132,6 +132,14 @@ class TestLoadScenario:
         exprs = (scenario.b.expr, scenario.d.expr, scenario.u0.expr)
         assert [calls.get(id(e)) for e in exprs] == [n, n, n]
         assert len(calls) == 3
+
+        # overriding run controls keeps the sampled nodes: 11 evaluations
+        # per expression on the 11-node grid, not 22
+        calls.clear()
+        out = tmp_path / "out"
+        assert main(["run", TINY, "--t-end", "0.02", "--out", str(out), "--quiet"]) == 0
+        assert sorted(calls.values()) == [n, n, n]
+        assert json.loads((out / "summary.json").read_text())["scenario"]["t_end"] == 0.02
 
 
 class TestParser:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_scenario
+from traitsim import diagnostics
 from traitsim.diagnostics import (
+    DiagnosticsRecord,
     blow_up_report,
     compute_D,
     compute_V,
@@ -22,7 +25,7 @@ from traitsim.diagnostics import (
     make_record,
 )
 from traitsim.integrator import PopulationState, init_state, run
-from traitsim.model import predict_equilibrium
+from traitsim.model import fitness_on_nodes, predict_equilibrium, trapezoid_weights
 
 
 def state_with(scenario, rho, log_u=None, t=0.0):
@@ -227,3 +230,179 @@ class TestBlowUpReport:
         t = run(s)
         with pytest.raises(ValueError, match="post-transient samples"):
             blow_up_report(t)
+
+
+# --------------------------------------------------------------------------
+# Reference: the record as assembled before the density was shared, one
+# exp(log_u) per functional.  make_record must reproduce it bit for bit.
+
+def _ref_density(state):
+    m = float(np.max(state.log_u))
+    shift = m if m > 700.0 else 0.0
+    with np.errstate(under="ignore"):
+        u = np.exp(state.log_u - shift)
+    return u, shift
+
+
+def _ref_unscale(raw, shift):
+    if not shift or raw == 0.0:
+        return raw
+    try:
+        return raw * math.exp(shift)
+    except OverflowError:
+        return math.copysign(math.inf, raw)
+
+
+def _ref_V(state, s):
+    u, shift = _ref_density(state)
+    p = crowding_P(state.rho, s.c0)
+    return _ref_unscale(float(trapezoid_weights(s.grid) @ ((s.b_nodes / s.d_nodes - p) * u)), shift)
+
+
+def _ref_D(state, s):
+    u, shift = _ref_density(state)
+    g = fitness_on_nodes(state.rho, s)
+    raw = (1.0 + s.c0 * state.rho) * float(trapezoid_weights(s.grid) @ (g * g / s.d_nodes * u))
+    return _ref_unscale(raw, shift)
+
+
+def _ref_W(state, s):
+    u, shift = _ref_density(state)
+    dev = s.b_nodes / s.d_nodes - crowding_Q(state.rho, s.c0)
+    return _ref_unscale(float(trapezoid_weights(s.grid) @ (dev * dev * u)), shift)
+
+
+def _ref_concentration(state, s, pred, epsilon=None):
+    eps = s.concentration_epsilon if epsilon is None else epsilon
+    u, _ = _ref_density(state)
+    w = trapezoid_weights(s.grid)
+    total = float(w @ u)
+    near = np.abs(s.grid.nodes - pred.x_bar) <= eps * (1.0 + 1e-9)
+    fraction = float(w[near] @ u[near]) / total if total > 0.0 else 0.0
+    i = int(np.argmax(state.log_u))
+    return fraction, float(s.grid.nodes[i]), float(state.log_u[i])
+
+
+def _ref_tail(state, s):
+    if s.tail_R is None:
+        return 0.0
+    tail = np.abs(s.grid.nodes) >= s.tail_R
+    if not tail.any():
+        return 0.0
+    u, shift = _ref_density(state)
+    w = trapezoid_weights(s.grid)
+    return _ref_unscale(float(w[tail] @ u[tail]), shift)
+
+
+def _ref_record(state, s, pred):
+    fraction, x_mode, max_log_u = _ref_concentration(state, s, pred)
+    return DiagnosticsRecord(
+        t=state.t,
+        rho=state.rho,
+        V=_ref_V(state, s),
+        D=_ref_D(state, s),
+        W=_ref_W(state, s),
+        max_log_u=max_log_u,
+        x_mode=x_mode,
+        mass_near_xbar=fraction,
+        tail_mass=_ref_tail(state, s),
+        undershoot_clamps=state.undershoot_clamps,
+        rescaled=bool(np.max(state.log_u) > 700.0),
+    )
+
+
+def _bits(value):
+    """Exact identity of a field: signed zeros and NaN payloads included."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return (type(value), repr(value))
+
+
+def _states(s, rng, offsets):
+    """Random states on the support of s around each log-density offset."""
+    with np.errstate(divide="ignore"):
+        base = np.log(s.u0_nodes)
+    for offset in offsets:
+        for _ in range(8):
+            log_u = base + offset + rng.uniform(-30.0, 3.0, base.size)
+            yield state_with(s, rho=float(rng.uniform(0.0, 3.0)), log_u=log_u, t=0.5)
+
+
+RECORD_SCENARIOS = {
+    "plain": dict(b="2 - (x-0.3)^2", d="1 + x", n_cells=200),
+    "partial_support": dict(b="1 + x", d="1", u0="ind(0.2, 0.6)", n_cells=150),
+    "tail_R": dict(b="2 - (x+0.2)^2", d="1 + x^2", u0="1 + x", x_min=-1.0, tail_R=0.7),
+    "epsilon": dict(b="1 + exp(-50*(x-0.4)^2)", d="1", epsilon=0.05, n_cells=300),
+    "c0": dict(b="3 - x", d="1 + x", c0=0.25, tail_R=5.0, epsilon=0.3),  # no tail nodes
+}
+
+
+class TestOneMaterialization:
+    @pytest.mark.parametrize("name", sorted(RECORD_SCENARIOS))
+    def test_record_bit_identical_to_reference(self, name):
+        # offsets: plain, just under and over the 700 shift threshold, and
+        # past double range, where V, D and the tail mass saturate to inf
+        s = make_scenario(**RECORD_SCENARIOS[name])
+        pred = predict_equilibrium(s)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        states = [init_state(s), *_states(s, rng, (0.0, 699.0, 705.0, 760.0, 5000.0))]
+        rescaled = saturated = 0
+        for st_ in states:
+            got, want = make_record(st_, s, pred), _ref_record(st_, s, pred)
+            assert list(map(_bits, vars(got).values())) == list(map(_bits, vars(want).values()))
+            assert _bits(compute_V(st_, s)) == _bits(want.V)
+            assert _bits(compute_D(st_, s)) == _bits(want.D)
+            assert _bits(compute_W(st_, s)) == _bits(want.W)
+            eps = 0.1 if s.epsilon is None else s.epsilon
+            rep = concentration_report(st_, s, pred, epsilon=eps)
+            assert list(map(_bits, rep)) == list(map(_bits, _ref_concentration(st_, s, pred, eps)))
+            rescaled += got.rescaled
+            saturated += math.isinf(got.V)
+        assert 0 < rescaled < len(states) and saturated > 0
+
+    def test_run_records_bit_identical_to_reference(self):
+        s = make_scenario(
+            b="1 + x", d="1", u0="ind(0.1, 1)", t_end=0.5, sample_every=50, tail_R=0.95,
+            snapshot_times=(0.0, 0.25, 0.5),
+        )
+        t = run(s)
+        assert len(t.snapshots) == 3
+        for snap in t.snapshots:
+            i = round(snap.t / s.dt) // s.sample_every
+            st_ = state_with(s, rho=t.records[i].rho, log_u=snap.log_u, t=snap.t)
+            want = _ref_record(st_, s, t.prediction)
+            assert list(map(_bits, vars(t.records[i]).values())) == list(
+                map(_bits, vars(want).values())
+            )
+
+    def test_underflow_ignored_under_strict_error_state(self):
+        s = make_scenario(b="2 - (x-0.3)^2", d="1")
+        log_u = np.zeros(s.grid.n_nodes)
+        log_u[::2] = -800.0  # exp underflows to 0 on every other node
+        st_ = state_with(s, rho=1.0, log_u=log_u)
+        pred = predict_equilibrium(s)
+        with np.errstate(under="raise"):
+            rec = make_record(st_, s, pred)
+        assert list(map(_bits, vars(rec).values())) == list(
+            map(_bits, vars(_ref_record(st_, s, pred)).values())
+        )
+
+    def test_one_exponentiation_per_record(self, monkeypatch):
+        s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", tail_R=0.5)
+        pred = predict_equilibrium(s)
+        st_ = init_state(s)
+        calls = {"density": 0, "exp": 0}
+        density, exp = diagnostics._density, np.exp
+
+        def counted_density(state):
+            calls["density"] += 1
+            return density(state)
+
+        def counted_exp(*args, **kwargs):
+            calls["exp"] += 1
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "_density", counted_density)
+        monkeypatch.setattr(np, "exp", counted_exp)
+        make_record(st_, s, pred)
+        assert calls == {"density": 1, "exp": 1}

@@ -1,6 +1,7 @@
 """Time integration: exactness, invariants, cross-scheme and failure paths."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from conftest import make_scenario
 from traitsim.integrator import (
     ExponentOverflow,
+    _exponent_log_u,
+    _mass_at,
+    _tables,
     init_state,
     rho_from_exponents,
     run,
@@ -93,6 +97,67 @@ class TestRhoFromExponents:
         s = make_scenario()
         with pytest.raises(ExponentOverflow):
             rho_from_exponents(math.inf, 0.0, s)
+
+
+def _exact_max_mass(t, A, B):
+    """The mass kernel as it was before the scalar bound: exact max every call."""
+    e = t.b_s * A
+    e -= t.d_s * B
+    e += t.log_u0_s
+    m = float(e.max())
+    if m <= 600.0:
+        np.exp(e, out=e)
+        return float(t.w_s @ e)
+    e -= m
+    np.exp(e, out=e)
+    log_rho = m + math.log(float(t.w_s @ e))
+    if log_rho > math.log(np.finfo(float).max):
+        raise ExponentOverflow(f"total mass overflows: log rho = {log_rho:.6g} "
+                               f"(largest density exponent {m:.6g})", exponent=m)
+    return math.exp(log_rho)
+
+
+def _outcome(kernel, t, A, B):
+    try:
+        return struct.pack("<d", kernel(t, A, B))
+    except ExponentOverflow as err:
+        return (str(err), struct.pack("<d", err.exponent))
+
+
+class TestMassKernel:
+    @pytest.mark.parametrize("u0", ["ind(0, 1)", "1 + x", "ind(0.3, 0.55)", "exp(400*x)"])
+    def test_scalar_bound_bit_identical_to_exact_max(self, u0):
+        # b/d span signs of b*A - d*B; scales reach past the 600 threshold,
+        # past exp overflow and past double range (inf - inf gives NaN)
+        s = make_scenario(b="1.5 + sin(7*x)", d="0.5 + x^2", u0=u0, n_cells=400)
+        t = _tables(s)
+        rng = np.random.default_rng(20261018)
+        points = [(0.0, 0.0), (-0.0, 0.0), (1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
+        while len(points) < 500:
+            scale = 10.0 ** rng.uniform(-2.0, 6.0 if len(points) % 5 else 308.0)
+            if len(points) % 3 == 0:
+                scale = rng.uniform(300.0, 1500.0)  # around the 600 threshold
+            points.append(tuple(map(float, rng.uniform(-1.0, 1.0, 2) * scale)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = [_outcome(_mass_at, t, A, B) for A, B in points]
+            assert outcomes == [_outcome(_exact_max_mass, t, A, B) for A, B in points]
+            largest = [float((t.b_s * A - t.d_s * B + t.log_u0_s).max()) for A, B in points]
+        plain = sum(m <= 600.0 for m in largest)
+        shifted = sum(isinstance(o, bytes) and m > 600.0 for o, m in zip(outcomes, largest))
+        overflow = sum(isinstance(o, tuple) for o in outcomes)
+        assert min(plain, shifted, overflow) >= 5, (plain, shifted, overflow)
+
+    @pytest.mark.parametrize("u0", ["1 + x", "(1 + x)*ind(0.3, 0.55)"])
+    def test_log_density_layout_bitwise(self, u0):
+        s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", u0=u0, n_cells=50)
+        t = _tables(s)
+        rng = np.random.default_rng(7)
+        for A, B in rng.uniform(0.0, 50.0, (200, 2)):
+            log_u = _exponent_log_u(t, A, B)
+            want = np.full(s.grid.n_nodes, -np.inf)
+            want[t.support] = t.log_u0_s + t.b_s * A - t.d_s * B
+            assert log_u.tobytes() == want.tobytes()
+            assert not log_u.flags.writeable
 
 
 class TestStepExponential:

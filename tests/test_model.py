@@ -160,6 +160,11 @@ class TestQuadrature:
         g = Grid(0.0, 3.0, 12)
         assert trapezoid_weights(g).sum() == pytest.approx(3.0, rel=1e-14)
 
+    def test_grid_weights_cached_read_only(self):
+        g = Grid(0.0, 3.0, 12)
+        assert g.weights is g.weights and not g.weights.flags.writeable
+        assert g.weights.tobytes() == trapezoid_weights(g).tobytes()
+
 
 class TestSupportGeometry:
     def test_runs(self):
@@ -387,6 +392,16 @@ class TestScenarioValidation:
         for original, restored in ((s.b, copy.b), (s.d, copy.d), (s.u0, copy.u0)):
             assert restored.sample(nodes).tobytes() == original.sample(nodes).tobytes()
         assert predict_equilibrium(copy) == predict_equilibrium(s)
+
+    def test_with_controls_keeps_sampled_nodes(self):
+        s = make_scenario(b="2 - (x-0.3)^2").validate()
+        assert s.support_mask.all()
+        t = s.with_controls(t_end=2.0, dt=1e-2, scheme="direct")
+        assert (t.t_end, t.dt, t.scheme, t.grid, t.b) == (2.0, 1e-2, "direct", s.grid, s.b)
+        for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask"):
+            assert getattr(t, name) is getattr(s, name)
+        with pytest.raises(ValueError, match="grid"):
+            s.with_controls(grid=Grid(0.0, 1.0, 10))
 
     def test_concentration_epsilon_default(self):
         s = make_scenario(n_cells=100)

@@ -57,7 +57,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import DiagnosticsRecord, blow_up_report
 from .exprlang import ExprError, TraitFunction
-from .integrator import IntegrationError, Trajectory, run
+from .integrator import CORRIDOR_TOL, IntegrationError, Trajectory, run
 from .model import Grid, Scenario, predict_equilibrium
 
 __all__ = [
@@ -75,8 +75,7 @@ _RECORD_FIELDS = tuple(f for f in fields(DiagnosticsRecord) if f.name != "rescal
 TRAJECTORY_COLUMNS = tuple(f.name for f in _RECORD_FIELDS)
 _record_values = attrgetter(*TRAJECTORY_COLUMNS)
 
-#: verification tolerances, pinned to the acceptance criteria
-CORRIDOR_SLACK = 1e-6
+#: verification tolerances, pinned to the acceptance criteria (with CORRIDOR_TOL)
 LYAPUNOV_SLACK = 1e-8
 RESIDUAL_DECAY_FACTOR = 1e-2
 RHO_LIMIT_TOL_INTERIOR = 1e-3
@@ -391,14 +390,14 @@ def evaluate_invariants(trajectory: Trajectory) -> list[tuple[str, bool | None, 
     Ds = np.array([r.D for r in records])
     checks: list[tuple[str, bool | None, str]] = []
 
-    lo, hi = pred.rho_m - CORRIDOR_SLACK, pred.rho_M + CORRIDOR_SLACK
+    lo, hi = pred.rho_m - CORRIDOR_TOL, pred.rho_M + CORRIDOR_TOL
     ok = bool(np.all((rhos >= lo) & (rhos <= hi)))
     checks.append(
         (
             "corridor",
             ok,
             f"rho in [{rhos.min():.9g}, {rhos.max():.9g}], "
-            f"allowed [{pred.rho_m:.9g} - {CORRIDOR_SLACK:g}, {pred.rho_M:.9g} + {CORRIDOR_SLACK:g}]",
+            f"allowed [{pred.rho_m:.9g} - {CORRIDOR_TOL:g}, {pred.rho_M:.9g} + {CORRIDOR_TOL:g}]",
         )
     )
 

@@ -464,6 +464,3 @@ class TraitFunction:
     def sample(self, nodes: np.ndarray) -> np.ndarray:
         """Evaluate on every node; returns a float64 array."""
         return _sample(self.expr, nodes)
-
-    def bounds_on(self, grid) -> tuple[float, float]:
-        return bound_on_grid(self.expr, grid)

@@ -31,7 +31,6 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from . import diagnostics
 from .model import (
     EquilibriumPrediction,
     Scenario,
+    SupportTables,
     fitness_on_nodes,
     predict_equilibrium,
     quadrature,
@@ -130,51 +130,8 @@ class Trajectory:
     early_stop_t: float | None = None
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """Support-restricted arrays shared by every step of a run.
-
-    The scalar ranges of b_s, d_s and log_u0_s bound every density exponent
-    (see :func:`_mass_at`).
-    """
-
-    n_nodes: int
-    support: np.ndarray
-    b_s: np.ndarray
-    d_s: np.ndarray
-    log_u0_s: np.ndarray
-    w_s: np.ndarray
-    b_lo: float
-    b_hi: float
-    d_lo: float
-    d_hi: float
-    log_u0_hi: float
-
-
-@lru_cache(maxsize=64)
-def _tables(scenario: Scenario) -> _Tables:
-    support = np.flatnonzero(scenario.support_mask)
-    # Copies of the gathered arrays: the freed gathers leave heap holes the
-    # size of _mass_at's per-call arrays below the tables.  Without them glibc
-    # trims the heap top after every _mass_at on large grids and the next call
-    # page-faults it back in (at 5e4 nodes: 163 faults per call, twice the time).
-    b_s = scenario.b_nodes[support].copy()
-    d_s = scenario.d_nodes[support].copy()
-    with np.errstate(divide="ignore"):
-        log_u0_s = np.log(scenario.u0_nodes[support])
-    return _Tables(
-        n_nodes=scenario.grid.n_nodes,
-        support=support,
-        b_s=b_s,
-        d_s=d_s,
-        log_u0_s=log_u0_s,
-        w_s=scenario.grid.weights[support].copy(),
-        b_lo=float(b_s.min()),
-        b_hi=float(b_s.max()),
-        d_lo=float(d_s.min()),
-        d_hi=float(d_s.max()),
-        log_u0_hi=float(log_u0_s.max()),
-    )
+def _tables(scenario: Scenario) -> SupportTables:
+    return scenario.support_tables
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
@@ -212,7 +169,7 @@ def init_state(scenario: Scenario) -> PopulationState:
     return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=rho0)
 
 
-def _mass_at(t: _Tables, A: float, B: float) -> float:
+def _mass_at(t: SupportTables, A: float, B: float) -> float:
     """Mass quadrature at exponents (A, B); the solver's innermost kernel.
 
     Plain summation while the largest density exponent is representable,
@@ -222,10 +179,16 @@ def _mass_at(t: _Tables, A: float, B: float) -> float:
     from the table ranges in the same order; the exact max is taken only
     when that bound (or NaN) does not settle the branch.  ``ndarray.dot``
     makes the same BLAS call as ``@`` with less dispatch.
+
+    The scalar forms of ``t.d`` and ``t.log_u0`` give the bits of the arrays:
+    a scalar d*B is the same IEEE product as each d_i*B, and skipping a zero
+    log u0 only leaves -0.0 where adding it gives +0.0, and exp maps both to
+    1.0 (NaN, +-inf and the shifted branch are unaffected).
     """
     e = t.b_s * A
-    e -= t.d_s * B
-    e += t.log_u0_s
+    e -= t.d * B
+    if t.log_u0 is not None:
+        e += t.log_u0
     bound = max(t.b_hi * A, t.b_lo * A) - min(t.d_lo * B, t.d_hi * B) + t.log_u0_hi
     if bound <= _SAFE_EXP or (m := float(e.max())) <= _SAFE_EXP:
         np.exp(e, out=e)
@@ -256,22 +219,27 @@ def rho_from_exponents(A: float, B: float, scenario: Scenario) -> float:
     return _mass_at(_tables(scenario), A, B)
 
 
-def _exponent_log_u(t: _Tables, A: float, B: float) -> np.ndarray:
-    log_u = t.log_u0_s + t.b_s * A - t.d_s * B
-    if log_u.size < t.n_nodes:  # cells outside the initial support stay empty
-        values, log_u = log_u, np.full(t.n_nodes, -np.inf)
-        log_u[t.support] = values
+def _exponential_state(
+    tables: SupportTables, t: float, A: float, B: float, rho: float, undershoot_clamps: int = 0
+) -> PopulationState:
+    """The exact state at exponents (A, B): log_u is rebuilt from the tables."""
+    log_u = tables.log_u0_s + tables.b_s * A - tables.d_s * B
+    if log_u.size < tables.n_nodes:  # cells outside the initial support stay empty
+        values, log_u = log_u, np.full(tables.n_nodes, -np.inf)
+        log_u[tables.support] = values
     log_u.setflags(write=False)
-    return log_u
+    return PopulationState(t, A, B, log_u, rho, undershoot_clamps)
 
 
 def _advance_exponential(
-    t: _Tables, c0: float, A: float, B: float, rho: float, dt: float
+    t: SupportTables, c0: float, A: float, B: float, rho: float, dt: float
 ) -> tuple[float, float, float]:
     """One RK4 step of A' = 1/(1 + c0*rho(A, B)), B' = rho(A, B).
 
     ``rho`` must equal the mass at (A, B); the first stage reuses it, the
-    refreshed mass at the new point is returned for the next step.
+    refreshed mass at the new point is returned for the next step.  A NaN
+    mass anywhere in the step reaches the new mass, which raises
+    :class:`IntegrationError`.
     """
     k1a = 1.0 / (1.0 + c0 * rho)
     k1b = rho
@@ -283,7 +251,10 @@ def _advance_exponential(
     k4a = 1.0 / (1.0 + c0 * k4b)
     A1 = A + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
     B1 = B + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return A1, B1, _mass_at(t, A1, B1)
+    rho1 = _mass_at(t, A1, B1)
+    if rho1 != rho1:  # NaN
+        raise IntegrationError(f"mass is NaN after a step from A = {A!r}, B = {B!r}; reduce dt")
+    return A1, B1, rho1
 
 
 def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> PopulationState:
@@ -298,14 +269,7 @@ def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> P
     A1, B1, rho1 = _advance_exponential(
         tables, scenario.c0, state.A, state.B, state.rho, dt
     )
-    return PopulationState(
-        t=state.t + dt,
-        A=A1,
-        B=B1,
-        log_u=_exponent_log_u(tables, A1, B1),
-        rho=rho1,
-        undershoot_clamps=state.undershoot_clamps,
-    )
+    return _exponential_state(tables, state.t + dt, A1, B1, rho1, state.undershoot_clamps)
 
 
 def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> PopulationState:
@@ -422,56 +386,36 @@ def run(scenario: Scenario) -> Trajectory:
             DensitySnapshot(snapshot_steps[0], state.t, state.log_u)
         )
 
-    def refreshed(s: PopulationState) -> PopulationState:
-        # the exponential fast path reuses stale log_u between samples;
-        # anything leaving this function gets the exact density for (A, B)
-        if not exponential:
-            return s
-        return PopulationState(
-            t=s.t,
-            A=s.A,
-            B=s.B,
-            log_u=_exponent_log_u(tables, s.A, s.B),
-            rho=s.rho,
-            undershoot_clamps=s.undershoot_clamps,
-        )
-
     lo = pred.rho_m - CORRIDOR_TOL
     hi = pred.rho_M + CORRIDOR_TOL
+    c0, every = scenario.c0, scenario.sample_every
+    t, A, B, rho = state.t, state.A, state.B, state.rho
     stop_streak = 0
     for k in range(1, n_steps + 1):
         try:
             if exponential:
-                # advance the 2-D exponent system; materialize the density
-                # only when something observes it
-                A1, B1, rho1 = _advance_exponential(
-                    tables, scenario.c0, state.A, state.B, state.rho, dt
-                )
-                observed = (
-                    k % scenario.sample_every == 0
-                    or k == n_steps
-                    or k in snapshot_steps
-                )
-                state = PopulationState(
-                    t=state.t + dt,
-                    A=A1,
-                    B=B1,
-                    log_u=_exponent_log_u(tables, A1, B1)
-                    if observed
-                    else state.log_u,
-                    rho=rho1,
-                )
+                # (t, A, B, rho) in local floats is the whole exponential
+                # state; a PopulationState with its density is built only at
+                # steps something observes (sample, snapshot, last step) and
+                # on failure, from the last step that succeeded
+                A, B, rho = _advance_exponential(tables, c0, A, B, rho, dt)
+                t += dt
+                if k % every and k != n_steps and k not in snapshot_steps:
+                    continue
+                state = _exponential_state(tables, t, A, B, rho)
             else:
                 state = step_direct(state, dt, scenario)
         except IntegrationError as err:
-            trajectory.final_state = refreshed(state)
+            if exponential:
+                state = _exponential_state(tables, t, A, B, rho)
+            trajectory.final_state = state
             err.partial = trajectory
             raise
         if k in snapshot_steps:
             trajectory.snapshots.append(
                 DensitySnapshot(snapshot_steps[k], state.t, state.log_u)
             )
-        if k % scenario.sample_every == 0 or k == n_steps:
+        if k % every == 0 or k == n_steps:
             rec = diagnostics.make_record(state, scenario, pred)
             trajectory.records.append(rec)
             if not (lo <= rec.rho <= hi):
@@ -488,5 +432,5 @@ def run(scenario: Scenario) -> Trajectory:
                 if stop_streak >= STOP_WINDOW:
                     trajectory.early_stop_t = rec.t
                     break
-    trajectory.final_state = refreshed(state)
+    trajectory.final_state = state
     return trajectory

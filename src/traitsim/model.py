@@ -47,6 +47,9 @@ __all__ = [
 
 SCHEMES = ("exponential", "direct")
 
+#: step budget: a dt giving more fixed steps than this to t_end is rejected
+MAX_STEPS = 10**8
+
 
 class AssumptionWarning(UserWarning):
     """A model assumption is violated or unverifiable; results may not apply."""
@@ -93,6 +96,29 @@ class Grid:
 
 
 @dataclass(frozen=True)
+class SupportTables:
+    """b, d, log u0 and trapezoid weights on the support of u0, and their ranges.
+
+    ``d`` is d_s, or a float when d is constant on the support; ``log_u0`` is
+    log_u0_s, a float when it is constant, or None when it is 0 everywhere.
+    """
+
+    n_nodes: int
+    support: np.ndarray
+    b_s: np.ndarray
+    d_s: np.ndarray
+    log_u0_s: np.ndarray
+    w_s: np.ndarray
+    d: float | np.ndarray
+    log_u0: float | np.ndarray | None
+    b_lo: float
+    b_hi: float
+    d_lo: float
+    d_hi: float
+    log_u0_hi: float
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Full problem description: domain, coefficients and integration controls.
 
@@ -100,8 +126,8 @@ class Scenario:
     :meth:`validate` (entry points do) to certify the invariants: finite
     b > 0 and d > 0 at every node, finite nonnegative u0 with positive
     initial mass, every number finite and in range (snapshot times within
-    [0, t_end]) and a known scheme.  b, d and u0 are sampled once per
-    scenario and cached; validation and prediction read those arrays.
+    [0, t_end], at most :data:`MAX_STEPS` steps) and a known scheme.  b, d,
+    u0 and the support tables are built once per scenario and cached.
     """
 
     grid: Grid
@@ -142,6 +168,35 @@ class Scenario:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def support_tables(self) -> SupportTables:
+        support = np.flatnonzero(self.support_mask)
+        # Copies of the gathered arrays: the freed gathers leave heap holes the
+        # size of the kernel's per-call array below the tables.  Without them
+        # glibc trims the heap top after every kernel call on large grids and
+        # the next call page-faults it back in (at 5e4 nodes: 163 faults per call).
+        b_s = self.b_nodes[support].copy()
+        d_s = self.d_nodes[support].copy()
+        log_u0_s = np.log(self.u0_nodes[support])
+        d_lo, d_hi = float(d_s.min()), float(d_s.max())
+        log_u0_hi = float(log_u0_s.max())
+        log_u0 = log_u0_s if float(log_u0_s.min()) != log_u0_hi else log_u0_hi or None
+        return SupportTables(
+            n_nodes=self.grid.n_nodes,
+            support=support,
+            b_s=b_s,
+            d_s=d_s,
+            log_u0_s=log_u0_s,
+            w_s=self.grid.weights[support].copy(),
+            d=d_lo if d_lo == d_hi else d_s,
+            log_u0=log_u0,
+            b_lo=float(b_s.min()),
+            b_hi=float(b_s.max()),
+            d_lo=d_lo,
+            d_hi=d_hi,
+            log_u0_hi=log_u0_hi,
+        )
+
     @property
     def concentration_epsilon(self) -> float:
         """Window for the Dirac-mass diagnostic; defaults to 5 grid cells."""
@@ -150,13 +205,13 @@ class Scenario:
     def with_controls(self, **changes) -> "Scenario":
         """A copy with run controls changed, as ``dataclasses.replace`` makes it.
 
-        The grid, b, d and u0 stay, so the sampled node arrays carry over
-        instead of being sampled again.
+        The grid, b, d and u0 stay, so the sampled node arrays and the
+        support tables carry over instead of being built again.
         """
         if changes.keys() & {"grid", "b", "d", "u0"}:
             raise ValueError(f"with_controls cannot change {sorted(changes)}")
         new = replace(self, **changes)
-        for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask"):
+        for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask", "support_tables"):
             if name in self.__dict__:
                 new.__dict__[name] = self.__dict__[name]
         return new
@@ -169,8 +224,10 @@ class Scenario:
             raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
         if not (0.0 <= self.t_end < math.inf):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
-        if not (0.0 < self.dt < math.inf and self.t_end / self.dt < math.inf):
-            raise ValueError(f"dt must be finite and > 0 with a finite t_end / dt, got {self.dt}")
+        if not (0.0 < self.dt < math.inf and self.t_end / self.dt <= MAX_STEPS):
+            raise ValueError(
+                f"dt must be finite and > 0 with t_end / dt <= {MAX_STEPS:.0e}, got {self.dt}"
+            )
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.scheme not in SCHEMES:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR, SCENARIO_DIR
-from traitsim import exprlang
+from traitsim import exprlang, integrator
 from traitsim.cli import (
     ScenarioFileError,
     _json_dump,
@@ -249,6 +249,23 @@ class TestRunCommand:
         assert "overflow" in summary["error"]
 
 
+    def test_nan_mass_flushes_partial_exit_3(self, tmp_path, capsys, monkeypatch):
+        kernel, calls = integrator._mass_at, []
+
+        def nan_from_step_6(t, A, B):  # 4 kernel calls per step
+            calls.append(None)
+            return math.nan if len(calls) > 4 * 5 else kernel(t, A, B)
+
+        monkeypatch.setattr(integrator, "_mass_at", nan_from_step_6)
+        out = tmp_path / "out"
+        assert main(["run", TINY, "--out", str(out), "--quiet"]) == 3
+        assert "NaN" in capsys.readouterr().err
+        csv = (out / "trajectory.csv").read_text().splitlines()
+        assert len(csv) == 3  # header plus the records at t = 0 and t = 0.005
+        summary = json.loads((out / "summary.json").read_text())
+        assert "NaN" in summary["error"]
+
+
 class TestVerifyCommand:
     def test_converged_scenario_all_pass(self, tmp_path, capsys):
         # narrow left-edge population with constant fitness ratio: fully
@@ -402,6 +419,22 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("traitsim ")
+
+    def test_step_budget_exits_2_without_running(self, tmp_path):
+        import subprocess
+        import sys
+
+        # 1e298 steps: without the budget this run would never end
+        path = write_scenario(tmp_path, GOOD_BODY.replace("dt = 1e-3", "dt = 1e-300"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "traitsim", "run", path, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: dt must")
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestJsonEmitter:

@@ -216,7 +216,7 @@ class TestTraitFunction:
 
     def test_bounds_on_grid(self):
         f = TraitFunction.from_source("1 + x")
-        assert f.bounds_on(Grid(0.0, 1.0, 4)) == (1.0, 2.0)
+        assert bound_on_grid(f.expr, Grid(0.0, 1.0, 4)) == (1.0, 2.0)
 
     def test_keeps_source(self):
         f = TraitFunction.from_source("ind(0, 1)")

@@ -1,5 +1,6 @@
 """Time integration: exactness, invariants, cross-scheme and failure paths."""
 
+import dataclasses
 import math
 import struct
 
@@ -7,9 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from traitsim import integrator
+from traitsim.diagnostics import make_record
 from traitsim.integrator import (
+    DensitySnapshot,
     ExponentOverflow,
-    _exponent_log_u,
+    IntegrationError,
+    _exponential_state,
     _mass_at,
     _tables,
     init_state,
@@ -19,7 +24,7 @@ from traitsim.integrator import (
     step_direct,
     step_exponential,
 )
-from traitsim.model import quadrature
+from traitsim.model import predict_equilibrium, quadrature
 from traitsim.oracle import Atom, AtomSystem, integrate_atoms
 
 TWO_PEAK_B = "1 + exp(-200*(x - 0.25)^2) + 0.8*exp(-200*(x - 0.7)^2)"
@@ -124,28 +129,48 @@ def _outcome(kernel, t, A, B):
         return (str(err), struct.pack("<d", err.exponent))
 
 
+def _assert_kernel_matches_exact_max(t):
+    # scales reach past the 600 threshold, past exp overflow and past double
+    # range (inf - inf gives NaN)
+    rng = np.random.default_rng(20261018)
+    points = [(0.0, 0.0), (-0.0, 0.0), (1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
+    # largest exponents from 605 to 686 (+ log u0): the shifted branch
+    points += [((605.0 + 9.0 * i) / t.b_hi, 0.0) for i in range(10)]
+    while len(points) < 500:
+        scale = 10.0 ** rng.uniform(-2.0, 6.0 if len(points) % 5 else 308.0)
+        if len(points) % 3 == 0:
+            scale = rng.uniform(300.0, 1500.0)  # around the 600 threshold
+        points.append(tuple(map(float, rng.uniform(-1.0, 1.0, 2) * scale)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = [_outcome(_mass_at, t, A, B) for A, B in points]
+        assert outcomes == [_outcome(_exact_max_mass, t, A, B) for A, B in points]
+        largest = [float((t.b_s * A - t.d_s * B + t.log_u0_s).max()) for A, B in points]
+    plain = sum(m <= 600.0 for m in largest)
+    shifted = sum(isinstance(o, bytes) and m > 600.0 for o, m in zip(outcomes, largest))
+    overflow = sum(isinstance(o, tuple) for o in outcomes)
+    assert min(plain, shifted, overflow) >= 5, (plain, shifted, overflow)
+
+
 class TestMassKernel:
     @pytest.mark.parametrize("u0", ["ind(0, 1)", "1 + x", "ind(0.3, 0.55)", "exp(400*x)"])
     def test_scalar_bound_bit_identical_to_exact_max(self, u0):
-        # b/d span signs of b*A - d*B; scales reach past the 600 threshold,
-        # past exp overflow and past double range (inf - inf gives NaN)
+        # b/d span signs of b*A - d*B
         s = make_scenario(b="1.5 + sin(7*x)", d="0.5 + x^2", u0=u0, n_cells=400)
+        _assert_kernel_matches_exact_max(_tables(s))
+
+    @pytest.mark.parametrize("u0, log_u0", [
+        ("ind(0, 1)", None), ("2*ind(0, 1)", math.log(2.0)),
+        ("1 + x", "array"), ("ind(0.3, 0.55)", None),
+    ])
+    @pytest.mark.parametrize("d", ["1", "2.5", "0.5 + x^2"])
+    def test_constant_forms_bit_identical_to_exact_max(self, d, u0, log_u0):
+        # a constant d is kept as a float and a zero log u0 is skipped; the
+        # reference kernel reads the d_s and log_u0_s arrays
+        s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=400)
         t = _tables(s)
-        rng = np.random.default_rng(20261018)
-        points = [(0.0, 0.0), (-0.0, 0.0), (1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
-        while len(points) < 500:
-            scale = 10.0 ** rng.uniform(-2.0, 6.0 if len(points) % 5 else 308.0)
-            if len(points) % 3 == 0:
-                scale = rng.uniform(300.0, 1500.0)  # around the 600 threshold
-            points.append(tuple(map(float, rng.uniform(-1.0, 1.0, 2) * scale)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = [_outcome(_mass_at, t, A, B) for A, B in points]
-            assert outcomes == [_outcome(_exact_max_mass, t, A, B) for A, B in points]
-            largest = [float((t.b_s * A - t.d_s * B + t.log_u0_s).max()) for A, B in points]
-        plain = sum(m <= 600.0 for m in largest)
-        shifted = sum(isinstance(o, bytes) and m > 600.0 for o, m in zip(outcomes, largest))
-        overflow = sum(isinstance(o, tuple) for o in outcomes)
-        assert min(plain, shifted, overflow) >= 5, (plain, shifted, overflow)
+        assert t.d is t.d_s if d == "0.5 + x^2" else type(t.d) is float and t.d == float(d)
+        assert t.log_u0 is t.log_u0_s if log_u0 == "array" else t.log_u0 == log_u0
+        _assert_kernel_matches_exact_max(t)
 
     @pytest.mark.parametrize("u0", ["1 + x", "(1 + x)*ind(0.3, 0.55)"])
     def test_log_density_layout_bitwise(self, u0):
@@ -153,7 +178,7 @@ class TestMassKernel:
         t = _tables(s)
         rng = np.random.default_rng(7)
         for A, B in rng.uniform(0.0, 50.0, (200, 2)):
-            log_u = _exponent_log_u(t, A, B)
+            log_u = _exponential_state(t, 0.0, A, B, 1.0).log_u
             want = np.full(s.grid.n_nodes, -np.inf)
             want[t.support] = t.log_u0_s + t.b_s * A - t.d_s * B
             assert log_u.tobytes() == want.tobytes()
@@ -308,6 +333,46 @@ class TestRun:
         assert st.A == t.final_state.A and st.B == t.final_state.B
         assert np.array_equal(st.log_u, t.final_state.log_u)
 
+    @pytest.mark.parametrize("b, d, u0, stop_tol", [
+        ("2 - (x-0.3)^2", "1 + x", "1 + x", None),  # array d and log u0
+        ("2 - (x-0.3)^2", "1", "ind(0.2, 0.7)", None),  # float d, no log u0
+        ("6", "1", "2*ind(0, 1)", 1e-6),  # float log u0, stationary: stops early
+    ])
+    def test_run_matches_repeated_steps_bitwise(self, b, d, u0, stop_tol):
+        # snapshots at steps 7 and 50 fall between samples; 102 steps end
+        # off the sampling grid
+        s = make_scenario(
+            b=b, d=d, u0=u0, n_cells=50, t_end=0.102 if stop_tol is None else 5.0,
+            sample_every=4, stop_tol=stop_tol, snapshot_times=(0.0, 0.007, 0.05),
+        )
+        t = run(s)
+        n_steps = round(t.final_state.t / s.dt)
+        assert (t.early_stop_t is not None) == (stop_tol is not None)
+        assert n_steps == (102 if stop_tol is None else 4 * integrator.STOP_WINDOW)
+        records, snapshots, final = _stepped(s, n_steps)
+        assert [_bits(r) for r in t.records] == [_bits(r) for r in records]
+        assert [_bits(x) for x in t.snapshots] == [_bits(x) for x in snapshots]
+        assert _bits(t.final_state) == _bits(final)
+
+    def test_nan_mass_mid_run_raises_with_exact_partial(self, monkeypatch):
+        s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=50, t_end=0.1, sample_every=4)
+        records, _, final = _stepped(s, 23)
+        kernel, calls = integrator._mass_at, []
+
+        def nan_from_step_24(t, A, B):  # 4 kernel calls per step
+            calls.append(None)
+            return math.nan if len(calls) > 4 * 23 + 1 else kernel(t, A, B)
+
+        monkeypatch.setattr(integrator, "_mass_at", nan_from_step_24)
+        with pytest.raises(IntegrationError, match="NaN") as exc:
+            run(s)
+        assert type(exc.value) is IntegrationError
+        partial = exc.value.partial
+        assert [_bits(r) for r in partial.records] == [_bits(r) for r in records[:6]]
+        assert _bits(partial.final_state) == _bits(final)
+        with pytest.raises(IntegrationError, match="NaN"):
+            step_exponential(final, s.dt, s)
+
     def test_support_conservation_through_run(self):
         s = make_scenario(u0="ind(0.2, 0.7)", b="2 - (x-0.3)^2", t_end=2.0, n_cells=40)
         t = run(s)
@@ -372,6 +437,30 @@ class TestRun:
             abs(a.rho - b.rho) for a, b in zip(exp.records, dire.records)
         ]
         assert max(diffs) < 1e-8
+
+
+def _bits(obj):
+    """Every field of a record, snapshot or state, float bits included."""
+    return [
+        v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+        for v in dataclasses.astuple(obj)
+    ]
+
+
+def _stepped(s, n_steps):
+    """run's records, snapshots and final state, rebuilt from step_exponential."""
+    pred = predict_equilibrium(s)
+    st = init_state(s)
+    snap_steps = {round(tau / s.dt): tau for tau in s.snapshot_times}
+    records = [make_record(st, s, pred)]
+    snapshots = [DensitySnapshot(snap_steps[0], st.t, st.log_u)] if 0 in snap_steps else []
+    for k in range(1, n_steps + 1):
+        st = step_exponential(st, s.dt, s)
+        if k in snap_steps:
+            snapshots.append(DensitySnapshot(snap_steps[k], st.t, st.log_u))
+        if k % s.sample_every == 0 or k == n_steps:
+            records.append(make_record(st, s, pred))
+    return records, snapshots, st
 
 
 class TestRandomScenarios:

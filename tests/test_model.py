@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario
 from traitsim.model import (
+    MAX_STEPS,
     AssumptionWarning,
     EquilibriumPrediction,
     Grid,
@@ -352,6 +353,10 @@ class TestScenarioValidation:
     def test_t_end_zero_allowed(self):
         make_scenario(t_end=0.0).validate()
 
+    def test_step_budget_allows_exactly_max_steps(self):
+        assert 100.0 / 1e-6 == MAX_STEPS
+        make_scenario(t_end=100.0, dt=1e-6).validate()
+
     @pytest.mark.parametrize(
         "changes, key",
         [
@@ -369,6 +374,8 @@ class TestScenarioValidation:
             ({"snapshot_times": (-5.0,)}, "snapshot_times"),
             ({"snapshot_times": (0.0, 1e9)}, "snapshot_times"),
             ({"snapshot_times": (math.nan,)}, "snapshot_times"),
+            ({"dt": 1e-300}, "dt"),  # 1e300 steps
+            ({"dt": 1e-6, "t_end": 100.000001}, "dt"),  # just over the step budget
         ],
     )
     def test_rejects_non_finite_or_out_of_range(self, changes, key):
@@ -395,10 +402,10 @@ class TestScenarioValidation:
 
     def test_with_controls_keeps_sampled_nodes(self):
         s = make_scenario(b="2 - (x-0.3)^2").validate()
-        assert s.support_mask.all()
+        assert s.support_mask.all() and s.support_tables.support.size == s.grid.n_nodes
         t = s.with_controls(t_end=2.0, dt=1e-2, scheme="direct")
         assert (t.t_end, t.dt, t.scheme, t.grid, t.b) == (2.0, 1e-2, "direct", s.grid, s.b)
-        for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask"):
+        for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask", "support_tables"):
             assert getattr(t, name) is getattr(s, name)
         with pytest.raises(ValueError, match="grid"):
             s.with_controls(grid=Grid(0.0, 1.0, 10))

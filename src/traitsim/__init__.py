@@ -6,102 +6,67 @@ predicts the long-time limit (a Dirac mass at the fittest supported trait),
 integrates the dynamics with two independent schemes, and machine-checks
 the supporting invariants: the a priori mass corridor, Lyapunov
 monotonicity, residual decay, support conservation and concentration.
+
+Public names are imported from their submodule on first use (PEP 562), so
+an entry point loads only the modules it runs: the atom oracle, for one,
+needs no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    BlowUpReport,
-    ConcentrationReport,
-    DiagnosticsRecord,
-    blow_up_report,
-    compute_D,
-    compute_V,
-    compute_W,
-    concentration_report,
-    lyapunov_P,
-    lyapunov_Q,
-)
-from .exprlang import (
-    EvalError,
-    Expr,
-    ExprError,
-    ParseError,
-    TraitFunction,
-    bound_on_grid,
-    eval_expr,
-    parse,
-    unparse,
-)
-from .integrator import (
-    ExponentOverflow,
-    IntegrationError,
-    PopulationState,
-    Trajectory,
-    init_state,
-    rho_from_exponents,
-    run,
-    step_direct,
-    step_exponential,
-)
-from .model import (
-    AssumptionWarning,
-    EquilibriumPrediction,
-    Grid,
-    Scenario,
-    apriori_corridor,
-    check_tail_condition,
-    equilibrium_mass,
-    eval_fitness,
-    positive_root,
-    predict_equilibrium,
-    quadrature,
-)
-from .oracle import Atom, AtomSystem, integrate_atoms, reference_grid_run
+#: public name -> the submodule that defines it
+_HOMES = {
+    "BlowUpReport": "diagnostics",
+    "ConcentrationReport": "diagnostics",
+    "DiagnosticsRecord": "diagnostics",
+    "blow_up_report": "diagnostics",
+    "compute_D": "diagnostics",
+    "compute_V": "diagnostics",
+    "compute_W": "diagnostics",
+    "concentration_report": "diagnostics",
+    "lyapunov_P": "diagnostics",
+    "lyapunov_Q": "diagnostics",
+    "EvalError": "exprlang",
+    "Expr": "exprlang",
+    "ExprError": "exprlang",
+    "ParseError": "exprlang",
+    "TraitFunction": "exprlang",
+    "bound_on_grid": "exprlang",
+    "eval_expr": "exprlang",
+    "parse": "exprlang",
+    "unparse": "exprlang",
+    "ExponentOverflow": "integrator",
+    "IntegrationError": "integrator",
+    "PopulationState": "integrator",
+    "Trajectory": "integrator",
+    "init_state": "integrator",
+    "rho_from_exponents": "integrator",
+    "run": "integrator",
+    "step_direct": "integrator",
+    "step_exponential": "integrator",
+    "AssumptionWarning": "model",
+    "EquilibriumPrediction": "model",
+    "Grid": "model",
+    "Scenario": "model",
+    "apriori_corridor": "model",
+    "check_tail_condition": "model",
+    "equilibrium_mass": "model",
+    "eval_fitness": "model",
+    "positive_root": "model",
+    "predict_equilibrium": "model",
+    "quadrature": "model",
+    "Atom": "oracle",
+    "AtomSystem": "oracle",
+    "integrate_atoms": "oracle",
+    "reference_grid_run": "oracle",
+}
 
-__all__ = [
-    "__version__",
-    "AssumptionWarning",
-    "Atom",
-    "AtomSystem",
-    "BlowUpReport",
-    "ConcentrationReport",
-    "DiagnosticsRecord",
-    "EquilibriumPrediction",
-    "EvalError",
-    "ExponentOverflow",
-    "Expr",
-    "ExprError",
-    "Grid",
-    "IntegrationError",
-    "ParseError",
-    "PopulationState",
-    "Scenario",
-    "TraitFunction",
-    "Trajectory",
-    "apriori_corridor",
-    "blow_up_report",
-    "bound_on_grid",
-    "check_tail_condition",
-    "compute_D",
-    "compute_V",
-    "compute_W",
-    "concentration_report",
-    "equilibrium_mass",
-    "eval_expr",
-    "eval_fitness",
-    "init_state",
-    "integrate_atoms",
-    "lyapunov_P",
-    "lyapunov_Q",
-    "parse",
-    "positive_root",
-    "predict_equilibrium",
-    "quadrature",
-    "reference_grid_run",
-    "rho_from_exponents",
-    "run",
-    "step_direct",
-    "step_exponential",
-    "unparse",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

@@ -47,7 +47,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -58,7 +57,7 @@ from . import __version__
 from .diagnostics import DiagnosticsRecord, blow_up_report
 from .exprlang import ExprError, TraitFunction
 from .integrator import CORRIDOR_TOL, IntegrationError, Trajectory, run
-from .model import Grid, Scenario, predict_equilibrium
+from .model import Grid, Scenario, predict_equilibrium, scenario_items
 
 __all__ = [
     "ScenarioFileError",
@@ -250,43 +249,9 @@ def _record_dict(rec: DiagnosticsRecord) -> dict:
 
 
 def _prediction_dict(pred) -> dict:
-    return {
-        "x_bar": pred.x_bar,
-        "x_bar_index": pred.x_bar_index,
-        "rho_bar": pred.rho_bar,
-        "kappa": pred.kappa,
-        "b_m": pred.b_m,
-        "b_M": pred.b_M,
-        "d_m": pred.d_m,
-        "d_M": pred.d_M,
-        "r_m": pred.r_m,
-        "r_M": pred.r_M,
-        "rho_m": pred.rho_m,
-        "rho_M": pred.rho_M,
-        "x_bar_on_boundary": pred.x_bar_on_boundary,
-        "alpha_R": pred.alpha_R,
-        "notes": list(pred.notes),
-    }
-
-
-def _scenario_dict(scenario: Scenario) -> dict:
-    return {
-        "x_min": scenario.grid.x_min,
-        "x_max": scenario.grid.x_max,
-        "n_cells": scenario.grid.n_cells,
-        "c0": scenario.c0,
-        "b": scenario.b.source,
-        "d": scenario.d.source,
-        "u0": scenario.u0.source,
-        "t_end": scenario.t_end,
-        "dt": scenario.dt,
-        "sample_every": scenario.sample_every,
-        "scheme": scenario.scheme,
-        "stop_tol": scenario.stop_tol,
-        "snapshot_times": list(scenario.snapshot_times),
-        "epsilon": scenario.epsilon,
-        "tail_R": scenario.tail_R,
-    }
+    doc = {f.name: getattr(pred, f.name) for f in fields(pred)}
+    doc["notes"] = list(pred.notes)
+    return doc
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -324,7 +289,7 @@ def _write_snapshots(trajectory: Trajectory, out_dir: Path) -> list[str]:
 def _write_summary(trajectory: Trajectory, path: Path, error: str | None = None) -> None:
     doc = {
         "fingerprint": trajectory.fingerprint,
-        "scenario": _scenario_dict(trajectory.scenario),
+        "scenario": dict(scenario_items(trajectory.scenario)),
         "prediction": _prediction_dict(trajectory.prediction),
         "initial": _record_dict(trajectory.records[0]),
         "final": _record_dict(trajectory.records[-1]),
@@ -609,6 +574,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         steps = [(g.x_max - g.x_min) / v for v in values]
     else:
         raise ScenarioFileError(f"unknown sweep parameter '{parameter}'")
+
+    from concurrent.futures import ProcessPoolExecutor  # only sweep needs worker processes
 
     workers = min(len(scenarios), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:

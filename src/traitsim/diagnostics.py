@@ -135,6 +135,7 @@ def _V(u: np.ndarray, shift: float, rho: float, scenario: Scenario, ratio: np.nd
     return _unscale(float(scenario.grid.weights.dot(v)), shift)
 
 
+@np.errstate(over="ignore")  # G^2 past double range saturates to inf
 def _D(u: np.ndarray, shift: float, rho: float, scenario: Scenario) -> float:
     g = fitness_on_nodes(rho, scenario)
     g *= g
@@ -143,6 +144,7 @@ def _D(u: np.ndarray, shift: float, rho: float, scenario: Scenario) -> float:
     return _unscale((1.0 + scenario.c0 * rho) * float(scenario.grid.weights.dot(g)), shift)
 
 
+@np.errstate(over="ignore")  # the squared deviation saturates to inf
 def _W(u: np.ndarray, shift: float, rho: float, scenario: Scenario, ratio: np.ndarray) -> float:
     dev = ratio - crowding_Q(rho, scenario.c0)
     dev *= dev

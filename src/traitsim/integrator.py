@@ -42,6 +42,7 @@ from .model import (
     fitness_on_nodes,
     predict_equilibrium,
     quadrature,
+    scenario_items,
 )
 
 __all__ = [
@@ -137,21 +138,8 @@ def _tables(scenario: Scenario) -> SupportTables:
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Stable hex digest of everything that determines a trajectory."""
     parts = [
-        f"x_min={scenario.grid.x_min!r}",
-        f"x_max={scenario.grid.x_max!r}",
-        f"n_cells={scenario.grid.n_cells}",
-        f"c0={scenario.c0!r}",
-        f"b={scenario.b.source}",
-        f"d={scenario.d.source}",
-        f"u0={scenario.u0.source}",
-        f"t_end={scenario.t_end!r}",
-        f"dt={scenario.dt!r}",
-        f"sample_every={scenario.sample_every}",
-        f"scheme={scenario.scheme}",
-        f"stop_tol={scenario.stop_tol!r}",
-        f"snapshot_times={scenario.snapshot_times!r}",
-        f"epsilon={scenario.epsilon!r}",
-        f"tail_R={scenario.tail_R!r}",
+        f"{name}={value}" if isinstance(value, str) else f"{name}={value!r}"
+        for name, value in scenario_items(scenario)
     ]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
@@ -368,7 +356,7 @@ def run(scenario: Scenario) -> Trajectory:
     state = init_state(scenario)
     dt = scenario.dt
     exponential = scenario.scheme == "exponential"
-    tables = _tables(scenario)
+    tables = _tables(scenario) if exponential else None
     n_steps = _step_count(scenario.t_end, dt)
     snapshot_steps: dict[int, float] = {
         int(round(tau / dt)): tau for tau in scenario.snapshot_times

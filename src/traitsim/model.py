@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "Scenario",
     "EquilibriumPrediction",
     "SCHEMES",
+    "scenario_items",
     "positive_root",
     "equilibrium_mass",
     "eval_fitness",
@@ -49,6 +50,9 @@ SCHEMES = ("exponential", "direct")
 
 #: step budget: a dt giving more fixed steps than this to t_end is rejected
 MAX_STEPS = 10**8
+
+#: grid budget: larger grids are rejected before any node array is allocated
+MAX_CELLS = 10**7
 
 
 class AssumptionWarning(UserWarning):
@@ -68,6 +72,8 @@ class Grid:
             raise ValueError(f"grid needs x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_cells < 2:
             raise ValueError(f"grid needs n_cells >= 2, got {self.n_cells}")
+        if self.n_cells > MAX_CELLS:
+            raise ValueError(f"n_cells must be <= {MAX_CELLS:.0e}, got {self.n_cells}")
 
     @property
     def dx(self) -> float:
@@ -255,6 +261,22 @@ class Scenario:
         if not (self.initial_mass() > 0.0):
             raise ValueError("u0 has zero initial mass (empty support)")
         return self
+
+
+def scenario_items(scenario: Scenario) -> list[tuple[str, object]]:
+    """(name, value) for every field of a scenario, in declaration order.
+
+    The grid is flattened into its own fields and each expression is given
+    by its source text; run summaries and the fingerprint share this list.
+    """
+    items: list[tuple[str, object]] = []
+    for f in fields(scenario):
+        value = getattr(scenario, f.name)
+        if isinstance(value, Grid):
+            items += [(g.name, getattr(value, g.name)) for g in fields(value)]
+        else:
+            items.append((f.name, value.source if isinstance(value, TraitFunction) else value))
+    return items
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .integrator import IntegrationError, Trajectory, run
-from .model import Scenario
+if TYPE_CHECKING:  # annotations only: the atom oracle runs without numpy
+    from .integrator import Trajectory
+    from .model import Scenario
 
 __all__ = ["Atom", "AtomSystem", "integrate_atoms", "reference_grid_run", "ORACLE_MAX_DT"]
 
@@ -138,6 +140,8 @@ def integrate_atoms(system: AtomSystem, t_end: float, dt: float) -> AtomSystem:
         return AtomSystem(tuple(Atom(a.b, a.d, m) for a, m in zip(atoms, masses)), system.c0)
     except ValueError as err:
         # the input was valid, so the loop itself diverged
+        from .integrator import IntegrationError
+
         raise IntegrationError(f"dt = {dt!r} is too coarse for these rates: {err}") from None
 
 
@@ -153,5 +157,7 @@ def reference_grid_run(scenario: Scenario, dt_fine: float) -> Trajectory:
         raise ValueError(
             f"reference step dt_fine = {dt_fine} must be <= dt/10 = {scenario.dt / 10.0}"
         )
+    from .integrator import run
+
     fine = replace(scenario, dt=dt_fine, scheme="direct")
     return run(fine)

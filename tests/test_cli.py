@@ -102,6 +102,8 @@ class TestLoadScenario:
             ("scheme = exponential", "scheme = exponential\nsnapshot_times = -5, 1e9",
              "snapshot_times"),
             ("b = 2 - (x - 0.3)^2", "b = 1 + 0*(exp(1000*x) - exp(1000*x))", "b"),
+            # 1e11 cells would need 745 GiB of nodes: rejected before any allocation
+            ("n_cells = 10", "n_cells = 100000000000", "n_cells"),
         ],
     )
     def test_bad_values_exit_2_naming_the_key(self, tmp_path, capsys, old, new, key):
@@ -367,6 +369,12 @@ class TestSweepCommand:
         assert lines[0].startswith("n_cells,")
         assert lines[1].split(",")[0] == "10"
 
+    def test_n_cells_beyond_the_grid_cap_exit_2(self, tmp_path, capsys):
+        code = main(["sweep", TINY, "--param", "n_cells",
+                     "--values", "10,100000000000", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: n_cells must")
+
     def test_fitted_order_on_smooth_case(self, tmp_path):
         body = """\
 [domain]
@@ -435,6 +443,22 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: dt must")
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_overflowing_rates_exit_3_without_numpy_warnings(self, tmp_path):
+        import subprocess
+        import sys
+
+        # G^2 and (b/d - Q)^2 overflow to inf in the diagnostics before the mass does
+        path = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 1e200"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "traitsim", "run", path, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "total mass overflows" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestJsonEmitter:

@@ -425,6 +425,19 @@ class TestRun:
         assert run(make_scenario(t_end=0.0)).fingerprint == scenario_fingerprint(
             make_scenario(t_end=0.0)
         )
+        # every optional field set; pinned so the fingerprint text cannot drift
+        s = make_scenario(
+            n_cells=40, stop_tol=1e-9, snapshot_times=(0.0, 0.5), epsilon=0.1, tail_R=-2.5
+        )
+        assert scenario_fingerprint(s) == "127a9864032cce54"
+
+    def test_only_the_exponential_scheme_builds_support_tables(self):
+        direct = make_scenario(t_end=0.01, scheme="direct")
+        run(direct)
+        assert "support_tables" not in vars(direct)
+        exponential = make_scenario(t_end=0.01)
+        run(exponential)
+        assert "support_tables" in vars(exponential)
 
     def test_direct_and_exponential_runs_agree(self):
         exp = run(make_scenario(b=TWO_PEAK_B, n_cells=100, t_end=5.0, sample_every=100))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario
 from traitsim.model import (
+    MAX_CELLS,
     MAX_STEPS,
     AssumptionWarning,
     EquilibriumPrediction,
@@ -49,6 +50,9 @@ class TestGrid:
             Grid(1.0, 0.0, 10)
         with pytest.raises(ValueError, match="n_cells"):
             Grid(0.0, 1.0, 1)
+        assert Grid(0.0, 1.0, MAX_CELLS).n_nodes == MAX_CELLS + 1  # nodes not yet built
+        with pytest.raises(ValueError, match="^n_cells must"):
+            Grid(0.0, 1.0, MAX_CELLS + 1)
 
 
 class TestPositiveRoot:

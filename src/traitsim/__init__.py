@@ -26,8 +26,6 @@ _HOMES = {
     "compute_V": "diagnostics",
     "compute_W": "diagnostics",
     "concentration_report": "diagnostics",
-    "lyapunov_P": "diagnostics",
-    "lyapunov_Q": "diagnostics",
     "EvalError": "exprlang",
     "Expr": "exprlang",
     "ExprError": "exprlang",

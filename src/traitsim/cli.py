@@ -17,7 +17,7 @@ Scenario files are sectioned key-value text (INI syntax)::
     t_end = 200.0
     dt = 1e-3
     sample_every = 100
-    scheme = exponential
+    # optional: scheme = exponential
     # optional: stop_tol = 1e-9
     # optional: snapshot_times = 0, 100, 200
 
@@ -47,7 +47,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -57,9 +57,10 @@ from . import __version__
 from .diagnostics import DiagnosticsRecord, blow_up_report
 from .exprlang import ExprError, TraitFunction
 from .integrator import CORRIDOR_TOL, IntegrationError, Trajectory, run
-from .model import Grid, Scenario, predict_equilibrium, scenario_items
+from .model import SCHEMES, Grid, Scenario, predict_equilibrium, scenario_items
 
 __all__ = [
+    "SCENARIO_SECTIONS",
     "ScenarioFileError",
     "load_scenario",
     "evaluate_invariants",
@@ -90,41 +91,51 @@ class ScenarioFileError(ValueError):
 # --------------------------------------------------------------------------
 # Scenario file parsing
 
-def _require_section(cp: configparser.ConfigParser, name: str) -> None:
-    if not cp.has_section(name):
-        raise ScenarioFileError(f"missing section [{name}]")
+#: scenario-file section -> the Grid and Scenario fields it holds, in file order
+SCENARIO_SECTIONS = {
+    "domain": ("x_min", "x_max", "n_cells"),
+    "model": ("c0", "b", "d", "u0"),
+    "run": ("t_end", "dt", "sample_every", "scheme", "stop_tol", "snapshot_times"),
+    "diagnostics": ("epsilon", "tail_R"),
+}
+_FIELDS = {f.name: f for cls in (Grid, Scenario) for f in fields(cls) if f.name != "grid"}
+#: fields without a default: a scenario file must give their keys
+_REQUIRED = {
+    n for n, f in _FIELDS.items() if f.default is MISSING and f.default_factory is MISSING
+}
+
+#: declared field type -> (converter of the file text, what a bad value is called)
+_CONVERTERS = {
+    "float": (float, "number"),
+    "float | None": (float, "number"),
+    "int": (int, "integer"),
+    "str": (str.strip, None),
+    "TraitFunction": (TraitFunction.from_source, "expression"),
+}
 
 
-def _require(cp: configparser.ConfigParser, section: str, key: str) -> str:
-    if not cp.has_option(section, key):
-        raise ScenarioFileError(f"missing key {section}.{key}")
-    return cp.get(section, key)
-
-
-def _as_float(text: str, where: str) -> float:
+def _convert(kind: str, text: str, where: str):
+    """The value of a scenario-file field of declared type ``kind``."""
+    if kind == "tuple[float, ...]":
+        parts = [part.strip() for part in text.split(",")]
+        return tuple(_convert("float", part, where) for part in parts if part)
+    convert, noun = _CONVERTERS[kind]
     try:
-        return float(text)
-    except ValueError:
-        raise ScenarioFileError(f"invalid number for {where}: '{text}'") from None
-
-
-def _as_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioFileError(f"invalid integer for {where}: '{text}'") from None
-
-
-def _as_expression(text: str, where: str) -> TraitFunction:
-    try:
-        return TraitFunction.from_source(text)
+        return convert(text)
     except ExprError as err:
         raise ScenarioFileError(f"invalid expression for {where}: {err}") from None
+    except ValueError:
+        raise ScenarioFileError(f"invalid {noun} for {where}: '{text}'") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file; raises :class:`ScenarioFileError`."""
-    cp = configparser.ConfigParser(interpolation=None)
+    """Parse and validate a scenario file; raises :class:`ScenarioFileError`.
+
+    Each section holds the fields :data:`SCENARIO_SECTIONS` lists; a key is
+    required when its field has no default, and any other key is an error.
+    """
+    # no section name is empty, so [DEFAULT] is an ordinary (unknown) section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -133,51 +144,27 @@ def load_scenario(path: str | Path) -> Scenario:
     except configparser.Error as err:
         raise ScenarioFileError(f"malformed scenario file: {err}") from None
 
-    for section in ("domain", "model", "run"):
-        _require_section(cp, section)
+    for section in cp.sections():
+        if section not in SCENARIO_SECTIONS:
+            raise ScenarioFileError(f"unknown section [{section}]")
+        keys = {cp.optionxform(name) for name in SCENARIO_SECTIONS[section]}
+        for key in cp[section]:
+            if key not in keys:
+                raise ScenarioFileError(f"unknown key {section}.{key}")
+    for section, names in SCENARIO_SECTIONS.items():
+        if not cp.has_section(section) and _REQUIRED.intersection(names):
+            raise ScenarioFileError(f"missing section [{section}]")
 
-    grid = Grid(
-        x_min=_as_float(_require(cp, "domain", "x_min"), "domain.x_min"),
-        x_max=_as_float(_require(cp, "domain", "x_max"), "domain.x_max"),
-        n_cells=_as_int(_require(cp, "domain", "n_cells"), "domain.n_cells"),
-    )
-
-    snapshot_times: tuple[float, ...] = ()
-    if cp.has_option("run", "snapshot_times"):
-        raw = cp.get("run", "snapshot_times")
-        snapshot_times = tuple(
-            _as_float(part.strip(), "run.snapshot_times")
-            for part in raw.split(",")
-            if part.strip()
-        )
-
-    stop_tol = None
-    if cp.has_option("run", "stop_tol"):
-        stop_tol = _as_float(cp.get("run", "stop_tol"), "run.stop_tol")
-
-    epsilon = None
-    tail_R = None
-    if cp.has_section("diagnostics"):
-        if cp.has_option("diagnostics", "epsilon"):
-            epsilon = _as_float(cp.get("diagnostics", "epsilon"), "diagnostics.epsilon")
-        if cp.has_option("diagnostics", "tail_R"):
-            tail_R = _as_float(cp.get("diagnostics", "tail_R"), "diagnostics.tail_R")
-
-    scenario = Scenario(
-        grid=grid,
-        c0=_as_float(_require(cp, "model", "c0"), "model.c0"),
-        b=_as_expression(_require(cp, "model", "b"), "model.b"),
-        d=_as_expression(_require(cp, "model", "d"), "model.d"),
-        u0=_as_expression(_require(cp, "model", "u0"), "model.u0"),
-        t_end=_as_float(_require(cp, "run", "t_end"), "run.t_end"),
-        dt=_as_float(_require(cp, "run", "dt"), "run.dt"),
-        sample_every=_as_int(_require(cp, "run", "sample_every"), "run.sample_every"),
-        scheme=_require(cp, "run", "scheme").strip(),
-        stop_tol=stop_tol,
-        snapshot_times=snapshot_times,
-        epsilon=epsilon,
-        tail_R=tail_R,
-    )
+    values = {}
+    for section, names in SCENARIO_SECTIONS.items():
+        for name in names:
+            if cp.has_option(section, name):
+                where = f"{section}.{name}"
+                values[name] = _convert(_FIELDS[name].type, cp.get(section, name), where)
+            elif name in _REQUIRED:
+                raise ScenarioFileError(f"missing key {section}.{name}")
+    grid = Grid(**{f.name: values.pop(f.name) for f in fields(Grid)})
+    scenario = Scenario(grid=grid, **values)
     try:
         scenario.validate()
     except ValueError as err:
@@ -186,13 +173,11 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    changes = {}
-    if getattr(args, "scheme", None) is not None:
-        changes["scheme"] = args.scheme
-    if getattr(args, "dt", None) is not None:
-        changes["dt"] = args.dt
-    if getattr(args, "t_end", None) is not None:
-        changes["t_end"] = args.t_end
+    changes = {
+        name: getattr(args, name)
+        for name in ("scheme", "dt", "t_end")
+        if getattr(args, name, None) is not None
+    }
     return scenario.with_controls(**changes) if changes else scenario
 
 
@@ -561,19 +546,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if len(raw_values) < 2:
         raise ScenarioFileError("sweep needs at least 2 values")
+    # the parser admits only dt and n_cells, each typed by its field
+    values = [_convert(_FIELDS[parameter].type, v, "--values") for v in raw_values]
     if parameter == "dt":
-        values = [_as_float(v, "--values") for v in raw_values]
         scenarios = [scenario.with_controls(dt=v) for v in values]
         steps = values
-    elif parameter == "n_cells":
-        values = [_as_int(v, "--values") for v in raw_values]
+    else:
         g = scenario.grid
         scenarios = [
             replace(scenario, grid=Grid(g.x_min, g.x_max, v)) for v in values
         ]
         steps = [(g.x_max - g.x_min) / v for v in values]
-    else:
-        raise ScenarioFileError(f"unknown sweep parameter '{parameter}'")
 
     from concurrent.futures import ProcessPoolExecutor  # only sweep needs worker processes
 
@@ -622,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
         p.add_argument("--quiet", action="store_true", help="suppress progress text")
         if overrides:
-            p.add_argument("--scheme", choices=["exponential", "direct"], default=None)
+            p.add_argument("--scheme", choices=SCHEMES, default=None)
             p.add_argument("--dt", type=float, default=None)
             p.add_argument("--t-end", dest="t_end", type=float, default=None)
 

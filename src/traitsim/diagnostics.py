@@ -11,9 +11,8 @@ The long-time theory rests on three integral quantities along a trajectory:
   rho * (1 + c0*rho), so W -> 0 is the concentration signal.
 
 Here P and Q are the polynomials P(rho) = c0*rho^2/3 + rho/2 and
-Q(rho) = c0*rho^2 + rho, linked by rho*P' + P = Q.  For the reference case
-c0 = 1 they are exposed directly as :func:`lyapunov_P` and
-:func:`lyapunov_Q`.
+Q(rho) = c0*rho^2 + rho, linked by rho*P' + P = Q (:func:`crowding_P`,
+:func:`crowding_Q`; the reference case is c0 = 1).
 
 All integrals reuse the solver's trapezoid rule so the discrete dV/dt = D
 identity mirrors the continuous one up to time-stepping error; mixing
@@ -37,8 +36,6 @@ __all__ = [
     "DiagnosticsRecord",
     "ConcentrationReport",
     "BlowUpReport",
-    "lyapunov_P",
-    "lyapunov_Q",
     "crowding_P",
     "crowding_Q",
     "compute_V",
@@ -89,18 +86,8 @@ class BlowUpReport(NamedTuple):
     boundary_cell_mass: float
 
 
-def lyapunov_P(rho: float) -> float:
-    """P(rho) = rho^2/3 + rho/2 for the reference crowding c0 = 1."""
-    return rho * rho / 3.0 + 0.5 * rho
-
-
-def lyapunov_Q(rho: float) -> float:
-    """Q(rho) = rho^2 + rho; satisfies rho*P'(rho) + P(rho) = Q(rho)."""
-    return rho * rho + rho
-
-
 def crowding_P(rho: float, c0: float) -> float:
-    """P for general c0; equals :func:`lyapunov_P` at c0 = 1."""
+    """P(rho) = c0*rho^2/3 + rho/2; satisfies rho*P'(rho) + P(rho) = Q(rho)."""
     return c0 * rho * rho / 3.0 + 0.5 * rho
 
 

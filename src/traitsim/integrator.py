@@ -131,10 +131,6 @@ class Trajectory:
     early_stop_t: float | None = None
 
 
-def _tables(scenario: Scenario) -> SupportTables:
-    return scenario.support_tables
-
-
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Stable hex digest of everything that determines a trajectory."""
     parts = [
@@ -204,7 +200,7 @@ def rho_from_exponents(A: float, B: float, scenario: Scenario) -> float:
         raise ExponentOverflow(
             f"non-finite exponents A={A!r}, B={B!r}", exponent=math.inf
         )
-    return _mass_at(_tables(scenario), A, B)
+    return _mass_at(scenario.support_tables, A, B)
 
 
 def _exponential_state(
@@ -253,7 +249,7 @@ def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> P
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    tables = _tables(scenario)
+    tables = scenario.support_tables
     A1, B1, rho1 = _advance_exponential(
         tables, scenario.c0, state.A, state.B, state.rho, dt
     )
@@ -356,7 +352,7 @@ def run(scenario: Scenario) -> Trajectory:
     state = init_state(scenario)
     dt = scenario.dt
     exponential = scenario.scheme == "exponential"
-    tables = _tables(scenario) if exponential else None
+    tables = scenario.support_tables if exponential else None
     n_steps = _step_count(scenario.t_end, dt)
     snapshot_steps: dict[int, float] = {
         int(round(tau / dt)): tau for tau in scenario.snapshot_times

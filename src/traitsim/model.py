@@ -39,7 +39,6 @@ __all__ = [
     "fitness_on_nodes",
     "quadrature",
     "trapezoid_weights",
-    "support_runs",
     "closure_mask",
     "predict_equilibrium",
     "apriori_corridor",
@@ -308,21 +307,16 @@ class EquilibriumPrediction:
 
 
 def positive_root(kappa: float) -> float:
-    """The nonnegative solution of rho * (1 + rho) = kappa.
-
-    Monotone increasing in kappa; exact to a few ulps, so the defining
-    identity is reproduced within 1e-12 relative.
-    """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    return 0.5 * (math.sqrt(1.0 + 4.0 * kappa) - 1.0)
+    """The nonnegative solution of rho * (1 + rho) = kappa: the reference crowding c0 = 1."""
+    return equilibrium_mass(kappa, 1.0)
 
 
 def equilibrium_mass(kappa: float, c0: float) -> float:
     """Nonnegative solution of rho * (1 + c0 * rho) = kappa for general c0 >= 0.
 
-    With c0 = 0 the crowding is linear and the root is kappa itself; with
-    c0 = 1 this is :func:`positive_root`.
+    With c0 = 0 the crowding is linear and the root is kappa itself.  Monotone
+    increasing in kappa and exact to a few ulps, so the defining identity is
+    reproduced within 1e-12 relative.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
@@ -364,17 +358,6 @@ def quadrature(values: np.ndarray, grid: Grid) -> float:
     if np.any(v < 0.0):
         raise ValueError("quadrature input contains negative values")
     return grid.dx * (float(v.sum()) - 0.5 * (float(v[0]) + float(v[-1])))
-
-
-def support_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True in ``mask`` as inclusive (first, last) index pairs."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [(int(idx[s]), int(idx[e])) for s, e in zip(starts, ends)]
 
 
 def closure_mask(support: np.ndarray) -> np.ndarray:
@@ -424,12 +407,10 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
     r_m = equilibrium_mass(b_m / d_M, scenario.c0)
     r_M = equilibrium_mass(b_M / d_m, scenario.c0)
 
-    # boundary means endpoint of a maximal run of the closed support
-    on_boundary = False
-    for first, last in support_runs(closed):
-        if x_bar_index in (first, last):
-            on_boundary = True
-            break
+    # boundary means endpoint of a maximal run of the closed support: a grid
+    # edge or a neighbour outside it
+    i = x_bar_index
+    on_boundary = i in (0, grid.n_cells) or not (closed[i - 1] and closed[i + 1])
 
     pred = EquilibriumPrediction(
         x_bar=x_bar,

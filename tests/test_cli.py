@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR, SCENARIO_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR
 from traitsim import exprlang, integrator
 from traitsim.cli import (
+    SCENARIO_SECTIONS,
     ScenarioFileError,
     _json_dump,
     build_parser,
@@ -16,7 +19,8 @@ from traitsim.cli import (
     load_scenario,
     main,
 )
-from traitsim.integrator import run
+from traitsim.integrator import run, scenario_fingerprint
+from traitsim.model import Grid, Scenario, scenario_items
 
 TINY = str(DATA_DIR / "tiny.ini")
 
@@ -44,6 +48,16 @@ t_end = 0.01
 dt = 1e-3
 sample_every = 5
 scheme = exponential
+"""
+
+
+EVERY_OPTIONAL_KEY = """\
+stop_tol = 1e-9
+snapshot_times = 0, 0.005, 0.01
+
+[diagnostics]
+epsilon = 0.25
+tail_R = 0.9
 """
 
 
@@ -142,6 +156,72 @@ class TestLoadScenario:
         assert main(["run", TINY, "--t-end", "0.02", "--out", str(out), "--quiet"]) == 0
         assert sorted(calls.values()) == [n, n, n]
         assert json.loads((out / "summary.json").read_text())["scenario"]["t_end"] == 0.02
+
+
+class TestScenarioSchema:
+    """The file format is the Grid and Scenario declarations, laid out by section."""
+
+    def test_each_field_in_exactly_one_section(self):
+        listed = [name for names in SCENARIO_SECTIONS.values() for name in names]
+        declared = [f.name for cls in (Grid, Scenario) for f in fields(cls) if f.name != "grid"]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == sorted(declared)
+
+    @pytest.mark.parametrize(
+        "path",
+        [TINY, "every_key", *(str(p) for p in sorted(SCENARIO_DIR.glob("*.ini")))],
+        ids=lambda p: p.rsplit("/", 1)[-1],
+    )
+    def test_items_written_back_load_to_the_same_fingerprint(self, tmp_path, path):
+        if path == "every_key":
+            path = write_scenario(tmp_path, GOOD_BODY + EVERY_OPTIONAL_KEY, "every_key.ini")
+        scenario = load_scenario(path)
+        items = dict(scenario_items(scenario))
+        if path.endswith("every_key.ini"):
+            assert all(value not in (None, ()) for value in items.values())
+        lines = []
+        for section, names in SCENARIO_SECTIONS.items():
+            lines.append(f"[{section}]")
+            for name in names:
+                value = items[name]
+                if isinstance(value, tuple):
+                    value = ", ".join(map(repr, value))
+                if value not in (None, ""):
+                    lines.append(f"{name} = {value if isinstance(value, str) else repr(value)}")
+        again = load_scenario(write_scenario(tmp_path, "\n".join(lines) + "\n"))
+        assert scenario_fingerprint(again) == scenario_fingerprint(scenario)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("snapshot_times = ", "snapshot_time = ", "unknown key run.snapshot_time"),
+            ("epsilon = 0.25", "epsilom = 0.25", "unknown key diagnostics.epsilom"),
+            ("tail_R = 0.9", "tail_R = 0.9\n\n[extra]\nc0 = 1.0", "unknown section [extra]"),
+            ("[domain]", "[DEFAULT]\nc0 = 1.0\n\n[domain]", "unknown section [DEFAULT]"),
+        ],
+    )
+    def test_unknown_names_exit_2_naming_them(self, tmp_path, capsys, old, new, message):
+        body = (DATA_DIR / "tiny.ini").read_text(encoding="utf-8")
+        assert old in body
+        path = write_scenario(tmp_path, body.replace(old, new))
+        assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_keys_with_defaults_are_optional(self, tmp_path):
+        body = GOOD_BODY.replace("scheme = exponential\n", "")
+        s = load_scenario(write_scenario(tmp_path, body))
+        assert (s.scheme, s.stop_tol, s.snapshot_times, s.epsilon, s.tail_R) == (
+            "exponential", None, (), None, None
+        )
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        s = load_scenario(write_scenario(tmp_path, example))
+        assert (s.grid.n_cells, s.c0, s.b.source, s.scheme) == (
+            2000, 1.0, "2 - (x - 0.3)^2", "exponential"
+        )
 
 
 class TestParser:

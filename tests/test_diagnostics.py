@@ -20,8 +20,6 @@ from traitsim.diagnostics import (
     concentration_report,
     crowding_P,
     crowding_Q,
-    lyapunov_P,
-    lyapunov_Q,
     make_record,
 )
 from traitsim.integrator import PopulationState, init_state, run
@@ -38,19 +36,19 @@ def state_with(scenario, rho, log_u=None, t=0.0):
 
 class TestPolynomials:
     def test_P_values(self):
-        assert lyapunov_P(1.0) == pytest.approx(5.0 / 6.0, rel=1e-15)
-        assert lyapunov_P(0.0) == 0.0
-        assert lyapunov_P(2.0) == pytest.approx(7.0 / 3.0, rel=1e-15)
+        assert crowding_P(1.0, 1.0) == pytest.approx(5.0 / 6.0, rel=1e-15)
+        assert crowding_P(0.0, 1.0) == 0.0
+        assert crowding_P(2.0, 1.0) == pytest.approx(7.0 / 3.0, rel=1e-15)
 
     def test_Q_values(self):
-        assert lyapunov_Q(1.0) == 2.0
-        assert lyapunov_Q(0.0) == 0.0
-        assert lyapunov_Q(0.5) == 0.75
+        assert crowding_Q(1.0, 1.0) == 2.0
+        assert crowding_Q(0.0, 1.0) == 0.0
+        assert crowding_Q(0.5, 1.0) == 0.75
 
     def test_identity_at_two(self):
         # rho*P'(rho) + P(rho) = Q(rho) with P'(2) = 2*2/3 + 1/2
-        assert 2.0 * (4.0 / 3.0 + 0.5) + lyapunov_P(2.0) == pytest.approx(
-            lyapunov_Q(2.0), rel=1e-15
+        assert 2.0 * (4.0 / 3.0 + 0.5) + crowding_P(2.0, 1.0) == pytest.approx(
+            crowding_Q(2.0, 1.0), rel=1e-15
         )
 
     def test_identity_random_sample(self):
@@ -58,8 +56,8 @@ class TestPolynomials:
         for _ in range(1000):
             rho = rng.uniform(0.0, 10.0)
             p_prime = 2.0 * rho / 3.0 + 0.5
-            residual = rho * p_prime + lyapunov_P(rho) - lyapunov_Q(rho)
-            assert abs(residual) <= 1e-14 * (1.0 + lyapunov_Q(rho))
+            residual = rho * p_prime + crowding_P(rho, 1.0) - crowding_Q(rho, 1.0)
+            assert abs(residual) <= 1e-14 * (1.0 + crowding_Q(rho, 1.0))
 
     @given(
         st.floats(min_value=0.0, max_value=10.0),
@@ -72,8 +70,8 @@ class TestPolynomials:
 
     def test_reduces_to_reference_case(self):
         for rho in (0.0, 0.3, 1.0, 4.2):
-            assert crowding_P(rho, 1.0) == lyapunov_P(rho)
-            assert crowding_Q(rho, 1.0) == lyapunov_Q(rho)
+            assert crowding_P(rho, 1.0) == rho * rho / 3.0 + 0.5 * rho
+            assert crowding_Q(rho, 1.0) == rho * rho + rho
 
 
 class TestIntegralFunctionals:
@@ -99,7 +97,7 @@ class TestIntegralFunctionals:
         st_ = init_state(s)
         # oracle: explicit weighted sum over the grid, plain python
         g = s.grid
-        p = lyapunov_P(st_.rho)
+        p = crowding_P(st_.rho, 1.0)
         expected = 0.0
         for i, x in enumerate(g.nodes):
             w = g.dx * (0.5 if i in (0, g.n_cells) else 1.0)

@@ -16,7 +16,6 @@ from traitsim.integrator import (
     IntegrationError,
     _exponential_state,
     _mass_at,
-    _tables,
     init_state,
     rho_from_exponents,
     run,
@@ -156,7 +155,7 @@ class TestMassKernel:
     def test_scalar_bound_bit_identical_to_exact_max(self, u0):
         # b/d span signs of b*A - d*B
         s = make_scenario(b="1.5 + sin(7*x)", d="0.5 + x^2", u0=u0, n_cells=400)
-        _assert_kernel_matches_exact_max(_tables(s))
+        _assert_kernel_matches_exact_max(s.support_tables)
 
     @pytest.mark.parametrize("u0, log_u0", [
         ("ind(0, 1)", None), ("2*ind(0, 1)", math.log(2.0)),
@@ -167,7 +166,7 @@ class TestMassKernel:
         # a constant d is kept as a float and a zero log u0 is skipped; the
         # reference kernel reads the d_s and log_u0_s arrays
         s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=400)
-        t = _tables(s)
+        t = s.support_tables
         assert t.d is t.d_s if d == "0.5 + x^2" else type(t.d) is float and t.d == float(d)
         assert t.log_u0 is t.log_u0_s if log_u0 == "array" else t.log_u0 == log_u0
         _assert_kernel_matches_exact_max(t)
@@ -175,7 +174,7 @@ class TestMassKernel:
     @pytest.mark.parametrize("u0", ["1 + x", "(1 + x)*ind(0.3, 0.55)"])
     def test_log_density_layout_bitwise(self, u0):
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", u0=u0, n_cells=50)
-        t = _tables(s)
+        t = s.support_tables
         rng = np.random.default_rng(7)
         for A, B in rng.uniform(0.0, 50.0, (200, 2)):
             log_u = _exponential_state(t, 0.0, A, B, 1.0).log_u

@@ -23,7 +23,6 @@ from traitsim.model import (
     positive_root,
     predict_equilibrium,
     quadrature,
-    support_runs,
     trapezoid_weights,
 )
 
@@ -172,11 +171,6 @@ class TestQuadrature:
 
 
 class TestSupportGeometry:
-    def test_runs(self):
-        mask = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
-        assert support_runs(mask) == [(1, 2), (4, 4), (7, 9)]
-        assert support_runs(np.zeros(4, dtype=bool)) == []
-
     def test_closure_adds_adjacent(self):
         mask = np.array([0, 0, 1, 1, 0, 0], dtype=bool)
         np.testing.assert_array_equal(

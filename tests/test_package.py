@@ -74,7 +74,7 @@ def test_star_import_binds_each_name_from_its_home_module():
 
 
 def test_names_are_listed_once():
-    assert len(traitsim.__all__) == len(set(traitsim.__all__)) == 44
+    assert len(traitsim.__all__) == len(set(traitsim.__all__)) == 42
 
 
 def test_unknown_name_raises_attribute_error():

@@ -34,7 +34,8 @@ Exit codes: 0 success, 1 verify found a failing invariant, 2 input error,
 3 runtime error (overflow or NaN; partial outputs are flushed).
 
 All numbers in output files are serialized with 17 significant digits so
-they round-trip exactly; identical inputs produce byte-identical outputs.
+they round-trip exactly; identical inputs produce byte-identical outputs (on grids
+over 10,000 nodes only for a fixed BLAS thread count; see the README).
 The output directory is the --out flag, else $TRAITSIM_OUT, else the
 current directory.
 """
@@ -188,8 +189,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-#: integer fields print as integers, every other field with :func:`_fmt`
-_RECORD_FORMATS = tuple(str if f.type in (int, "int") else _fmt for f in _RECORD_FIELDS)
+#: one trajectory row: integer fields print as integers, every other field
+#: as :func:`_fmt` does (``%.17g`` and ``format(x, ".17g")`` give the same text)
+_ROW_FORMAT = ",".join("%s" if f.type in (int, "int") else "%.17g" for f in _RECORD_FIELDS)
+_SNAPSHOT_FORMAT = "%.17g,%.17g,%.17g"
 
 
 def _fmt_short(x: float) -> str:
@@ -225,10 +228,6 @@ def _json_dump(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _record_row(rec: DiagnosticsRecord) -> str:
-    return ",".join([fmt(v) for fmt, v in zip(_RECORD_FORMATS, _record_values(rec))])
-
-
 def _record_dict(rec: DiagnosticsRecord) -> dict:
     return dict(zip(TRAJECTORY_COLUMNS, _record_values(rec)))
 
@@ -246,7 +245,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
     lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines.extend(_record_row(rec) for rec in trajectory.records)
+    lines.extend(_ROW_FORMAT % _record_values(rec) for rec in trajectory.records)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -261,10 +260,9 @@ def _write_snapshots(trajectory: Trajectory, out_dir: Path) -> list[str]:
         with np.errstate(under="ignore", over="ignore"):
             u = np.exp(snap.log_u)
         lines = ["x,u,log_u"]
-        lines.extend(
-            f"{_fmt(xi)},{_fmt(ui)},{_fmt(li)}"
-            for xi, ui, li in zip(nodes, u, snap.log_u)
-        )
+        lines.extend(map(
+            _SNAPSHOT_FORMAT.__mod__, zip(nodes.tolist(), u.tolist(), snap.log_u.tolist())
+        ))
         name = _snapshot_name(snap.requested_t)
         _write_text(out_dir / name, "\n".join(lines) + "\n")
         names.append(name)
@@ -459,11 +457,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run(scenario: Scenario) -> Trajectory:
+    """:func:`run`, with each warning it raises printed as one ``warning:`` line
+    on stderr (as ``predict`` prints them) instead of Python's source-line form."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        try:
+            return run(scenario)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     out = _out_dir(args)
     try:
-        trajectory = run(scenario)
+        trajectory = _run(scenario)
         error = None
     except IntegrationError as err:
         if err.partial is None:
@@ -501,7 +511,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     try:
-        trajectory = run(scenario)
+        trajectory = _run(scenario)
     except IntegrationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -22,12 +22,12 @@ quadratures would break it beyond that.  Each record takes one exp(log_u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import EquilibriumPrediction, Scenario, fitness_on_nodes
+from .model import EquilibriumPrediction, Scenario
 
 if TYPE_CHECKING:  # runtime import would be circular; only types are needed
     from .integrator import PopulationState, Trajectory
@@ -96,14 +96,81 @@ def crowding_Q(rho: float, c0: float) -> float:
     return c0 * rho * rho + rho
 
 
-@np.errstate(under="ignore")  # as a decorator it costs half of a with block
+#: the one error-state scope of each public entry point: dying tails flush
+#: to zero, and G^2 and the squared deviation saturate to inf past double range
+_QUIET = np.errstate(under="ignore", over="ignore")
+
+
+@dataclass(frozen=True)
+class _RecordTables:
+    """What every record of one scenario reads unchanged, built once.
+
+    ``d`` is a float when d is constant on the grid (a scalar gives the same
+    IEEE results as an array of equal values); ``tail`` indexes the nodes
+    |x| >= tail_R (None without a radius) and ``window`` slices the nodes
+    within eps of x_bar.  Read-only.
+    """
+
+    c0: float
+    b: np.ndarray
+    d: float | np.ndarray
+    ratio: np.ndarray
+    w: np.ndarray
+    nodes: np.ndarray
+    tail: np.ndarray | None
+    w_tail: np.ndarray | None
+    x_bar: float | None = None
+    eps: float | None = None
+    window: slice | None = None
+
+
+def _build_tables(scenario: Scenario) -> _RecordTables:
+    d, nodes, w = scenario.d_nodes, scenario.grid.nodes, scenario.grid.weights
+    ratio = scenario.b_nodes / d
+    ratio.setflags(write=False)
+    tail = None if scenario.tail_R is None else np.flatnonzero(np.abs(nodes) >= scenario.tail_R)
+    return _RecordTables(
+        c0=scenario.c0,
+        b=scenario.b_nodes,
+        d=float(d[0]) if d.min() == d.max() else d,
+        ratio=ratio,
+        w=w,
+        nodes=nodes,
+        tail=tail,
+        w_tail=None if tail is None else w[tail],
+    )
+
+
+def _tables(
+    scenario: Scenario, x_bar: float | None = None, eps: float | None = None
+) -> _RecordTables:
+    """The scenario's record tables, with the window of (x_bar, eps) when given.
+
+    Cached in the scenario's instance dict beside its node arrays (as
+    ``cached_property`` stores them); ``with_controls`` copies do not carry
+    it, so changed controls such as tail_R or epsilon build it again.
+    """
+    t = scenario.__dict__.get("_record_tables") or _build_tables(scenario)
+    if x_bar is not None and (t.x_bar != x_bar or t.eps != eps):
+        if not (eps > 0.0):
+            raise ValueError(f"epsilon must be > 0, got {eps}")
+        # sorted nodes: |x - x_bar| <= eps (1e-9 slack keeps nodes eps away in) is a slice
+        dist, c = t.nodes - x_bar, eps * (1.0 + 1e-9)
+        window = slice(int(dist.searchsorted(-c)), int(dist.searchsorted(c, "right")))
+        t = replace(t, x_bar=x_bar, eps=eps, window=window)
+    scenario.__dict__["_record_tables"] = t
+    return t
+
+
 def _density(state: "PopulationState") -> tuple[np.ndarray, float, int]:
     """(exp(log_u - shift), shift, argmax of log_u); the shift is nonzero only
     where exp(log_u) could overflow, so blow-up integrals stay finite."""
     mode = int(state.log_u.argmax())
     m = float(state.log_u[mode])
-    shift = m if m > _RESCALE_THRESHOLD else 0.0
-    return np.exp(state.log_u - shift if shift else state.log_u), shift, mode
+    if m > _RESCALE_THRESHOLD:
+        u = state.log_u - m
+        return np.exp(u, out=u), m, mode
+    return np.exp(state.log_u), 0.0, mode
 
 
 def _unscale(raw: float, shift: float) -> float:
@@ -116,47 +183,54 @@ def _unscale(raw: float, shift: float) -> float:
         return math.copysign(math.inf, raw)
 
 
-def _V(u: np.ndarray, shift: float, rho: float, scenario: Scenario, ratio: np.ndarray) -> float:
-    v = ratio - crowding_P(rho, scenario.c0)
-    v *= u
-    return _unscale(float(scenario.grid.weights.dot(v)), shift)
+# The integrands below overwrite ``work``, one array the size of the grid.
+
+def _V(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarray) -> float:
+    np.subtract(t.ratio, crowding_P(rho, t.c0), out=work)
+    work *= u
+    return _unscale(float(t.w.dot(work)), shift)
 
 
-@np.errstate(over="ignore")  # G^2 past double range saturates to inf
-def _D(u: np.ndarray, shift: float, rho: float, scenario: Scenario) -> float:
-    g = fitness_on_nodes(rho, scenario)
-    g *= g
-    g /= scenario.d_nodes
-    g *= u
-    return _unscale((1.0 + scenario.c0 * rho) * float(scenario.grid.weights.dot(g)), shift)
+def _D(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarray) -> float:
+    np.divide(t.b, 1.0 + t.c0 * rho, out=work)  # G(x, rho), as fitness_on_nodes computes it
+    work -= t.d * rho
+    work *= work
+    work /= t.d
+    work *= u
+    return _unscale((1.0 + t.c0 * rho) * float(t.w.dot(work)), shift)
 
 
-@np.errstate(over="ignore")  # the squared deviation saturates to inf
-def _W(u: np.ndarray, shift: float, rho: float, scenario: Scenario, ratio: np.ndarray) -> float:
-    dev = ratio - crowding_Q(rho, scenario.c0)
-    dev *= dev
-    dev *= u
-    return _unscale(float(scenario.grid.weights.dot(dev)), shift)
+def _W(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarray) -> float:
+    np.subtract(t.ratio, crowding_Q(rho, t.c0), out=work)
+    work *= work
+    work *= u
+    return _unscale(float(t.w.dot(work)), shift)
 
 
+def _integral(functional, state: "PopulationState", scenario: Scenario) -> float:
+    u, shift, _ = _density(state)
+    return functional(u, shift, state.rho, _tables(scenario), np.empty(u.size))
+
+
+@_QUIET
 def compute_V(state: "PopulationState", scenario: Scenario) -> float:
     """Lyapunov functional V = integral (b/d - P(rho)) u dx."""
-    u, shift, _ = _density(state)
-    return _V(u, shift, state.rho, scenario, scenario.b_nodes / scenario.d_nodes)
+    return _integral(_V, state, scenario)
 
 
+@_QUIET
 def compute_D(state: "PopulationState", scenario: Scenario) -> float:
     """Dissipation D = integral (1 + c0*rho)/d * G^2 u dx; nonnegative by construction."""
-    u, shift, _ = _density(state)
-    return _D(u, shift, state.rho, scenario)
+    return _integral(_D, state, scenario)
 
 
+@_QUIET
 def compute_W(state: "PopulationState", scenario: Scenario) -> float:
     """Selection residual W = integral (b/d - Q(rho))^2 u dx."""
-    u, shift, _ = _density(state)
-    return _W(u, shift, state.rho, scenario, scenario.b_nodes / scenario.d_nodes)
+    return _integral(_W, state, scenario)
 
 
+@_QUIET
 def concentration_report(
     state: "PopulationState",
     scenario: Scenario,
@@ -168,53 +242,50 @@ def concentration_report(
     ``epsilon`` defaults to the scenario's concentration window (5 cells).
     The fraction is shift invariant, so it stays meaningful in blow-up runs.
     """
-    u, _, mode = _density(state)
-    x_mode, max_log_u = float(scenario.grid.nodes[mode]), float(state.log_u[mode])
-    return ConcentrationReport(_window_fraction(u, scenario, pred, epsilon), x_mode, max_log_u)
-
-
-def _window_fraction(
-    u: np.ndarray, scenario: Scenario, pred: EquilibriumPrediction, epsilon: float | None
-) -> float:
     eps = scenario.concentration_epsilon if epsilon is None else epsilon
-    if not (eps > 0.0):
-        raise ValueError(f"epsilon must be > 0, got {eps}")
-    w = scenario.grid.weights
-    total = float(w.dot(u))
-    # sorted nodes: |x - x_bar| <= eps (1e-9 slack keeps nodes eps away in) is a slice
-    d, c = scenario.grid.nodes - pred.x_bar, eps * (1.0 + 1e-9)
-    lo, hi = d.searchsorted(-c), d.searchsorted(c, "right")
-    return float(w[lo:hi].dot(u[lo:hi])) / total if total > 0.0 else 0.0
+    t = _tables(scenario, pred.x_bar, eps)
+    u, _, mode = _density(state)
+    return ConcentrationReport(
+        _window_fraction(u, t), float(t.nodes[mode]), float(state.log_u[mode])
+    )
 
 
-def _tail_mass(u: np.ndarray, shift: float, scenario: Scenario) -> float:
-    if scenario.tail_R is None:
+def _window_fraction(u: np.ndarray, t: _RecordTables) -> float:
+    total = float(t.w.dot(u))
+    window = t.window
+    return float(t.w[window].dot(u[window])) / total if total > 0.0 else 0.0
+
+
+def _tail_mass(u: np.ndarray, shift: float, t: _RecordTables) -> float:
+    if t.tail is None:
         return 0.0
-    tail = np.abs(scenario.grid.nodes) >= scenario.tail_R  # may be empty: the sum is 0.0
-    return _unscale(float(scenario.grid.weights[tail].dot(u[tail])), shift)
+    return _unscale(float(t.w_tail.dot(u[t.tail])), shift)  # an empty tail sums to 0.0
 
 
+@_QUIET
 def make_record(
     state: "PopulationState", scenario: Scenario, pred: EquilibriumPrediction
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one sampled state from one density."""
+    t = _tables(scenario, pred.x_bar, scenario.concentration_epsilon)
     u, shift, mode = _density(state)
-    ratio = scenario.b_nodes / scenario.d_nodes
+    rho, work = state.rho, np.empty(u.size)
     return DiagnosticsRecord(
         t=state.t,
-        rho=state.rho,
-        V=_V(u, shift, state.rho, scenario, ratio),
-        D=_D(u, shift, state.rho, scenario),
-        W=_W(u, shift, state.rho, scenario, ratio),
+        rho=rho,
+        V=_V(u, shift, rho, t, work),
+        D=_D(u, shift, rho, t, work),
+        W=_W(u, shift, rho, t, work),
         max_log_u=float(state.log_u[mode]),
-        x_mode=float(scenario.grid.nodes[mode]),
-        mass_near_xbar=_window_fraction(u, scenario, pred, None),
-        tail_mass=_tail_mass(u, shift, scenario),
+        x_mode=float(t.nodes[mode]),
+        mass_near_xbar=_window_fraction(u, t),
+        tail_mass=_tail_mass(u, shift, t),
         undershoot_clamps=state.undershoot_clamps,
         rescaled=shift > 0.0,
     )
 
 
+@_QUIET
 def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
     """Growth statistics over the second half of a run.
 

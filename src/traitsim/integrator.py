@@ -53,6 +53,7 @@ __all__ = [
     "Trajectory",
     "CORRIDOR_TOL",
     "STOP_WINDOW",
+    "RK4_STABILITY",
     "init_state",
     "rho_from_exponents",
     "step_exponential",
@@ -66,6 +67,9 @@ CORRIDOR_TOL = 1e-6
 
 #: consecutive samples inside stop_tol required before stopping early
 STOP_WINDOW = 100
+
+#: classical RK4 is stable on the negative real axis for |h*lambda| up to this
+RK4_STABILITY = 2.785
 
 #: largest exponent exp() can represent in double precision
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -153,7 +157,7 @@ def init_state(scenario: Scenario) -> PopulationState:
     return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=rho0)
 
 
-def _mass_at(t: SupportTables, A: float, B: float) -> float:
+def _mass_at(t: SupportTables, A: float, B: float, e: np.ndarray) -> float:
     """Mass quadrature at exponents (A, B); the solver's innermost kernel.
 
     Plain summation while the largest density exponent is representable,
@@ -162,14 +166,16 @@ def _mass_at(t: SupportTables, A: float, B: float) -> float:
     Rounding is monotone, so no exponent exceeds the scalar bound computed
     from the table ranges in the same order; the exact max is taken only
     when that bound (or NaN) does not settle the branch.  ``ndarray.dot``
-    makes the same BLAS call as ``@`` with less dispatch.
+    makes the same BLAS call as ``@`` with less dispatch.  ``e`` is the
+    caller's scratch array, one entry per support node, overwritten by
+    every call.
 
     The scalar forms of ``t.d`` and ``t.log_u0`` give the bits of the arrays:
     a scalar d*B is the same IEEE product as each d_i*B, and skipping a zero
     log u0 only leaves -0.0 where adding it gives +0.0, and exp maps both to
     1.0 (NaN, +-inf and the shifted branch are unaffected).
     """
-    e = t.b_s * A
+    np.multiply(t.b_s, A, out=e)
     e -= t.d * B
     if t.log_u0 is not None:
         e += t.log_u0
@@ -200,14 +206,24 @@ def rho_from_exponents(A: float, B: float, scenario: Scenario) -> float:
         raise ExponentOverflow(
             f"non-finite exponents A={A!r}, B={B!r}", exponent=math.inf
         )
-    return _mass_at(scenario.support_tables, A, B)
+    tables = scenario.support_tables
+    return _mass_at(tables, A, B, np.empty(tables.b_s.size))
 
 
 def _exponential_state(
     tables: SupportTables, t: float, A: float, B: float, rho: float, undershoot_clamps: int = 0
 ) -> PopulationState:
-    """The exact state at exponents (A, B): log_u is rebuilt from the tables."""
-    log_u = tables.log_u0_s + tables.b_s * A - tables.d_s * B
+    """The exact state at exponents (A, B): log_u is rebuilt from the tables.
+
+    log_u = log u0 + b*A - d*B, in that order, with the kernel's scalar
+    forms of d and log u0.  Skipping a zero log u0 keeps the bits on every
+    reachable state: b > 0 and A >= +0 (A starts at +0 and only grows) make
+    b*A >= +0, and +0 + x is x for every x >= +0.
+    """
+    log_u = np.multiply(tables.b_s, A)
+    if tables.log_u0 is not None:
+        np.add(tables.log_u0, log_u, out=log_u)
+    log_u -= tables.d * B
     if log_u.size < tables.n_nodes:  # cells outside the initial support stay empty
         values, log_u = log_u, np.full(tables.n_nodes, -np.inf)
         log_u[tables.support] = values
@@ -216,26 +232,26 @@ def _exponential_state(
 
 
 def _advance_exponential(
-    t: SupportTables, c0: float, A: float, B: float, rho: float, dt: float
+    t: SupportTables, c0: float, A: float, B: float, rho: float, dt: float, e: np.ndarray
 ) -> tuple[float, float, float]:
     """One RK4 step of A' = 1/(1 + c0*rho(A, B)), B' = rho(A, B).
 
     ``rho`` must equal the mass at (A, B); the first stage reuses it, the
-    refreshed mass at the new point is returned for the next step.  A NaN
-    mass anywhere in the step reaches the new mass, which raises
-    :class:`IntegrationError`.
+    refreshed mass at the new point is returned for the next step.  ``e`` is
+    the kernel's scratch array.  A NaN mass anywhere in the step reaches the
+    new mass, which raises :class:`IntegrationError`.
     """
     k1a = 1.0 / (1.0 + c0 * rho)
     k1b = rho
-    k2b = _mass_at(t, A + 0.5 * dt * k1a, B + 0.5 * dt * k1b)
+    k2b = _mass_at(t, A + 0.5 * dt * k1a, B + 0.5 * dt * k1b, e)
     k2a = 1.0 / (1.0 + c0 * k2b)
-    k3b = _mass_at(t, A + 0.5 * dt * k2a, B + 0.5 * dt * k2b)
+    k3b = _mass_at(t, A + 0.5 * dt * k2a, B + 0.5 * dt * k2b, e)
     k3a = 1.0 / (1.0 + c0 * k3b)
-    k4b = _mass_at(t, A + dt * k3a, B + dt * k3b)
+    k4b = _mass_at(t, A + dt * k3a, B + dt * k3b, e)
     k4a = 1.0 / (1.0 + c0 * k4b)
     A1 = A + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
     B1 = B + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    rho1 = _mass_at(t, A1, B1)
+    rho1 = _mass_at(t, A1, B1, e)
     if rho1 != rho1:  # NaN
         raise IntegrationError(f"mass is NaN after a step from A = {A!r}, B = {B!r}; reduce dt")
     return A1, B1, rho1
@@ -251,7 +267,7 @@ def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> P
         raise ValueError(f"dt must be > 0, got {dt}")
     tables = scenario.support_tables
     A1, B1, rho1 = _advance_exponential(
-        tables, scenario.c0, state.A, state.B, state.rho, dt
+        tables, scenario.c0, state.A, state.B, state.rho, dt, np.empty(tables.b_s.size)
     )
     return _exponential_state(tables, state.t + dt, A1, B1, rho1, state.undershoot_clamps)
 
@@ -346,13 +362,28 @@ def run(scenario: Scenario) -> Trajectory:
     With ``stop_tol`` set, the run stops once |rho - rho_bar| and W stay
     below it for :data:`STOP_WINDOW` consecutive samples.  Step failures
     raise :class:`IntegrationError` with the partial trajectory attached.
+
+    The exponential scheme rejects (``ValueError``) a dt past RK4's stability
+    bound.  The (A, B) Jacobian has one nonzero eigenvalue,
+    -(c0 int b u / (1 + c0 rho)^2 + int d u), and inside the corridor its
+    size is at most lambda* = (c0 b_M / (1 + c0 rho_m)^2 + d_M) rho_M, so
+    dt <= :data:`RK4_STABILITY` / lambda* keeps the linearized step stable
+    wherever rho can go.
     """
     scenario.validate()
     pred = predict_equilibrium(scenario)
-    state = init_state(scenario)
-    dt = scenario.dt
+    dt, c0 = scenario.dt, scenario.c0
     exponential = scenario.scheme == "exponential"
+    if exponential:
+        lam = (c0 * pred.b_M / (1.0 + c0 * pred.rho_m) ** 2 + pred.d_M) * pred.rho_M
+        if dt > RK4_STABILITY / lam:
+            raise ValueError(
+                f"dt must be <= {RK4_STABILITY / lam:.6g} for a stable exponential step "
+                f"(RK4 bound {RK4_STABILITY} / lambda*, lambda* = {lam:.6g}), got {dt!r}"
+            )
+    state = init_state(scenario)
     tables = scenario.support_tables if exponential else None
+    scratch = np.empty(tables.b_s.size) if exponential else None
     n_steps = _step_count(scenario.t_end, dt)
     snapshot_steps: dict[int, float] = {
         int(round(tau / dt)): tau for tau in scenario.snapshot_times
@@ -372,7 +403,7 @@ def run(scenario: Scenario) -> Trajectory:
 
     lo = pred.rho_m - CORRIDOR_TOL
     hi = pred.rho_M + CORRIDOR_TOL
-    c0, every = scenario.c0, scenario.sample_every
+    every = scenario.sample_every
     t, A, B, rho = state.t, state.A, state.B, state.rho
     stop_streak = 0
     for k in range(1, n_steps + 1):
@@ -382,7 +413,7 @@ def run(scenario: Scenario) -> Trajectory:
                 # state; a PopulationState with its density is built only at
                 # steps something observes (sample, snapshot, last step) and
                 # on failure, from the last step that succeeded
-                A, B, rho = _advance_exponential(tables, c0, A, B, rho, dt)
+                A, B, rho = _advance_exponential(tables, c0, A, B, rho, dt, scratch)
                 t += dt
                 if k % every and k != n_steps and k not in snapshot_steps:
                     continue

@@ -176,12 +176,8 @@ class Scenario:
     @cached_property
     def support_tables(self) -> SupportTables:
         support = np.flatnonzero(self.support_mask)
-        # Copies of the gathered arrays: the freed gathers leave heap holes the
-        # size of the kernel's per-call array below the tables.  Without them
-        # glibc trims the heap top after every kernel call on large grids and
-        # the next call page-faults it back in (at 5e4 nodes: 163 faults per call).
-        b_s = self.b_nodes[support].copy()
-        d_s = self.d_nodes[support].copy()
+        b_s = self.b_nodes[support]
+        d_s = self.d_nodes[support]
         log_u0_s = np.log(self.u0_nodes[support])
         d_lo, d_hi = float(d_s.min()), float(d_s.max())
         log_u0_hi = float(log_u0_s.max())
@@ -192,7 +188,7 @@ class Scenario:
             b_s=b_s,
             d_s=d_s,
             log_u0_s=log_u0_s,
-            w_s=self.grid.weights[support].copy(),
+            w_s=self.grid.weights[support],
             d=d_lo if d_lo == d_hi else d_s,
             log_u0=log_u0,
             b_lo=float(b_s.min()),

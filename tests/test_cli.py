@@ -13,14 +13,18 @@ from traitsim import exprlang, integrator
 from traitsim.cli import (
     SCENARIO_SECTIONS,
     ScenarioFileError,
+    _fmt,
     _json_dump,
+    _write_snapshots,
+    _write_trajectory_csv,
     build_parser,
     evaluate_invariants,
     load_scenario,
     main,
 )
-from traitsim.integrator import run, scenario_fingerprint
-from traitsim.model import Grid, Scenario, scenario_items
+from traitsim.diagnostics import DiagnosticsRecord
+from traitsim.integrator import DensitySnapshot, Trajectory, run, scenario_fingerprint
+from traitsim.model import Grid, Scenario, predict_equilibrium, scenario_items
 
 TINY = str(DATA_DIR / "tiny.ini")
 
@@ -321,9 +325,15 @@ class TestRunCommand:
         assert main(["run", TINY, "--quiet"]) == 0
         assert (target / "trajectory.csv").exists()
 
-    def test_runtime_error_flushes_partial_exit_3(self, tmp_path, capsys):
+    def test_runtime_error_flushes_partial_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a dt large enough to overflow the mass is refused by the stability
+        # bound (exit 2), so the overflow is raised by the kernel itself
+        def overflow(*args):
+            raise integrator.ExponentOverflow("total mass overflows: log rho = 800", 800.0)
+
+        monkeypatch.setattr(integrator, "_mass_at", overflow)
         out = tmp_path / "out"
-        code = main(["run", TINY, "--out", str(out), "--dt", "1e6", "--t-end", "2e6"])
+        code = main(["run", TINY, "--out", str(out)])
         assert code == 3
         assert "error" in capsys.readouterr().err
         csv = (out / "trajectory.csv").read_text().splitlines()
@@ -335,9 +345,9 @@ class TestRunCommand:
     def test_nan_mass_flushes_partial_exit_3(self, tmp_path, capsys, monkeypatch):
         kernel, calls = integrator._mass_at, []
 
-        def nan_from_step_6(t, A, B):  # 4 kernel calls per step
+        def nan_from_step_6(*args):  # 4 kernel calls per step
             calls.append(None)
-            return math.nan if len(calls) > 4 * 5 else kernel(t, A, B)
+            return math.nan if len(calls) > 4 * 5 else kernel(*args)
 
         monkeypatch.setattr(integrator, "_mass_at", nan_from_step_6)
         out = tmp_path / "out"
@@ -347,6 +357,69 @@ class TestRunCommand:
         assert len(csv) == 3  # header plus the records at t = 0 and t = 0.005
         summary = json.loads((out / "summary.json").read_text())
         assert "NaN" in summary["error"]
+
+
+    @pytest.mark.parametrize("dt", ["1.9", "2.5", "5", "50"])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_dt_past_stability_bound_exits_2(self, tmp_path, capsys, command, dt):
+        t_end = str(10 * float(dt))
+        assert main([command, TINY, "--dt", dt, "--t-end", t_end, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: dt must be <= 1.74127 ")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_dt_inside_stability_bound_runs(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["run", TINY, "--dt", "1.7", "--t-end", "17", "--out", str(out), "--quiet"]
+        assert main(argv) == 0
+        assert json.loads((out / "summary.json").read_text())["record_count"] == 3
+
+
+#: doubles whose text is easy to get wrong: signed zeros, infinities, NaN,
+#: subnormals, the extremes of the normal range and 17-digit fractions
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -2.5, 1e22, 1.0]
+
+
+class TestOutputRows:
+    def _trajectory(self):
+        s = load_scenario(TINY)
+        pred = predict_equilibrium(s)
+        return Trajectory(scenario=s, prediction=pred, fingerprint="0", records=[])
+
+    def test_trajectory_rows_match_fmt(self, tmp_path):
+        names = [f.name for f in fields(DiagnosticsRecord) if f.name != "rescaled"]
+        integer = {f.name for f in fields(DiagnosticsRecord) if f.type in (int, "int")}
+        assert integer == {"undershoot_clamps"}
+        trajectory = self._trajectory()
+        n = len(SPECIAL_FLOATS)
+        for i in range(n):
+            values = {
+                name: i * 10**(2 * k) + i if name in integer else SPECIAL_FLOATS[(i + k) % n]
+                for k, name in enumerate(names)
+            }
+            trajectory.records.append(DiagnosticsRecord(**values))
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory_csv(trajectory, path)
+        want = [",".join(names)] + [
+            ",".join(str(v) if n in integer else _fmt(v) for n, v in zip(names, vars(r).values()))
+            for r in trajectory.records
+        ]
+        assert path.read_text().splitlines() == want
+
+    def test_snapshot_lines_match_fmt(self, tmp_path):
+        trajectory = self._trajectory()
+        nodes = trajectory.scenario.grid.nodes
+        log_u = np.array([-np.inf, 0.0, -0.0, 709.5, 710.0, np.nan, -745.0, -708.5, 5e-324,
+                          -1e-310, -3.0])
+        assert log_u.size == nodes.size
+        trajectory.snapshots.append(DensitySnapshot(0.5, 0.5, log_u))
+        assert _write_snapshots(trajectory, tmp_path) == ["snapshot_0.5.csv"]
+        with np.errstate(under="ignore", over="ignore"):
+            u = np.exp(log_u)
+        want = ["x,u,log_u"] + [
+            f"{_fmt(xi)},{_fmt(ui)},{_fmt(li)}" for xi, ui, li in zip(nodes, u, log_u)
+        ]
+        assert (tmp_path / "snapshot_0.5.csv").read_text().splitlines() == want
 
 
 class TestVerifyCommand:
@@ -509,6 +582,27 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("traitsim ")
 
+    def test_warnings_print_as_single_lines(self, tmp_path):
+        import subprocess
+        import sys
+
+        # two_atom ties b/d at 3 closed-support nodes, and t_end = 2.0005 is
+        # not a multiple of dt: two warnings, each one line without a source path
+        path = str(SCENARIO_DIR / "two_atom.ini")
+        for command in ("run", "verify"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "traitsim", command, path, "--t-end", "2.0005",
+                 "--out", str(tmp_path), "--quiet"],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            lines = proc.stderr.splitlines()
+            assert [line.split(": ", 1)[0] for line in lines] == ["warning", "warning"], proc.stderr
+            assert lines[0].startswith("warning: b/d attains its maximum at 3 ")
+            assert lines[1].startswith("warning: t_end = 2.0005 is not an integer multiple")
+            assert ".py" not in proc.stderr and not re.search(r":\d+:", proc.stderr)
+
     def test_step_budget_exits_2_without_running(self, tmp_path):
         import subprocess
         import sys
@@ -525,21 +619,31 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith("error: dt must")
         assert not (tmp_path / "out" / "summary.json").exists()
 
-    def test_overflowing_rates_exit_3_without_numpy_warnings(self, tmp_path):
+    def test_overflowing_rates_rejected_without_numpy_warnings(self, tmp_path):
         import subprocess
         import sys
 
-        # G^2 and (b/d - Q)^2 overflow to inf in the diagnostics before the mass does
+        # b = 1e200: at dt = 1e-3 RK4 is unstable, so the run is refused; at a
+        # dt inside the bound, G^2 and (b/d - Q)^2 overflow to inf in the
+        # diagnostics, silently
         path = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 1e200"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "traitsim", "run", path, "--out", str(tmp_path / "out")],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 3
-        assert "total mass overflows" in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        tie = "warning: b/d attains its maximum at 11 closed-support nodes"
+        for extra, code, last in (
+            ((), 2, "error: dt must be <= 1.114e-299"),
+            (("--dt", "1e-300", "--t-end", "1e-299"), 0, tie),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "traitsim", "run", path, "--out", str(tmp_path / "out"),
+                 "--quiet", *extra],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            lines = proc.stderr.splitlines()
+            assert proc.returncode == code and lines[-1].startswith(last), proc.stderr
+            assert lines[0].startswith(tie) and len(lines) == 1 + (code != 0), proc.stderr
+        final = json.loads((tmp_path / "out" / "summary.json").read_text())["final"]
+        assert (final["D"], final["W"]) == ("inf", "inf")
 
 
 class TestJsonEmitter:

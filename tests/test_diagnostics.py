@@ -332,6 +332,7 @@ RECORD_SCENARIOS = {
     "tail_R": dict(b="2 - (x+0.2)^2", d="1 + x^2", u0="1 + x", x_min=-1.0, tail_R=0.7),
     "epsilon": dict(b="1 + exp(-50*(x-0.4)^2)", d="1", epsilon=0.05, n_cells=300),
     "c0": dict(b="3 - x", d="1 + x", c0=0.25, tail_R=5.0, epsilon=0.3),  # no tail nodes
+    "d_const": dict(b="2 - (x-0.3)^2", d="2.5", u0="ind(0.1, 0.8)", tail_R=0.9, n_cells=200),
 }
 
 
@@ -404,3 +405,61 @@ class TestOneMaterialization:
         monkeypatch.setattr(np, "exp", counted_exp)
         make_record(st_, s, pred)
         assert calls == {"density": 1, "exp": 1}
+
+    @pytest.mark.parametrize("name", sorted(RECORD_SCENARIOS))
+    def test_record_bit_identical_under_strict_underflow(self, name):
+        # the records keep their bits when the caller raises on underflow:
+        # make_record and the functionals run in their own error state
+        s = make_scenario(**RECORD_SCENARIOS[name])
+        pred = predict_equilibrium(s)
+        rng = np.random.default_rng(17 + sum(map(ord, name)))
+        states = [init_state(s), *_states(s, rng, (0.0, 705.0, 5000.0))]
+        # exp underflows to 0 on every other node, and to subnormals in between
+        base = states[0].log_u + np.where(np.arange(s.grid.n_nodes) % 2, -800.0, -715.0)
+        states.append(state_with(s, rho=1.0, log_u=base))
+        want = [_ref_record(st_, s, pred) for st_ in states]
+        with np.errstate(under="raise"):
+            got = [make_record(st_, s, pred) for st_ in states]
+            V = [compute_V(st_, s) for st_ in states]
+        assert [list(map(_bits, vars(r).values())) for r in got] == [
+            list(map(_bits, vars(r).values())) for r in want
+        ]
+        assert list(map(_bits, V)) == [_bits(r.V) for r in want]
+
+
+class TestRecordTables:
+    def test_cached_read_only_and_in_the_constant_forms(self):
+        s = make_scenario(**RECORD_SCENARIOS["d_const"])
+        pred = predict_equilibrium(s)
+        make_record(init_state(s), s, pred)
+        t = diagnostics._tables(s)
+        assert diagnostics._tables(s, pred.x_bar, s.concentration_epsilon) is t
+        assert type(t.d) is float and t.d == 2.5
+        assert not t.ratio.flags.writeable
+        assert np.array_equal(t.tail, np.arange(180, 201))  # x >= 0.9 on 200 cells
+        eps = s.concentration_epsilon * (1.0 + 1e-9)
+        window = np.flatnonzero(np.abs(s.grid.nodes - pred.x_bar) <= eps)
+        assert t.window == slice(window[0], window[-1] + 1)
+
+    def test_two_sided_tail_and_controls_rebuild(self):
+        s = make_scenario(**RECORD_SCENARIOS["tail_R"])
+        t = diagnostics._tables(s)
+        assert t.d is s.d_nodes
+        assert np.array_equal(t.tail, np.flatnonzero(np.abs(s.grid.nodes) >= 0.7))
+        assert t.tail[0] == 0 and t.tail[-1] == s.grid.n_nodes - 1 and t.tail.size < s.grid.n_nodes
+        # a copy with another radius builds its own tables
+        other = diagnostics._tables(s.with_controls(tail_R=None))
+        assert other.tail is None and diagnostics._tables(s) is t
+
+    def test_explicit_epsilon_leaves_the_default_window_correct(self):
+        s = make_scenario(**RECORD_SCENARIOS["epsilon"])
+        pred = predict_equilibrium(s)
+        st_ = init_state(s)
+        for eps in (0.2, s.concentration_epsilon, 0.01):
+            rep = concentration_report(st_, s, pred, epsilon=eps)
+            assert list(map(_bits, rep)) == list(map(_bits, _ref_concentration(st_, s, pred, eps)))
+            assert _bits(make_record(st_, s, pred).mass_near_xbar) == _bits(
+                _ref_concentration(st_, s, pred)[0]
+            )
+        with pytest.raises(ValueError, match="epsilon"):
+            concentration_report(st_, s, pred, epsilon=0.0)

@@ -7,8 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import DATA_DIR, SCENARIO_DIR, make_scenario
 from traitsim import integrator
+from traitsim.cli import load_scenario
 from traitsim.diagnostics import make_record
 from traitsim.integrator import (
     DensitySnapshot,
@@ -140,8 +141,15 @@ def _assert_kernel_matches_exact_max(t):
         if len(points) % 3 == 0:
             scale = rng.uniform(300.0, 1500.0)  # around the 600 threshold
         points.append(tuple(map(float, rng.uniform(-1.0, 1.0, 2) * scale)))
+    # one caller-owned scratch array for every call, NaN-filled first: the
+    # kernel must overwrite it whole and never read what a call left in it
+    scratch = np.full_like(t.b_s, np.nan)
+
+    def kernel(t, A, B):
+        return _mass_at(t, A, B, scratch)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = [_outcome(_mass_at, t, A, B) for A, B in points]
+        outcomes = [_outcome(kernel, t, A, B) for A, B in points]
         assert outcomes == [_outcome(_exact_max_mass, t, A, B) for A, B in points]
         largest = [float((t.b_s * A - t.d_s * B + t.log_u0_s).max()) for A, B in points]
     plain = sum(m <= 600.0 for m in largest)
@@ -182,6 +190,24 @@ class TestMassKernel:
             want[t.support] = t.log_u0_s + t.b_s * A - t.d_s * B
             assert log_u.tobytes() == want.tobytes()
             assert not log_u.flags.writeable
+
+    @pytest.mark.parametrize("u0", ["ind(0, 1)", "2*ind(0, 1)", "1 + x", "ind(0.3, 0.55)"])
+    @pytest.mark.parametrize("d", ["1", "2.5", "0.5 + x^2"])
+    def test_log_density_constant_forms_keep_signed_zeros(self, d, u0):
+        # reachable states have b > 0 and A, B >= +0; A = B = +0 and the
+        # single-zero points are where a skipped log u0 could flip a zero
+        s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=60)
+        t = s.support_tables
+        rng = np.random.default_rng(11)
+        points = [(0.0, 0.0), (0.0, 3.0), (3.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)]
+        scaled = rng.uniform(0.0, 1.0, (50, 2)) * 10.0 ** rng.uniform(-5.0, 3.0, (50, 1))
+        points += [tuple(p) for p in scaled]
+        for A, B in points:
+            log_u = _exponential_state(t, 0.0, A, B, 1.0).log_u
+            want = np.full(s.grid.n_nodes, -np.inf)
+            want[t.support] = t.log_u0_s + t.b_s * A - t.d_s * B
+            assert log_u.tobytes() == want.tobytes()
+        assert np.signbit(_exponential_state(t, 0.0, 0.0, 0.0, 1.0).log_u[t.support]).sum() == 0
 
 
 class TestStepExponential:
@@ -292,6 +318,38 @@ class TestStepDirect:
         assert all(np.isfinite(r.rho) for r in t.records)
 
 
+class TestStabilityBound:
+    # tiny.ini's model: lambda* = (2 / (1 + rho_m)^2 + 1) * 1 = 1.5994, dt <= 1.7413
+    TINY = dict(b="2 - (x-0.3)^2", d="1", n_cells=10, sample_every=5)
+
+    @pytest.mark.parametrize("dt", [1.9, 2.5, 5.0, 50.0, 1e6])
+    def test_unstable_dt_rejected_before_any_step(self, dt):
+        s = make_scenario(t_end=10 * dt, dt=dt, **self.TINY)
+        with pytest.raises(ValueError, match=r"^dt must be <= 1\.74127 .* got " + repr(dt)):
+            run(s)
+
+    def test_bound_from_the_prediction(self):
+        s = make_scenario(t_end=0.0, b="1 + x", d="0.5 + x", c0=0.5)
+        p = predict_equilibrium(s)
+        lam = (0.5 * p.b_M / (1.0 + 0.5 * p.rho_m) ** 2 + p.d_M) * p.rho_M
+        limit = integrator.RK4_STABILITY / lam
+        run(s.with_controls(dt=limit))
+        with pytest.raises(ValueError, match="^dt must"):
+            run(s.with_controls(dt=math.nextafter(limit, math.inf)))
+
+    def test_stable_dt_and_the_direct_scheme_run(self):
+        t = run(make_scenario(t_end=17.0, dt=1.7, **self.TINY))
+        assert round(t.final_state.t / 1.7) == 10 and not t.breaches
+        # the direct scheme's own bound is not derived; its dt is not checked
+        run(make_scenario(t_end=50.0, dt=5.0, scheme="direct", **self.TINY))
+
+    def test_no_shipped_scenario_rejected(self):
+        paths = [*sorted(SCENARIO_DIR.glob("*.ini")), DATA_DIR / "tiny.ini"]
+        for path in paths:
+            s = load_scenario(path)
+            run(s.with_controls(t_end=0.0, snapshot_times=()))
+
+
 class TestRun:
     def test_zero_t_end_gives_only_initial_record(self):
         t = run(make_scenario(t_end=0.0))
@@ -358,9 +416,9 @@ class TestRun:
         records, _, final = _stepped(s, 23)
         kernel, calls = integrator._mass_at, []
 
-        def nan_from_step_24(t, A, B):  # 4 kernel calls per step
+        def nan_from_step_24(*args):  # 4 kernel calls per step
             calls.append(None)
-            return math.nan if len(calls) > 4 * 23 + 1 else kernel(t, A, B)
+            return math.nan if len(calls) > 4 * 23 + 1 else kernel(*args)
 
         monkeypatch.setattr(integrator, "_mass_at", nan_from_step_24)
         with pytest.raises(IntegrationError, match="NaN") as exc:
@@ -407,9 +465,14 @@ class TestRun:
         assert t.early_stop_t < 5.0
         assert len(t.records) == 101  # initial + 100-sample stop window
 
-    def test_overflow_mid_run_attaches_partial(self):
-        # absurd dt extrapolates the exponents past double range in stage 2
-        s = make_scenario(b="3", d="1", t_end=2e6, dt=1e6, sample_every=1)
+    def test_overflow_mid_run_attaches_partial(self, monkeypatch):
+        # a dt that extrapolates the exponents past double range is refused by
+        # the stability bound, so the kernel raises the overflow itself
+        def overflow(*args):
+            raise ExponentOverflow("total mass overflows: log rho = 800", exponent=800.0)
+
+        monkeypatch.setattr(integrator, "_mass_at", overflow)
+        s = make_scenario(b="3", d="1", t_end=1.0, dt=0.1, sample_every=1)
         with pytest.raises(ExponentOverflow) as exc:
             run(s)
         partial = exc.value.partial

@@ -22,7 +22,7 @@ quadratures would break it beyond that.  Each record takes one exp(log_u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -96,9 +96,11 @@ def crowding_Q(rho: float, c0: float) -> float:
     return c0 * rho * rho + rho
 
 
-#: the one error-state scope of each public entry point: dying tails flush
+#: the one error-state scope of each record and of D and W: dying tails flush
 #: to zero, and G^2 and the squared deviation saturate to inf past double range
 _QUIET = np.errstate(under="ignore", over="ignore")
+#: the scope of the other entry points: only the dying tails of exp(log_u)
+_UNDER = np.errstate(under="ignore")
 
 
 @dataclass(frozen=True)
@@ -106,9 +108,8 @@ class _RecordTables:
     """What every record of one scenario reads unchanged, built once.
 
     ``d`` is a float when d is constant on the grid (a scalar gives the same
-    IEEE results as an array of equal values); ``tail`` indexes the nodes
-    |x| >= tail_R (None without a radius) and ``window`` slices the nodes
-    within eps of x_bar.  Read-only.
+    IEEE results as an array of equal values) and ``tail`` indexes the nodes
+    |x| >= tail_R (None without a radius).  Read-only.
     """
 
     c0: float
@@ -119,47 +120,55 @@ class _RecordTables:
     nodes: np.ndarray
     tail: np.ndarray | None
     w_tail: np.ndarray | None
-    x_bar: float | None = None
-    eps: float | None = None
-    window: slice | None = None
 
 
-def _build_tables(scenario: Scenario) -> _RecordTables:
-    d, nodes, w = scenario.d_nodes, scenario.grid.nodes, scenario.grid.weights
-    ratio = scenario.b_nodes / d
-    ratio.setflags(write=False)
-    tail = None if scenario.tail_R is None else np.flatnonzero(np.abs(nodes) >= scenario.tail_R)
-    return _RecordTables(
-        c0=scenario.c0,
-        b=scenario.b_nodes,
-        d=float(d[0]) if d.min() == d.max() else d,
-        ratio=ratio,
-        w=w,
-        nodes=nodes,
-        tail=tail,
-        w_tail=None if tail is None else w[tail],
-    )
-
-
-def _tables(
-    scenario: Scenario, x_bar: float | None = None, eps: float | None = None
-) -> _RecordTables:
-    """The scenario's record tables, with the window of (x_bar, eps) when given.
+def _tables(scenario: Scenario) -> _RecordTables:
+    """The scenario's record tables, built on first use and never replaced.
 
     Cached in the scenario's instance dict beside its node arrays (as
     ``cached_property`` stores them); ``with_controls`` copies do not carry
-    it, so changed controls such as tail_R or epsilon build it again.
+    it, so changed controls such as tail_R build it again.
     """
-    t = scenario.__dict__.get("_record_tables") or _build_tables(scenario)
-    if x_bar is not None and (t.x_bar != x_bar or t.eps != eps):
-        if not (eps > 0.0):
-            raise ValueError(f"epsilon must be > 0, got {eps}")
-        # sorted nodes: |x - x_bar| <= eps (1e-9 slack keeps nodes eps away in) is a slice
-        dist, c = t.nodes - x_bar, eps * (1.0 + 1e-9)
-        window = slice(int(dist.searchsorted(-c)), int(dist.searchsorted(c, "right")))
-        t = replace(t, x_bar=x_bar, eps=eps, window=window)
-    scenario.__dict__["_record_tables"] = t
+    t = scenario.__dict__.get("_record_tables")
+    if t is None:
+        d, nodes, w = scenario.d_nodes, scenario.grid.nodes, scenario.grid.weights
+        ratio = scenario.b_nodes / d
+        ratio.setflags(write=False)
+        tail = None if scenario.tail_R is None else np.flatnonzero(np.abs(nodes) >= scenario.tail_R)
+        t = _RecordTables(
+            c0=scenario.c0,
+            b=scenario.b_nodes,
+            d=float(d[0]) if d.min() == d.max() else d,
+            ratio=ratio,
+            w=w,
+            nodes=nodes,
+            tail=tail,
+            w_tail=None if tail is None else w[tail],
+        )
+        scenario.__dict__["_record_tables"] = t
     return t
+
+
+def _window(scenario: Scenario, x_bar: float, eps: float | None = None) -> slice:
+    """The nodes within eps of x_bar, as a slice of the sorted nodes.
+
+    ``eps`` defaults to the scenario's concentration window; that window is
+    cached, once, for the first x_bar it is asked for (the records of a run
+    all ask for the same one).  Any other window is computed and not kept.
+    """
+    if eps is None:
+        cached = scenario.__dict__.get("_record_window")
+        if cached is not None and cached[0] == x_bar:
+            return cached[1]
+        window = _window(scenario, x_bar, scenario.concentration_epsilon)
+        if cached is None:
+            scenario.__dict__["_record_window"] = (x_bar, window)
+        return window
+    if not (eps > 0.0):
+        raise ValueError(f"epsilon must be > 0, got {eps}")
+    # |x - x_bar| <= eps (1e-9 slack keeps nodes eps away in) is a slice
+    dist, c = scenario.grid.nodes - x_bar, eps * (1.0 + 1e-9)
+    return slice(int(dist.searchsorted(-c)), int(dist.searchsorted(c, "right")))
 
 
 def _density(state: "PopulationState") -> tuple[np.ndarray, float, int]:
@@ -212,7 +221,7 @@ def _integral(functional, state: "PopulationState", scenario: Scenario) -> float
     return functional(u, shift, state.rho, _tables(scenario), np.empty(u.size))
 
 
-@_QUIET
+@_UNDER
 def compute_V(state: "PopulationState", scenario: Scenario) -> float:
     """Lyapunov functional V = integral (b/d - P(rho)) u dx."""
     return _integral(_V, state, scenario)
@@ -230,7 +239,7 @@ def compute_W(state: "PopulationState", scenario: Scenario) -> float:
     return _integral(_W, state, scenario)
 
 
-@_QUIET
+@_UNDER
 def concentration_report(
     state: "PopulationState",
     scenario: Scenario,
@@ -242,17 +251,15 @@ def concentration_report(
     ``epsilon`` defaults to the scenario's concentration window (5 cells).
     The fraction is shift invariant, so it stays meaningful in blow-up runs.
     """
-    eps = scenario.concentration_epsilon if epsilon is None else epsilon
-    t = _tables(scenario, pred.x_bar, eps)
+    t, window = _tables(scenario), _window(scenario, pred.x_bar, epsilon)
     u, _, mode = _density(state)
     return ConcentrationReport(
-        _window_fraction(u, t), float(t.nodes[mode]), float(state.log_u[mode])
+        _window_fraction(u, t, window), float(t.nodes[mode]), float(state.log_u[mode])
     )
 
 
-def _window_fraction(u: np.ndarray, t: _RecordTables) -> float:
+def _window_fraction(u: np.ndarray, t: _RecordTables, window: slice) -> float:
     total = float(t.w.dot(u))
-    window = t.window
     return float(t.w[window].dot(u[window])) / total if total > 0.0 else 0.0
 
 
@@ -267,7 +274,7 @@ def make_record(
     state: "PopulationState", scenario: Scenario, pred: EquilibriumPrediction
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one sampled state from one density."""
-    t = _tables(scenario, pred.x_bar, scenario.concentration_epsilon)
+    t, window = _tables(scenario), _window(scenario, pred.x_bar)
     u, shift, mode = _density(state)
     rho, work = state.rho, np.empty(u.size)
     return DiagnosticsRecord(
@@ -278,14 +285,14 @@ def make_record(
         W=_W(u, shift, rho, t, work),
         max_log_u=float(state.log_u[mode]),
         x_mode=float(t.nodes[mode]),
-        mass_near_xbar=_window_fraction(u, t),
+        mass_near_xbar=_window_fraction(u, t, window),
         tail_mass=_tail_mass(u, shift, t),
         undershoot_clamps=state.undershoot_clamps,
         rescaled=shift > 0.0,
     )
 
 
-@_QUIET
+@_UNDER
 def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
     """Growth statistics over the second half of a run.
 

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -433,13 +434,13 @@ class TestRecordTables:
         pred = predict_equilibrium(s)
         make_record(init_state(s), s, pred)
         t = diagnostics._tables(s)
-        assert diagnostics._tables(s, pred.x_bar, s.concentration_epsilon) is t
+        assert diagnostics._tables(s) is t
         assert type(t.d) is float and t.d == 2.5
         assert not t.ratio.flags.writeable
         assert np.array_equal(t.tail, np.arange(180, 201))  # x >= 0.9 on 200 cells
         eps = s.concentration_epsilon * (1.0 + 1e-9)
         window = np.flatnonzero(np.abs(s.grid.nodes - pred.x_bar) <= eps)
-        assert t.window == slice(window[0], window[-1] + 1)
+        assert s.__dict__["_record_window"] == (pred.x_bar, slice(window[0], window[-1] + 1))
 
     def test_two_sided_tail_and_controls_rebuild(self):
         s = make_scenario(**RECORD_SCENARIOS["tail_R"])
@@ -463,3 +464,12 @@ class TestRecordTables:
             )
         with pytest.raises(ValueError, match="epsilon"):
             concentration_report(st_, s, pred, epsilon=0.0)
+        # the default window is cached once; explicit ones and another x_bar's are not kept
+        cached, t = s.__dict__["_record_window"], diagnostics._tables(s)
+        assert cached[0] == pred.x_bar
+        concentration_report(st_, s, pred, epsilon=0.2)
+        moved = replace(pred, x_bar=pred.x_bar + 0.1)
+        assert _bits(make_record(st_, s, moved).mass_near_xbar) == _bits(
+            _ref_concentration(st_, s, moved)[0]
+        )
+        assert s.__dict__["_record_window"] is cached and diagnostics._tables(s) is t

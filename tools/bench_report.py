@@ -2,13 +2,14 @@
 
 Usage (from the root of a checkout)::
 
-    python3 tools/bench_report.py [--seconds S] [--out PATH]
+    python3 tools/bench_report.py
 
 It records, in this order:
 
 * ``perfbench``: the last JSON line of ``perfbench/run.py --workload W
-  --seed 0 --seconds S --trace T`` for every workload and T = 0, 1
-  (end-to-end metrics in reference seconds, then per-layer metrics);
+  --seed 0 --seconds S --trace T`` for every workload and T = 0, 1, with S
+  the benchmark's ``run_seconds`` from BENCHMARK.json (end-to-end metrics
+  in reference seconds, then per-layer metrics);
 * ``scenarios``: ``traitsim run`` on each file in ``scenarios/`` to its own
   t_end, :data:`REPEATS` fresh processes each, raw wall seconds (min and
   median);
@@ -17,8 +18,7 @@ It records, in this order:
   the path), with the ids of the failing tests;
 * ``src_lines`` and ``environment``: the benchmark's own environment block.
 
-S defaults to ``run_seconds`` in BENCHMARK.json.  The file goes to
-``--out``, else to BENCH_<n>.json in the checkout root with the smallest n
+The file goes to BENCH_<n>.json in the checkout root with the smallest n
 not yet taken; commit it with the change it measures.  Timings on a shared
 machine are noisy: compare files from the same session, and use
 perfbench's paired A/B runs for a gain claim.
@@ -26,7 +26,6 @@ perfbench's paired A/B runs for a gain claim.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -87,21 +86,15 @@ def next_path() -> Path:
     return ROOT / f"BENCH_{n}.json"
 
 
-def main(argv: list[str] | None = None) -> int:
-    config = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seconds", type=float, default=float(config["run_seconds"]),
-                        help="run length of each perfbench run (default: BENCHMARK.json)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output file (default: the next BENCH_<n>.json)")
-    args = parser.parse_args(argv)
+def main() -> int:
+    seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
 
     sys.path.insert(0, str(PERFBENCH))
     from run import WORKLOADS, environment  # perfbench/run.py; its main runs only as a script
 
     doc: dict = {}
     doc["perfbench"] = {
-        name: {f"trace{trace}": perfbench(name, args.seconds, trace) for trace in (0, 1)}
+        name: {f"trace{trace}": perfbench(name, seconds, trace) for trace in (0, 1)}
         for name in WORKLOADS
     }
     scenarios = sorted((ROOT / "scenarios").glob("*.ini"))
@@ -110,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     env = environment(0)
     doc["src_lines"] = env["src_lines"]
     doc["environment"] = env
-    out = args.out or next_path()
+    out = next_path()
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -58,7 +58,7 @@ from . import __version__
 from .diagnostics import DiagnosticsRecord, blow_up_report
 from .exprlang import ExprError, TraitFunction
 from .integrator import CORRIDOR_TOL, IntegrationError, Trajectory, run
-from .model import SCHEMES, Grid, Scenario, predict_equilibrium, scenario_items
+from .model import RUN_CONTROLS, SCHEMES, Grid, Scenario, predict_equilibrium, scenario_items
 
 __all__ = [
     "SCENARIO_SECTIONS",
@@ -96,7 +96,7 @@ class ScenarioFileError(ValueError):
 SCENARIO_SECTIONS = {
     "domain": ("x_min", "x_max", "n_cells"),
     "model": ("c0", "b", "d", "u0"),
-    "run": ("t_end", "dt", "sample_every", "scheme", "stop_tol", "snapshot_times"),
+    "run": RUN_CONTROLS,
     "diagnostics": ("epsilon", "tail_R"),
 }
 _FIELDS = {f.name: f for cls in (Grid, Scenario) for f in fields(cls) if f.name != "grid"}
@@ -429,11 +429,20 @@ def _print(args: argparse.Namespace, message: str) -> None:
         print(message)
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _warned(call, scenario: Scenario):
+    """``call(scenario)``, with each warning it raises printed as one
+    ``warning:`` line on stderr instead of Python's source-line form."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pred = predict_equilibrium(scenario)
+        warnings.simplefilter("default")
+        try:
+            return call(scenario)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    pred = _warned(predict_equilibrium, load_scenario(args.scenario))
     rows = [
         ("x_bar", _fmt_short(pred.x_bar)),
         ("rho_bar", _fmt_short(pred.rho_bar)),
@@ -450,37 +459,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
         width = max(len(name) for name, _ in rows)
         for name, value in rows:
             print(f"{name:<{width}}  {value}")
-        for w in caught:
-            print(f"warning: {w.message}")
         print()
     print(_json_dump(_prediction_dict(pred)))
     return 0
-
-
-def _run(scenario: Scenario) -> Trajectory:
-    """:func:`run`, with each warning it raises printed as one ``warning:`` line
-    on stderr (as ``predict`` prints them) instead of Python's source-line form."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        try:
-            return run(scenario)
-        finally:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     out = _out_dir(args)
     try:
-        trajectory = _run(scenario)
-        error = None
+        trajectory, error = _warned(run, scenario), None
     except IntegrationError as err:
         if err.partial is None:
-            print(f"error: {err}", file=sys.stderr)
-            return 3
-        trajectory = err.partial
-        error = str(err)
+            raise
+        trajectory, error = err.partial, str(err)
 
     _write_trajectory_csv(trajectory, out / "trajectory.csv")
     snapshot_names = _write_snapshots(trajectory, out)
@@ -510,11 +502,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    try:
-        trajectory = _run(scenario)
-    except IntegrationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+    trajectory = _warned(run, scenario)
     checks = evaluate_invariants(trajectory)
     failed = 0
     for name, ok, detail in checks:
@@ -646,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ScenarioFileError, ExprError, ValueError) as err:
+    except ValueError as err:  # ScenarioFileError and ExprError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
 

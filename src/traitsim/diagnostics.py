@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import EquilibriumPrediction, Scenario
+from .model import EquilibriumPrediction, RecordTables, Scenario
 
 if TYPE_CHECKING:  # runtime import would be circular; only types are needed
     from .integrator import PopulationState, Trajectory
@@ -103,72 +103,17 @@ _QUIET = np.errstate(under="ignore", over="ignore")
 _UNDER = np.errstate(under="ignore")
 
 
-@dataclass(frozen=True)
-class _RecordTables:
-    """What every record of one scenario reads unchanged, built once.
+def _window(scenario: Scenario, t: RecordTables, x_bar: float, eps: float | None = None) -> slice:
+    """The nodes within eps (default: the scenario's window) of x_bar, as a slice.
 
-    ``d`` is a float when d is constant on the grid (a scalar gives the same
-    IEEE results as an array of equal values) and ``tail`` indexes the nodes
-    |x| >= tail_R (None without a radius).  Read-only.
-    """
-
-    c0: float
-    b: np.ndarray
-    d: float | np.ndarray
-    ratio: np.ndarray
-    w: np.ndarray
-    nodes: np.ndarray
-    tail: np.ndarray | None
-    w_tail: np.ndarray | None
-
-
-def _tables(scenario: Scenario) -> _RecordTables:
-    """The scenario's record tables, built on first use and never replaced.
-
-    Cached in the scenario's instance dict beside its node arrays (as
-    ``cached_property`` stores them); ``with_controls`` copies do not carry
-    it, so changed controls such as tail_R build it again.
-    """
-    t = scenario.__dict__.get("_record_tables")
-    if t is None:
-        d, nodes, w = scenario.d_nodes, scenario.grid.nodes, scenario.grid.weights
-        ratio = scenario.b_nodes / d
-        ratio.setflags(write=False)
-        tail = None if scenario.tail_R is None else np.flatnonzero(np.abs(nodes) >= scenario.tail_R)
-        t = _RecordTables(
-            c0=scenario.c0,
-            b=scenario.b_nodes,
-            d=float(d[0]) if d.min() == d.max() else d,
-            ratio=ratio,
-            w=w,
-            nodes=nodes,
-            tail=tail,
-            w_tail=None if tail is None else w[tail],
-        )
-        scenario.__dict__["_record_tables"] = t
-    return t
-
-
-def _window(scenario: Scenario, x_bar: float, eps: float | None = None) -> slice:
-    """The nodes within eps of x_bar, as a slice of the sorted nodes.
-
-    ``eps`` defaults to the scenario's concentration window; that window is
-    cached, once, for the first x_bar it is asked for (the records of a run
-    all ask for the same one).  Any other window is computed and not kept.
+    The default window around the scenario's own x_bar is read from its
+    record tables; any other one is computed and not kept.
     """
     if eps is None:
-        cached = scenario.__dict__.get("_record_window")
-        if cached is not None and cached[0] == x_bar:
-            return cached[1]
-        window = _window(scenario, x_bar, scenario.concentration_epsilon)
-        if cached is None:
-            scenario.__dict__["_record_window"] = (x_bar, window)
-        return window
-    if not (eps > 0.0):
-        raise ValueError(f"epsilon must be > 0, got {eps}")
-    # |x - x_bar| <= eps (1e-9 slack keeps nodes eps away in) is a slice
-    dist, c = scenario.grid.nodes - x_bar, eps * (1.0 + 1e-9)
-    return slice(int(dist.searchsorted(-c)), int(dist.searchsorted(c, "right")))
+        if x_bar == t.x_bar:
+            return t.window
+        eps = scenario.concentration_epsilon
+    return scenario.grid.window(x_bar, eps)
 
 
 def _density(state: "PopulationState") -> tuple[np.ndarray, float, int]:
@@ -194,13 +139,13 @@ def _unscale(raw: float, shift: float) -> float:
 
 # The integrands below overwrite ``work``, one array the size of the grid.
 
-def _V(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarray) -> float:
+def _V(u: np.ndarray, shift: float, rho: float, t: RecordTables, work: np.ndarray) -> float:
     np.subtract(t.ratio, crowding_P(rho, t.c0), out=work)
     work *= u
     return _unscale(float(t.w.dot(work)), shift)
 
 
-def _D(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarray) -> float:
+def _D(u: np.ndarray, shift: float, rho: float, t: RecordTables, work: np.ndarray) -> float:
     np.divide(t.b, 1.0 + t.c0 * rho, out=work)  # G(x, rho), as fitness_on_nodes computes it
     work -= t.d * rho
     work *= work
@@ -209,7 +154,7 @@ def _D(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarr
     return _unscale((1.0 + t.c0 * rho) * float(t.w.dot(work)), shift)
 
 
-def _W(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarray) -> float:
+def _W(u: np.ndarray, shift: float, rho: float, t: RecordTables, work: np.ndarray) -> float:
     np.subtract(t.ratio, crowding_Q(rho, t.c0), out=work)
     work *= work
     work *= u
@@ -218,7 +163,7 @@ def _W(u: np.ndarray, shift: float, rho: float, t: _RecordTables, work: np.ndarr
 
 def _integral(functional, state: "PopulationState", scenario: Scenario) -> float:
     u, shift, _ = _density(state)
-    return functional(u, shift, state.rho, _tables(scenario), np.empty(u.size))
+    return functional(u, shift, state.rho, scenario.record_tables, np.empty(u.size))
 
 
 @_UNDER
@@ -251,19 +196,20 @@ def concentration_report(
     ``epsilon`` defaults to the scenario's concentration window (5 cells).
     The fraction is shift invariant, so it stays meaningful in blow-up runs.
     """
-    t, window = _tables(scenario), _window(scenario, pred.x_bar, epsilon)
+    t = scenario.record_tables
+    window = _window(scenario, t, pred.x_bar, epsilon)
     u, _, mode = _density(state)
     return ConcentrationReport(
         _window_fraction(u, t, window), float(t.nodes[mode]), float(state.log_u[mode])
     )
 
 
-def _window_fraction(u: np.ndarray, t: _RecordTables, window: slice) -> float:
+def _window_fraction(u: np.ndarray, t: RecordTables, window: slice) -> float:
     total = float(t.w.dot(u))
     return float(t.w[window].dot(u[window])) / total if total > 0.0 else 0.0
 
 
-def _tail_mass(u: np.ndarray, shift: float, t: _RecordTables) -> float:
+def _tail_mass(u: np.ndarray, shift: float, t: RecordTables) -> float:
     if t.tail is None:
         return 0.0
     return _unscale(float(t.w_tail.dot(u[t.tail])), shift)  # an empty tail sums to 0.0
@@ -274,7 +220,8 @@ def make_record(
     state: "PopulationState", scenario: Scenario, pred: EquilibriumPrediction
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one sampled state from one density."""
-    t, window = _tables(scenario), _window(scenario, pred.x_bar)
+    t = scenario.record_tables
+    window = _window(scenario, t, pred.x_bar)
     u, shift, mode = _density(state)
     rho, work = state.rho, np.empty(u.size)
     return DiagnosticsRecord(

@@ -41,7 +41,6 @@ from .model import (
     SupportTables,
     fitness_on_nodes,
     predict_equilibrium,
-    quadrature,
     scenario_items,
 )
 
@@ -147,14 +146,10 @@ def scenario_fingerprint(scenario: Scenario) -> str:
 def init_state(scenario: Scenario) -> PopulationState:
     """State at t = 0 with A = B = 0 and log_u taken from u0."""
     scenario.validate()
-    u0 = scenario.u0_nodes
-    rho0 = quadrature(u0, scenario.grid)
-    if not (rho0 > 0.0):
-        raise ValueError("u0 has zero initial mass (empty support)")
     with np.errstate(divide="ignore"):
-        log_u = np.log(u0)
+        log_u = np.log(scenario.u0_nodes)
     log_u.setflags(write=False)
-    return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=rho0)
+    return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=scenario.initial_mass())
 
 
 def _mass_at(t: SupportTables, A: float, B: float, e: np.ndarray) -> float:
@@ -385,9 +380,9 @@ def run(scenario: Scenario) -> Trajectory:
     tables = scenario.support_tables if exponential else None
     scratch = np.empty(tables.b_s.size) if exponential else None
     n_steps = _step_count(scenario.t_end, dt)
-    snapshot_steps: dict[int, float] = {
-        int(round(tau / dt)): tau for tau in scenario.snapshot_times
-    }
+    snapshot_steps: dict[int, list[float]] = {}  # step -> the distinct times taken there
+    for tau in dict.fromkeys(scenario.snapshot_times):
+        snapshot_steps.setdefault(int(round(tau / dt)), []).append(tau)
 
     trajectory = Trajectory(
         scenario=scenario,
@@ -396,10 +391,8 @@ def run(scenario: Scenario) -> Trajectory:
         records=[diagnostics.make_record(state, scenario, pred)],
         final_state=state,
     )
-    if 0 in snapshot_steps:
-        trajectory.snapshots.append(
-            DensitySnapshot(snapshot_steps[0], state.t, state.log_u)
-        )
+    for tau in snapshot_steps.get(0, ()):
+        trajectory.snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
 
     lo = pred.rho_m - CORRIDOR_TOL
     hi = pred.rho_M + CORRIDOR_TOL
@@ -427,9 +420,8 @@ def run(scenario: Scenario) -> Trajectory:
             err.partial = trajectory
             raise
         if k in snapshot_steps:
-            trajectory.snapshots.append(
-                DensitySnapshot(snapshot_steps[k], state.t, state.log_u)
-            )
+            for tau in snapshot_steps[k]:
+                trajectory.snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
         if k % every == 0 or k == n_steps:
             rec = diagnostics.make_record(state, scenario, pred)
             trajectory.records.append(rec)

@@ -32,6 +32,7 @@ __all__ = [
     "Scenario",
     "EquilibriumPrediction",
     "SCHEMES",
+    "RUN_CONTROLS",
     "scenario_items",
     "positive_root",
     "equilibrium_mass",
@@ -39,13 +40,15 @@ __all__ = [
     "fitness_on_nodes",
     "quadrature",
     "trapezoid_weights",
-    "closure_mask",
     "predict_equilibrium",
     "apriori_corridor",
     "check_tail_condition",
 ]
 
 SCHEMES = ("exponential", "direct")
+
+#: the run controls: the only fields :meth:`Scenario.with_controls` changes
+RUN_CONTROLS = ("t_end", "dt", "sample_every", "scheme", "stop_tol", "snapshot_times")
 
 #: step budget: a dt giving more fixed steps than this to t_end is rejected
 MAX_STEPS = 10**8
@@ -99,20 +102,25 @@ class Grid:
         w.setflags(write=False)
         return w
 
+    def window(self, center: float, eps: float) -> slice:
+        """The nodes within eps of center as a slice (1e-9 slack keeps nodes eps away in)."""
+        if not (eps > 0.0):
+            raise ValueError(f"epsilon must be > 0, got {eps}")
+        dist, c = self.nodes - center, eps * (1.0 + 1e-9)
+        return slice(int(dist.searchsorted(-c)), int(dist.searchsorted(c, "right")))
+
 
 @dataclass(frozen=True)
 class SupportTables:
     """b, d, log u0 and trapezoid weights on the support of u0, and their ranges.
 
-    ``d`` is d_s, or a float when d is constant on the support; ``log_u0`` is
-    log_u0_s, a float when it is constant, or None when it is 0 everywhere.
+    ``d`` is d there (a float when constant); ``log_u0`` is log u0 there (a
+    float when constant, None when 0 everywhere).
     """
 
     n_nodes: int
     support: np.ndarray
     b_s: np.ndarray
-    d_s: np.ndarray
-    log_u0_s: np.ndarray
     w_s: np.ndarray
     d: float | np.ndarray
     log_u0: float | np.ndarray | None
@@ -124,6 +132,28 @@ class SupportTables:
 
 
 @dataclass(frozen=True)
+class RecordTables:
+    """What every diagnostics record of one scenario reads unchanged.
+
+    ``d`` is a float when d is constant on the grid (a scalar gives the same
+    IEEE results as an array of equal values), ``tail`` indexes the nodes
+    |x| >= tail_R (None without a radius) and ``window`` is the default
+    concentration window around ``x_bar``.  Read-only.
+    """
+
+    c0: float
+    b: np.ndarray
+    d: float | np.ndarray
+    ratio: np.ndarray
+    w: np.ndarray
+    nodes: np.ndarray
+    tail: np.ndarray | None
+    w_tail: np.ndarray | None
+    x_bar: float
+    window: slice
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Full problem description: domain, coefficients and integration controls.
 
@@ -131,8 +161,11 @@ class Scenario:
     :meth:`validate` (entry points do) to certify the invariants: finite
     b > 0 and d > 0 at every node, finite nonnegative u0 with positive
     initial mass, every number finite and in range (snapshot times within
-    [0, t_end], at most :data:`MAX_STEPS` steps) and a known scheme.  b, d,
-    u0 and the support tables are built once per scenario and cached.
+    [0, t_end], at most :data:`MAX_STEPS` steps) and a known scheme.
+
+    Every value derived from the scenario (the sampled b, d and u0, b/d,
+    its maximizers, the support and record tables) is built once, on first
+    use, and cached read-only.  None of them reads a run control.
     """
 
     grid: Grid
@@ -186,8 +219,6 @@ class Scenario:
             n_nodes=self.grid.n_nodes,
             support=support,
             b_s=b_s,
-            d_s=d_s,
-            log_u0_s=log_u0_s,
             w_s=self.grid.weights[support],
             d=d_lo if d_lo == d_hi else d_s,
             log_u0=log_u0,
@@ -198,23 +229,54 @@ class Scenario:
             log_u0_hi=log_u0_hi,
         )
 
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        """b/d on every node."""
+        v = self.b_nodes / self.d_nodes
+        v.setflags(write=False)
+        return v
+
+    @cached_property
+    def maximizers(self) -> np.ndarray:
+        """The support nodes where b/d is largest, in increasing x (x_bar first)."""
+        on_support = np.where(self.support_mask, self.ratio, -np.inf)
+        m = np.flatnonzero(on_support == on_support.max())
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def record_tables(self) -> RecordTables:
+        d, nodes, w = self.d_nodes, self.grid.nodes, self.grid.weights
+        tail = None if self.tail_R is None else np.flatnonzero(np.abs(nodes) >= self.tail_R)
+        x_bar = float(nodes[self.maximizers[0]])
+        return RecordTables(
+            c0=self.c0,
+            b=self.b_nodes,
+            d=float(d[0]) if d.min() == d.max() else d,
+            ratio=self.ratio,
+            w=w,
+            nodes=nodes,
+            tail=tail,
+            w_tail=None if tail is None else w[tail],
+            x_bar=x_bar,
+            window=self.grid.window(x_bar, self.concentration_epsilon),
+        )
+
     @property
     def concentration_epsilon(self) -> float:
         """Window for the Dirac-mass diagnostic; defaults to 5 grid cells."""
         return self.epsilon if self.epsilon is not None else 5.0 * self.grid.dx
 
     def with_controls(self, **changes) -> "Scenario":
-        """A copy with run controls changed, as ``dataclasses.replace`` makes it.
+        """A copy with some of the :data:`RUN_CONTROLS` changed.
 
-        The grid, b, d and u0 stay, so the sampled node arrays and the
-        support tables carry over instead of being built again.
+        No cached value reads a run control, so the copy shares every value
+        the original has cached (by identity) instead of building it again.
         """
-        if changes.keys() & {"grid", "b", "d", "u0"}:
-            raise ValueError(f"with_controls cannot change {sorted(changes)}")
+        if not changes.keys() <= set(RUN_CONTROLS):
+            raise ValueError(f"with_controls changes only {RUN_CONTROLS}, got {sorted(changes)}")
         new = replace(self, **changes)
-        for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask", "support_tables"):
-            if name in self.__dict__:
-                new.__dict__[name] = self.__dict__[name]
+        new.__dict__.update((k, v) for k, v in self.__dict__.items() if k not in changes)
         return new
 
     def initial_mass(self) -> float:
@@ -278,7 +340,7 @@ def scenario_items(scenario: Scenario) -> list[tuple[str, object]]:
 class EquilibriumPrediction:
     """Closed-form limit prediction plus the certified corridor constants.
 
-    ``x_bar`` maximizes b/d over the closed support, ``rho_bar`` solves
+    ``x_bar`` maximizes b/d over the support nodes, ``rho_bar`` solves
     rho * (1 + c0 * rho) = kappa with kappa = b(x_bar) / d(x_bar), and
     [rho_m, rho_M] traps rho(t) for all time.  ``alpha_R`` is the tail
     certificate (negative certifies the tail assumption on the grid) or
@@ -356,42 +418,26 @@ def quadrature(values: np.ndarray, grid: Grid) -> float:
     return grid.dx * (float(v.sum()) - 0.5 * (float(v[0]) + float(v[-1])))
 
 
-def closure_mask(support: np.ndarray) -> np.ndarray:
-    """Support plus the nodes adjacent to it (the lattice closure)."""
-    closed = support.copy()
-    closed[:-1] |= support[1:]
-    closed[1:] |= support[:-1]
-    return closed
-
-
 def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
     """Predict (x_bar, rho_bar) and the corridor from the scenario alone.
 
-    The argmax of b/d is taken over grid nodes of the closed support, so
-    prediction and simulation live on the same lattice.  Ties are broken
+    The argmax of b/d is taken over the support nodes, the lattice the
+    solver evolves (no mass ever reaches a node outside it).  Ties are broken
     toward the smallest x and reported with an :class:`AssumptionWarning`
     because the theory assumes a unique maximizer.
     """
-    scenario.validate()
+    scenario.validate()  # the support is not empty
     grid = scenario.grid
-    support = scenario.support_mask
-    if not support.any():
-        raise ValueError("u0 has empty support on the grid")
-    closed = closure_mask(support)
-
-    ratio = scenario.b_nodes / scenario.d_nodes
-    if not np.all(np.isfinite(ratio)):
+    if not np.all(np.isfinite(scenario.ratio)):
         raise ValueError("b/d is not finite on the grid")
-
-    ratio_closed = np.where(closed, ratio, -np.inf)
-    kappa = float(ratio_closed.max())
-    maximizers = np.flatnonzero(ratio_closed == kappa)
+    maximizers = scenario.maximizers
     x_bar_index = int(maximizers[0])
+    kappa = float(scenario.ratio[x_bar_index])
     x_bar = float(grid.nodes[x_bar_index])
     notes: list[str] = []
     if maximizers.size > 1:
         note = (
-            f"b/d attains its maximum at {maximizers.size} closed-support nodes; "
+            f"b/d attains its maximum at {maximizers.size} support nodes; "
             f"taking the smallest x = {x_bar!r} (unique-maximizer assumption violated)"
         )
         notes.append(note)
@@ -403,10 +449,10 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
     r_m = equilibrium_mass(b_m / d_M, scenario.c0)
     r_M = equilibrium_mass(b_M / d_m, scenario.c0)
 
-    # boundary means endpoint of a maximal run of the closed support: a grid
+    # boundary means endpoint of a maximal run of the support: a grid
     # edge or a neighbour outside it
-    i = x_bar_index
-    on_boundary = i in (0, grid.n_cells) or not (closed[i - 1] and closed[i + 1])
+    i, support = x_bar_index, scenario.support_mask
+    on_boundary = i in (0, grid.n_cells) or not (support[i - 1] and support[i + 1])
 
     pred = EquilibriumPrediction(
         x_bar=x_bar,

@@ -266,6 +266,21 @@ class TestPredictCommand:
         out = capsys.readouterr().out
         assert '"x_bar_on_boundary": true' in out
 
+    def test_warnings_on_stderr(self, tmp_path, capsys):
+        # b/d is flat on all 11 support nodes: a tie, warned once on stderr
+        path = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 2"))
+        for extra in ((), ("--quiet",)):
+            assert main(["predict", path, *extra]) == 0
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "warning: b/d attains its maximum at 11 support nodes; taking the smallest "
+                "x = 0.0 (unique-maximizer assumption violated)"
+            ]
+            assert "warning" not in captured.out.split("{")[0]
+            assert json.loads(captured.out[captured.out.index("{"):])["notes"] == [
+                captured.err[len("warning: "):].rstrip("\n")
+            ]
+
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         bad = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2\n", ""))
         assert main(["predict", bad]) == 2
@@ -311,6 +326,17 @@ class TestRunCommand:
         main(["run", TINY, "--out", str(b), "--quiet"])
         for name in ("trajectory.csv", "summary.json", "plot.gp", "snapshot_0.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_snapshot_times_sharing_a_step_each_get_a_file(self, tmp_path, capsys):
+        # tiny.ini asks for t = 0 and t = 0.01; at dt = 1 both round to step 0
+        out = tmp_path / "out"
+        assert main(["run", TINY, "--out", str(out), "--dt", "1", "--t-end", "10"]) == 0
+        assert "2 snapshot(s)" in capsys.readouterr().out
+        first, second = out / "snapshot_0.csv", out / "snapshot_0.01.csv"
+        assert first.read_bytes() == second.read_bytes()
+        rows = first.read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == load_scenario(TINY).u0_nodes.tolist()
+        assert "snapshot_0.01.csv" in (out / "plot.gp").read_text()
 
     def test_scheme_override_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -464,6 +490,14 @@ scheme = exponential
         assert "FAIL corridor" in out
         assert "corridor breach" in out
 
+    def test_two_atom_passes_on_the_support_lattice(self, capsys):
+        # the predicted x_bar is the winning spike's node, where the mode sits
+        code = main(["verify", str(SCENARIO_DIR / "two_atom.ini")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.out
+        assert "mode at 0.25 vs predicted 0.25" in captured.out
+        assert captured.err == ""
+
     def test_unconverged_run_reports_failures(self, capsys):
         # tiny horizon: the mass cannot concentrate yet
         code = main(["verify", TINY])
@@ -586,9 +620,9 @@ class TestModuleEntryPoint:
         import subprocess
         import sys
 
-        # two_atom ties b/d at 3 closed-support nodes, and t_end = 2.0005 is
-        # not a multiple of dt: two warnings, each one line without a source path
-        path = str(SCENARIO_DIR / "two_atom.ini")
+        # b/d is flat on all 11 support nodes, and t_end = 2.0005 is not a
+        # multiple of dt: two warnings, each one line without a source path
+        path = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 2"))
         for command in ("run", "verify"):
             proc = subprocess.run(
                 [sys.executable, "-m", "traitsim", command, path, "--t-end", "2.0005",
@@ -599,7 +633,7 @@ class TestModuleEntryPoint:
             )
             lines = proc.stderr.splitlines()
             assert [line.split(": ", 1)[0] for line in lines] == ["warning", "warning"], proc.stderr
-            assert lines[0].startswith("warning: b/d attains its maximum at 3 ")
+            assert lines[0].startswith("warning: b/d attains its maximum at 11 support nodes")
             assert lines[1].startswith("warning: t_end = 2.0005 is not an integer multiple")
             assert ".py" not in proc.stderr and not re.search(r":\d+:", proc.stderr)
 
@@ -627,7 +661,7 @@ class TestModuleEntryPoint:
         # dt inside the bound, G^2 and (b/d - Q)^2 overflow to inf in the
         # diagnostics, silently
         path = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 1e200"))
-        tie = "warning: b/d attains its maximum at 11 closed-support nodes"
+        tie = "warning: b/d attains its maximum at 11 support nodes"
         for extra, code, last in (
             ((), 2, "error: dt must be <= 1.114e-299"),
             (("--dt", "1e-300", "--t-end", "1e-299"), 0, tie),

@@ -433,24 +433,25 @@ class TestRecordTables:
         s = make_scenario(**RECORD_SCENARIOS["d_const"])
         pred = predict_equilibrium(s)
         make_record(init_state(s), s, pred)
-        t = diagnostics._tables(s)
-        assert diagnostics._tables(s) is t
+        t = s.record_tables
+        assert s.record_tables is t and t.ratio is s.ratio
         assert type(t.d) is float and t.d == 2.5
         assert not t.ratio.flags.writeable
         assert np.array_equal(t.tail, np.arange(180, 201))  # x >= 0.9 on 200 cells
         eps = s.concentration_epsilon * (1.0 + 1e-9)
         window = np.flatnonzero(np.abs(s.grid.nodes - pred.x_bar) <= eps)
-        assert s.__dict__["_record_window"] == (pred.x_bar, slice(window[0], window[-1] + 1))
+        assert (t.x_bar, t.window) == (pred.x_bar, slice(window[0], window[-1] + 1))
 
     def test_two_sided_tail_and_controls_rebuild(self):
         s = make_scenario(**RECORD_SCENARIOS["tail_R"])
-        t = diagnostics._tables(s)
+        t = s.record_tables
         assert t.d is s.d_nodes
         assert np.array_equal(t.tail, np.flatnonzero(np.abs(s.grid.nodes) >= 0.7))
         assert t.tail[0] == 0 and t.tail[-1] == s.grid.n_nodes - 1 and t.tail.size < s.grid.n_nodes
-        # a copy with another radius builds its own tables
-        other = diagnostics._tables(s.with_controls(tail_R=None))
-        assert other.tail is None and diagnostics._tables(s) is t
+        # a copy with another radius builds its own tables; run controls share them
+        other = replace(s, tail_R=None).record_tables
+        assert other.tail is None and s.record_tables is t
+        assert s.with_controls(t_end=2.0).record_tables is t
 
     def test_explicit_epsilon_leaves_the_default_window_correct(self):
         s = make_scenario(**RECORD_SCENARIOS["epsilon"])
@@ -464,12 +465,15 @@ class TestRecordTables:
             )
         with pytest.raises(ValueError, match="epsilon"):
             concentration_report(st_, s, pred, epsilon=0.0)
-        # the default window is cached once; explicit ones and another x_bar's are not kept
-        cached, t = s.__dict__["_record_window"], diagnostics._tables(s)
-        assert cached[0] == pred.x_bar
+        # the default window is built once; explicit ones and another x_bar's are not kept
+        t = s.record_tables
+        assert t.x_bar == pred.x_bar
         concentration_report(st_, s, pred, epsilon=0.2)
         moved = replace(pred, x_bar=pred.x_bar + 0.1)
         assert _bits(make_record(st_, s, moved).mass_near_xbar) == _bits(
             _ref_concentration(st_, s, moved)[0]
         )
-        assert s.__dict__["_record_window"] is cached and diagnostics._tables(s) is t
+        assert _bits(concentration_report(st_, s, moved).mass_near_xbar) == _bits(
+            _ref_concentration(st_, s, moved)[0]
+        )
+        assert s.record_tables is t and t.x_bar == pred.x_bar

@@ -104,11 +104,17 @@ class TestRhoFromExponents:
             rho_from_exponents(math.inf, 0.0, s)
 
 
-def _exact_max_mass(t, A, B):
+def _arrays(s):
+    """d and log u0 on the support of s, as arrays (the tables keep constant forms)."""
+    support = s.support_tables.support
+    return s.d_nodes[support], np.log(s.u0_nodes[support])
+
+
+def _exact_max_mass(t, A, B, d_s, log_u0_s):
     """The mass kernel as it was before the scalar bound: exact max every call."""
     e = t.b_s * A
-    e -= t.d_s * B
-    e += t.log_u0_s
+    e -= d_s * B
+    e += log_u0_s
     m = float(e.max())
     if m <= 600.0:
         np.exp(e, out=e)
@@ -122,16 +128,17 @@ def _exact_max_mass(t, A, B):
     return math.exp(log_rho)
 
 
-def _outcome(kernel, t, A, B):
+def _outcome(kernel, *args):
     try:
-        return struct.pack("<d", kernel(t, A, B))
+        return struct.pack("<d", kernel(*args))
     except ExponentOverflow as err:
         return (str(err), struct.pack("<d", err.exponent))
 
 
-def _assert_kernel_matches_exact_max(t):
+def _assert_kernel_matches_exact_max(s):
     # scales reach past the 600 threshold, past exp overflow and past double
     # range (inf - inf gives NaN)
+    t, (d_s, log_u0_s) = s.support_tables, _arrays(s)
     rng = np.random.default_rng(20261018)
     points = [(0.0, 0.0), (-0.0, 0.0), (1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)]
     # largest exponents from 605 to 686 (+ log u0): the shifted branch
@@ -150,8 +157,8 @@ def _assert_kernel_matches_exact_max(t):
 
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = [_outcome(kernel, t, A, B) for A, B in points]
-        assert outcomes == [_outcome(_exact_max_mass, t, A, B) for A, B in points]
-        largest = [float((t.b_s * A - t.d_s * B + t.log_u0_s).max()) for A, B in points]
+        assert outcomes == [_outcome(_exact_max_mass, t, A, B, d_s, log_u0_s) for A, B in points]
+        largest = [float((t.b_s * A - d_s * B + log_u0_s).max()) for A, B in points]
     plain = sum(m <= 600.0 for m in largest)
     shifted = sum(isinstance(o, bytes) and m > 600.0 for o, m in zip(outcomes, largest))
     overflow = sum(isinstance(o, tuple) for o in outcomes)
@@ -163,7 +170,7 @@ class TestMassKernel:
     def test_scalar_bound_bit_identical_to_exact_max(self, u0):
         # b/d span signs of b*A - d*B
         s = make_scenario(b="1.5 + sin(7*x)", d="0.5 + x^2", u0=u0, n_cells=400)
-        _assert_kernel_matches_exact_max(s.support_tables)
+        _assert_kernel_matches_exact_max(s)
 
     @pytest.mark.parametrize("u0, log_u0", [
         ("ind(0, 1)", None), ("2*ind(0, 1)", math.log(2.0)),
@@ -172,22 +179,28 @@ class TestMassKernel:
     @pytest.mark.parametrize("d", ["1", "2.5", "0.5 + x^2"])
     def test_constant_forms_bit_identical_to_exact_max(self, d, u0, log_u0):
         # a constant d is kept as a float and a zero log u0 is skipped; the
-        # reference kernel reads the d_s and log_u0_s arrays
+        # reference kernel reads d and log u0 on the support as arrays
         s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=400)
-        t = s.support_tables
-        assert t.d is t.d_s if d == "0.5 + x^2" else type(t.d) is float and t.d == float(d)
-        assert t.log_u0 is t.log_u0_s if log_u0 == "array" else t.log_u0 == log_u0
-        _assert_kernel_matches_exact_max(t)
+        t, (d_s, log_u0_s) = s.support_tables, _arrays(s)
+        if d == "0.5 + x^2":
+            assert t.d.tobytes() == d_s.tobytes()
+        else:
+            assert type(t.d) is float and t.d == float(d)
+        if log_u0 == "array":
+            assert t.log_u0.tobytes() == log_u0_s.tobytes()
+        else:
+            assert t.log_u0 == log_u0
+        _assert_kernel_matches_exact_max(s)
 
     @pytest.mark.parametrize("u0", ["1 + x", "(1 + x)*ind(0.3, 0.55)"])
     def test_log_density_layout_bitwise(self, u0):
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", u0=u0, n_cells=50)
-        t = s.support_tables
+        t, (d_s, log_u0_s) = s.support_tables, _arrays(s)
         rng = np.random.default_rng(7)
         for A, B in rng.uniform(0.0, 50.0, (200, 2)):
             log_u = _exponential_state(t, 0.0, A, B, 1.0).log_u
             want = np.full(s.grid.n_nodes, -np.inf)
-            want[t.support] = t.log_u0_s + t.b_s * A - t.d_s * B
+            want[t.support] = log_u0_s + t.b_s * A - d_s * B
             assert log_u.tobytes() == want.tobytes()
             assert not log_u.flags.writeable
 
@@ -197,7 +210,7 @@ class TestMassKernel:
         # reachable states have b > 0 and A, B >= +0; A = B = +0 and the
         # single-zero points are where a skipped log u0 could flip a zero
         s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=60)
-        t = s.support_tables
+        t, (d_s, log_u0_s) = s.support_tables, _arrays(s)
         rng = np.random.default_rng(11)
         points = [(0.0, 0.0), (0.0, 3.0), (3.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)]
         scaled = rng.uniform(0.0, 1.0, (50, 2)) * 10.0 ** rng.uniform(-5.0, 3.0, (50, 1))
@@ -205,7 +218,7 @@ class TestMassKernel:
         for A, B in points:
             log_u = _exponential_state(t, 0.0, A, B, 1.0).log_u
             want = np.full(s.grid.n_nodes, -np.inf)
-            want[t.support] = t.log_u0_s + t.b_s * A - t.d_s * B
+            want[t.support] = log_u0_s + t.b_s * A - d_s * B
             assert log_u.tobytes() == want.tobytes()
         assert np.signbit(_exponential_state(t, 0.0, 0.0, 0.0, 1.0).log_u[t.support]).sum() == 0
 

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from traitsim.model import (
     AssumptionWarning,
     EquilibriumPrediction,
     Grid,
+    Scenario,
     apriori_corridor,
     check_tail_condition,
-    closure_mask,
     equilibrium_mass,
     eval_fitness,
     positive_root,
@@ -170,14 +171,6 @@ class TestQuadrature:
         assert g.weights.tobytes() == trapezoid_weights(g).tobytes()
 
 
-class TestSupportGeometry:
-    def test_closure_adds_adjacent(self):
-        mask = np.array([0, 0, 1, 1, 0, 0], dtype=bool)
-        np.testing.assert_array_equal(
-            closure_mask(mask), np.array([0, 1, 1, 1, 1, 0], dtype=bool)
-        )
-
-
 class TestPredictEquilibrium:
     def test_interior_maximum(self):
         s = make_scenario(b="2 - (x-0.3)^2", d="1", n_cells=10)
@@ -219,12 +212,13 @@ class TestPredictEquilibrium:
         assert pred.x_bar == 0.0
         assert pred.x_bar_on_boundary
 
-    def test_off_support_peak_lands_on_closure_node(self):
+    def test_off_support_peak_lands_on_support_edge(self):
         # support [0, 0.4]; b/d still increasing there, so the argmax over
-        # the closed support is the node adjacent to the support edge
+        # the support is its edge node: the empty node beyond gets no mass
         s = make_scenario(b="2 - (x-0.8)^2", d="1", u0="ind(0, 0.4)", n_cells=10)
         pred = predict_equilibrium(s)
-        assert pred.x_bar == 0.5
+        assert pred.x_bar == 0.4 and pred.x_bar_index == 4
+        assert pred.kappa == s.b(0.4)
         assert pred.x_bar_on_boundary
 
     def test_scaling_invariance(self):
@@ -407,6 +401,21 @@ class TestScenarioValidation:
             assert getattr(t, name) is getattr(s, name)
         with pytest.raises(ValueError, match="grid"):
             s.with_controls(grid=Grid(0.0, 1.0, 10))
+
+    def test_with_controls_shares_every_cache(self):
+        s = make_scenario(b="2 - (x-0.3)^2", u0="ind(0.2, 0.6)", tail_R=0.5).validate()
+        cached = [n for n, v in vars(Scenario).items() if isinstance(v, cached_property)]
+        assert {"ratio", "maximizers", "support_tables", "record_tables"} <= set(cached)
+        values = {name: getattr(s, name) for name in cached}
+        t = s.with_controls(t_end=2.0, dt=1e-2, sample_every=3, scheme="direct", stop_tol=1e-6,
+                            snapshot_times=(1.0,))
+        assert all(getattr(t, name) is value for name, value in values.items())
+
+    @pytest.mark.parametrize("name, value", [("c0", 0.5), ("epsilon", 0.1), ("tail_R", 0.5)])
+    def test_with_controls_refuses_what_the_caches_read(self, name, value):
+        s = make_scenario()
+        with pytest.raises(ValueError, match=f"with_controls changes only .*got \\['{name}'\\]"):
+            s.with_controls(**{name: value})
 
     def test_concentration_epsilon_default(self):
         s = make_scenario(n_cells=100)

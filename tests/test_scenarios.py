@@ -11,11 +11,8 @@ from traitsim.model import AssumptionWarning, positive_root, predict_equilibrium
 from traitsim.oracle import Atom, AtomSystem, integrate_atoms
 
 
-def predict(name, expect_tie=False):
+def predict(name):
     scenario = load_scenario(SCENARIO_DIR / f"{name}.ini")
-    if expect_tie:
-        with pytest.warns(AssumptionWarning):
-            return scenario, predict_equilibrium(scenario)
     with warnings.catch_warnings():
         warnings.simplefilter("error", AssumptionWarning)
         return scenario, predict_equilibrium(scenario)
@@ -43,10 +40,10 @@ def test_boundary_blowup_prediction():
 
 
 def test_two_atom_prediction():
-    # b/d is locally flat around the winning spike, so the argmax ties and
-    # resolves to the left neighbor of the spike node, with a warning
-    scenario, pred = predict("two_atom", expect_tie=True)
-    assert pred.x_bar == 0.2495
+    # the argmax runs over the two spike nodes only: the winning spike itself,
+    # without a tie with its empty neighbours
+    scenario, pred = predict("two_atom")
+    assert pred.x_bar == 0.25
     assert pred.kappa == 2.0
     assert pred.rho_bar == 1.0
     assert pred.x_bar_on_boundary
@@ -57,11 +54,11 @@ def test_two_atom_prediction():
 def test_off_support_peak_prediction():
     scenario, pred = predict("off_support_peak")
     # fitness peaks at 0.8 but the support ends at 0.5: the reachable
-    # optimum is the closure node one cell beyond the support edge
-    assert pred.x_bar == 0.5005
+    # optimum is the support's edge node, where the mass piles up
+    assert pred.x_bar == 0.5
     assert pred.x_bar_on_boundary
-    assert pred.kappa == pytest.approx(scenario.b(0.5005), rel=1e-15)
-    assert pred.rho_bar == pytest.approx(positive_root(pred.kappa), rel=1e-15)
+    assert pred.kappa == scenario.b(0.5)
+    assert pred.rho_bar == positive_root(scenario.b(0.5)) == 0.9696938456699069
     assert scenario.initial_mass() == pytest.approx(0.50025, rel=1e-12)
 
 
@@ -86,8 +83,10 @@ def test_linear_crowding_end_to_end():
         dt=1e-3,
         sample_every=1000,
     )
-    with pytest.warns(AssumptionWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AssumptionWarning)  # one spike node each: no tie
         trajectory = run(scenario)
+    assert trajectory.prediction.x_bar == 0.25
     assert trajectory.prediction.rho_bar == 2.0
     atoms = integrate_atoms(
         AtomSystem((Atom(2, 1, 0.5), Atom(1, 1, 0.5)), c0=0.0), 15.0, 1e-4

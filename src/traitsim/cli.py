@@ -58,7 +58,9 @@ from . import __version__
 from .diagnostics import DiagnosticsRecord, blow_up_report
 from .exprlang import ExprError, TraitFunction
 from .integrator import CORRIDOR_TOL, IntegrationError, Trajectory, run
-from .model import RUN_CONTROLS, SCHEMES, Grid, Scenario, predict_equilibrium, scenario_items
+from .model import (
+    RUN_CONTROLS, SCHEMES, SNAPSHOT_NAME, Grid, Scenario, predict_equilibrium, scenario_items,
+)
 
 __all__ = [
     "SCENARIO_SECTIONS",
@@ -249,10 +251,6 @@ def _write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _snapshot_name(requested_t: float) -> str:
-    return f"snapshot_{requested_t:g}.csv"
-
-
 def _write_snapshots(trajectory: Trajectory, out_dir: Path) -> list[str]:
     names = []
     nodes = trajectory.scenario.grid.nodes
@@ -263,7 +261,7 @@ def _write_snapshots(trajectory: Trajectory, out_dir: Path) -> list[str]:
         lines.extend(map(
             _SNAPSHOT_FORMAT.__mod__, zip(nodes.tolist(), u.tolist(), snap.log_u.tolist())
         ))
-        name = _snapshot_name(snap.requested_t)
+        name = SNAPSHOT_NAME.format(snap.requested_t)
         _write_text(out_dir / name, "\n".join(lines) + "\n")
         names.append(name)
     return names

@@ -26,8 +26,10 @@ Builtins: ``exp``, ``sin``, ``cos``, ``sqrt``, ``abs`` (one argument),
 out the support of the initial density cell-exactly on the grid.
 
 Expression values are immutable after parsing and safe to share between
-threads.  Each is compiled once, at its first evaluation, into a scalar
-Python function that does a tree walk's arithmetic in the walk's order.
+threads.  Each is compiled once, at its first evaluation, into straight-line
+Python over an array of nodes, with a scalar tree walk's bits and errors:
+exp, sin, cos and ``^`` call libm per element, since numpy's kernels round
+differently.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -305,9 +308,15 @@ def parse(source: str) -> Expr:
 # --------------------------------------------------------------------------
 # Evaluation
 #
-# Each expression is compiled once, at first use, into straight-line Python
-# making the same math calls and checks in the same order as a recursive walk
-# of the tree (left to right, post-order), so values and errors are the walk's.
+# numpy runs, in the walk's order, only what IEEE rounding makes exact per
+# element.  (Where two different NaNs meet in + or *, numpy may keep the
+# other's sign and payload; validation rejects any NaN in b, d or u0.)  A
+# check that fires sends the chunk through again node by node, so the error
+# is the first failing node's, as in a scalar walk.
+
+#: nodes per array: libm calls map over lists of at most this many floats
+_CHUNK = 4096
+
 
 def eval_expr(expr: Expr, x: float) -> float:
     """Evaluate ``expr`` at the trait value ``x`` in IEEE-754 double precision.
@@ -316,7 +325,14 @@ def eval_expr(expr: Expr, x: float) -> float:
     numbers and fractional powers of negative bases; overflow saturates to
     infinity as in IEEE arithmetic.
     """
-    return expr._fn(x)
+    return float(_sample(expr, np.array([x], dtype=float))[0])
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _power(base: float, exponent: float, span: Span) -> float:
@@ -333,28 +349,39 @@ def _power(base: float, exponent: float, span: Span) -> float:
         ) from None
 
 
-#: builtin calls other than exp, as Python code over their evaluated arguments
+def _libm(f, exact, *args):
+    """``f`` per element on Python floats; ``exact`` (its saturating form, or f) redoes a raise."""
+    n = max(a.size for a in args)
+    values = [a.tolist() if a.size == n else repeat(a.item()) for a in args]
+    try:
+        return np.fromiter(map(f, *values), float, n)
+    except (OverflowError, ValueError):
+        return np.fromiter(map(exact, *values), float, n)
+
+
+#: builtin calls as code over their evaluated arguments (min and max as Python's)
 _CALL_CODE = {
-    "sin": "sin({0})",
-    "cos": "cos({0})",
+    "exp": "libm(exp, _exp, {0})",
+    "sin": "libm(sin, sin, {0})",
+    "cos": "libm(cos, cos, {0})",
     "sqrt": "sqrt({0})",
     "abs": "fabs({0})",
-    "min": "min({0}, {1})",
-    "max": "max({0}, {1})",
-    "clamp": "min(max({0}, {1}), {2})",
-    "ind": "1.0 if {0} <= x <= {1} else 0.0",
+    "min": "where({1} < {0}, {1}, {0})",
+    "max": "where({1} > {0}, {1}, {0})",
+    "clamp": "where({2} < (m := where({1} > {0}, {1}, {0})), {2}, m)",
+    "ind": "where(({0} <= x) & (x <= {1}), 1.0, 0.0)",
 }
 
 
 def _compile(root: Expr):
-    """Generate, compile and return the scalar evaluator of ``root``."""
-    env = {"isfinite": math.isfinite, "exp": math.exp, "sin": math.sin, "cos": math.cos,
-           "sqrt": math.sqrt, "fabs": math.fabs, "inf": math.inf,
-           "EvalError": EvalError, "_power": _power}
-    body = ["if not isfinite(x):", "    raise EvalError('evaluation point must be finite', 0)"]
+    """Generate, compile and return the array evaluator of ``root``."""
+    env = {"isfinite": np.isfinite, "where": np.where, "sqrt": np.sqrt, "fabs": np.abs,
+           "libm": _libm, "exp": math.exp, "_exp": _exp, "sin": math.sin, "cos": math.cos,
+           "pow": math.pow, "partial": partial, "_power": _power, "EvalError": EvalError}
+    body = ["if not isfinite(x).all(): raise EvalError('evaluation point must be finite', 0)"]
 
     def check(condition: str, message: str, at: int) -> None:
-        body.append(f"if {condition}: raise EvalError('{message} at offset {at}', {at})")
+        body.append(f"if ({condition}).any(): raise EvalError('{message} at offset {at}', {at})")
 
     def assign(code: str) -> str:
         name = f"t{len(body)}"
@@ -362,35 +389,32 @@ def _compile(root: Expr):
         return name
 
     def value(e: Expr) -> str:
-        """Emit the statements computing ``e``; return the local or literal holding it."""
+        """Emit the statements computing ``e``; return the local holding it."""
+        spine = []  # binary operators down the left, looped: a long sum needs no recursion
+        while isinstance(e, Bin):
+            spine.append(e)
+            e = e.lhs
         if isinstance(e, Var):
-            return "x"
-        if isinstance(e, (Num, Const)):
+            name = "x"
+        elif isinstance(e, (Num, Const)):  # a one-element array, broadcast over the nodes
             v = e.value if isinstance(e, Num) else CONSTANTS[e.name]
-            if not math.isfinite(v):  # no literal spells it: bind it by name
-                env[f"k{len(env)}"] = v
-                return f"k{len(env) - 1}"
-            return f"({v!r})"
-        if isinstance(e, Neg):
-            return assign(f"-{value(e.operand)}")
-        if isinstance(e, Bin):
-            lhs, rhs = value(e.lhs), value(e.rhs)
-            if e.op == "^":
-                return assign(f"_power({lhs}, {rhs}, {e.span!r})")
-            if e.op == "/":
-                check(f"{rhs} == 0.0", "division by zero", e.span[0])
-            return assign(f"{lhs} {e.op} {rhs}")
-        if isinstance(e, Call):
+            env[name := f"k{len(env)}"] = np.array([v])
+        elif isinstance(e, Neg):
+            name = assign(f"-{value(e.operand)}")
+        elif isinstance(e, Call):
             args = [value(a) for a in e.args]
-            if e.name == "exp":
-                t = f"t{len(body)}"
-                body.extend(["try:", f"    {t} = exp({args[0]})",
-                             "except OverflowError:", f"    {t} = inf"])
-                return t
             if e.name == "sqrt":
                 check(f"{args[0]} < 0.0", "square root of negative", e.span[0])
-            return assign(_CALL_CODE[e.name].format(*args))
-        raise TypeError(f"not an expression node: {e!r}")
+            name = assign(_CALL_CODE[e.name].format(*args))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        for b in reversed(spine):
+            rhs = value(b.rhs)
+            if b.op == "/":
+                check(f"{rhs} == 0.0", "division by zero", b.span[0])
+            power = f"libm(pow, partial(_power, span={b.span!r}), {name}, {rhs})"
+            name = assign(power if b.op == "^" else f"{name} {b.op} {rhs}")
+        return name
 
     body.append(f"return {value(root)}")
     source = "def evaluate(x):\n" + "".join(f"    {line}\n" for line in body)
@@ -399,8 +423,17 @@ def _compile(root: Expr):
 
 
 def _sample(e: Expr, nodes) -> np.ndarray:
-    """``e`` at every node as a float64 array, streamed without a list."""
-    return np.fromiter(map(e._fn, map(float, nodes)), float, count=len(nodes))
+    """``e`` at every node as a float64 array, one chunk of nodes at a time."""
+    nodes = np.asarray(nodes, dtype=float)
+    fn, n, out = e._fn, nodes.size, np.empty(nodes.size)
+    with np.errstate(all="ignore"):
+        for i in range(0, n, _CHUNK):
+            try:
+                out[i:i + _CHUNK] = fn(nodes[i:i + _CHUNK])
+            except ValueError:  # node by node: the first failing node raises
+                for j in range(i, min(i + _CHUNK, n)):
+                    out[j:j + 1] = fn(nodes[j:j + 1])
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -286,24 +286,17 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
         )
     with np.errstate(under="ignore"):
         u = np.exp(state.log_u)
-
-    def mass(v: np.ndarray) -> float:
-        return float(w @ v)
-
-    def rates(rho: float) -> np.ndarray:
-        return fitness_on_nodes(rho, scenario)
-
     r1 = state.rho
-    k1 = rates(r1) * u
+    k1 = fitness_on_nodes(r1, scenario) * u
     u2 = u + 0.5 * dt * k1
-    r2 = mass(u2)
-    k2 = rates(r2) * u2
+    r2 = float(w @ u2)
+    k2 = fitness_on_nodes(r2, scenario) * u2
     u3 = u + 0.5 * dt * k2
-    r3 = mass(u3)
-    k3 = rates(r3) * u3
+    r3 = float(w @ u3)
+    k3 = fitness_on_nodes(r3, scenario) * u3
     u4 = u + dt * k3
-    r4 = mass(u4)
-    k4 = rates(r4) * u4
+    r4 = float(w @ u4)
+    k4 = fitness_on_nodes(r4, scenario) * u4
 
     u_new = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     negative = u_new < 0.0
@@ -315,7 +308,7 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
             f"non-finite density after direct step at t = {state.t:.6g} "
             f"(dt = {dt:.6g}); reduce dt"
         )
-    rho_new = mass(u_new)
+    rho_new = float(w @ u_new)
     c0 = scenario.c0
     A1 = state.A + dt / 6.0 * (
         1.0 / (1.0 + c0 * r1)
@@ -358,24 +351,27 @@ def run(scenario: Scenario) -> Trajectory:
     below it for :data:`STOP_WINDOW` consecutive samples.  Step failures
     raise :class:`IntegrationError` with the partial trajectory attached.
 
-    The exponential scheme rejects (``ValueError``) a dt past RK4's stability
-    bound.  The (A, B) Jacobian has one nonzero eigenvalue,
+    Either scheme rejects (``ValueError``) a dt past RK4's stability bound.
+    The (A, B) Jacobian has one nonzero eigenvalue,
     -(c0 int b u / (1 + c0 rho)^2 + int d u), and inside the corridor its
     size is at most lambda* = (c0 b_M / (1 + c0 rho_m)^2 + d_M) rho_M, so
     dt <= :data:`RK4_STABILITY` / lambda* keeps the linearized step stable
-    wherever rho can go.
+    wherever rho can go.  The direct Jacobian diag(G_i) - a w^T has real
+    eigenvalues interlacing the G_i, so it adds max(0, -G_min) to lambda*,
+    with G_min = b_m / (1 + c0 rho_M) - d_M rho_M.
     """
     scenario.validate()
     pred = predict_equilibrium(scenario)
     dt, c0 = scenario.dt, scenario.c0
     exponential = scenario.scheme == "exponential"
-    if exponential:
-        lam = (c0 * pred.b_M / (1.0 + c0 * pred.rho_m) ** 2 + pred.d_M) * pred.rho_M
-        if dt > RK4_STABILITY / lam:
-            raise ValueError(
-                f"dt must be <= {RK4_STABILITY / lam:.6g} for a stable exponential step "
-                f"(RK4 bound {RK4_STABILITY} / lambda*, lambda* = {lam:.6g}), got {dt!r}"
-            )
+    lam = (c0 * pred.b_M / (1.0 + c0 * pred.rho_m) ** 2 + pred.d_M) * pred.rho_M
+    if not exponential:
+        lam += max(0.0, pred.d_M * pred.rho_M - pred.b_m / (1.0 + c0 * pred.rho_M))
+    if dt > RK4_STABILITY / lam:
+        raise ValueError(
+            f"dt must be <= {RK4_STABILITY / lam:.6g} for a stable {scenario.scheme} step "
+            f"(RK4 bound {RK4_STABILITY} / lambda*, lambda* = {lam:.6g}), got {dt!r}"
+        )
     state = init_state(scenario)
     tables = scenario.support_tables if exponential else None
     scratch = np.empty(tables.b_s.size) if exponential else None

@@ -56,6 +56,9 @@ MAX_STEPS = 10**8
 #: grid budget: larger grids are rejected before any node array is allocated
 MAX_CELLS = 10**7
 
+#: file name of the density snapshot at a requested time (six significant digits)
+SNAPSHOT_NAME = "snapshot_{:g}.csv"
+
 
 class AssumptionWarning(UserWarning):
     """A model assumption is violated or unverifiable; results may not apply."""
@@ -182,23 +185,14 @@ class Scenario:
     epsilon: float | None = None
     tail_R: float | None = None
 
-    @cached_property
-    def b_nodes(self) -> np.ndarray:
-        v = self.b.sample(self.grid.nodes)
+    def _sampled(self, f: TraitFunction) -> np.ndarray:
+        v = f.sample(self.grid.nodes)
         v.setflags(write=False)
         return v
 
-    @cached_property
-    def d_nodes(self) -> np.ndarray:
-        v = self.d.sample(self.grid.nodes)
-        v.setflags(write=False)
-        return v
-
-    @cached_property
-    def u0_nodes(self) -> np.ndarray:
-        v = self.u0.sample(self.grid.nodes)
-        v.setflags(write=False)
-        return v
+    b_nodes = cached_property(lambda self: self._sampled(self.b))
+    d_nodes = cached_property(lambda self: self._sampled(self.d))
+    u0_nodes = cached_property(lambda self: self._sampled(self.u0))
 
     @cached_property
     def support_mask(self) -> np.ndarray:
@@ -304,6 +298,9 @@ class Scenario:
         for tau in self.snapshot_times:
             if not (0.0 <= tau <= self.t_end):
                 raise ValueError(f"snapshot_times must lie in [0, t_end = {self.t_end}], got {tau}")
+        times = sorted(set(self.snapshot_times))
+        if len({SNAPSHOT_NAME.format(tau) for tau in times}) < len(times):  # one file per time
+            raise ValueError(f"snapshot_times must differ in 6 significant digits, got {times}")
         for key, values in (("b", self.b_nodes), ("d", self.d_nodes)):
             lo, hi = float(values.min()), float(values.max())  # NaN if any node is NaN
             if not (lo > 0.0 and hi < math.inf):

@@ -132,33 +132,27 @@ class TestLoadScenario:
 
     def test_each_expression_sampled_once(self, monkeypatch, tmp_path):
         # validate and predict read the cached node arrays instead of
-        # evaluating b, d and u0 again
+        # evaluating b, d and u0 again; every evaluation goes through _sample
         calls = {}
-        compile_expr = exprlang._compile
+        sample = exprlang._sample
 
-        def counting(e):
-            fn = compile_expr(e)
+        def counting(e, nodes):
+            calls[id(e)] = calls.get(id(e), 0) + 1
+            return sample(e, nodes)
 
-            def counted(x):
-                calls[id(e)] = calls.get(id(e), 0) + 1
-                return fn(x)
-
-            return counted
-
-        monkeypatch.setattr(exprlang, "_compile", counting)
+        monkeypatch.setattr(exprlang, "_sample", counting)
         scenario = load_scenario(TINY)
         run(scenario)
-        n = scenario.grid.n_nodes
         exprs = (scenario.b.expr, scenario.d.expr, scenario.u0.expr)
-        assert [calls.get(id(e)) for e in exprs] == [n, n, n]
+        assert [calls.get(id(e)) for e in exprs] == [1, 1, 1]
         assert len(calls) == 3
 
-        # overriding run controls keeps the sampled nodes: 11 evaluations
-        # per expression on the 11-node grid, not 22
+        # overriding run controls keeps the sampled nodes: one sample per
+        # expression, not two
         calls.clear()
         out = tmp_path / "out"
         assert main(["run", TINY, "--t-end", "0.02", "--out", str(out), "--quiet"]) == 0
-        assert sorted(calls.values()) == [n, n, n]
+        assert sorted(calls.values()) == [1, 1, 1]
         assert json.loads((out / "summary.json").read_text())["scenario"]["t_end"] == 0.02
 
 
@@ -338,6 +332,16 @@ class TestRunCommand:
         assert [float(r.split(",")[1]) for r in rows] == load_scenario(TINY).u0_nodes.tolist()
         assert "snapshot_0.01.csv" in (out / "plot.gp").read_text()
 
+    def test_snapshot_times_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        body = (DATA_DIR / "tiny.ini").read_text(encoding="utf-8")
+        path = write_scenario(tmp_path, body.replace(
+            "snapshot_times = 0, 0.01", "snapshot_times = 0.0050000001, 0.0050000002"
+        ))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: snapshot_times must")
+        assert not out.exists()
+
     def test_scheme_override_recorded(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", TINY, "--out", str(out), "--scheme", "direct", "--quiet"]) == 0
@@ -482,9 +486,14 @@ scheme = exponential
                      "concentration"):
             assert name in out
 
-    def test_coarse_direct_run_fails_corridor(self, tmp_path, capsys):
+    def test_coarse_direct_run_fails_corridor(self, tmp_path, capsys, monkeypatch):
         path = write_scenario(tmp_path, GOOD_BODY)
-        code = main(["verify", path, "--scheme", "direct", "--dt", "10", "--t-end", "30"])
+        argv = ["verify", path, "--scheme", "direct", "--dt", "10", "--t-end", "30"]
+        assert main(argv) == 2  # dt = 10 is past the direct scheme's stability bound
+        assert capsys.readouterr().err.startswith("error: dt must be <= 1.50997 ")
+        # with the bound lifted the run breaches the corridor, and verify says so
+        monkeypatch.setattr(integrator, "RK4_STABILITY", math.inf)
+        code = main(argv)
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL corridor" in out

@@ -3,11 +3,13 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_expr, reference_eval
+from conftest import SCENARIO_DIR, random_expr, reference_eval
+from traitsim.cli import load_scenario
 from traitsim.exprlang import (
     FUNCTIONS,
     Bin,
@@ -19,6 +21,7 @@ from traitsim.exprlang import (
     ParseError,
     TraitFunction,
     Var,
+    _CHUNK,
     bound_on_grid,
     eval_expr,
     parse,
@@ -388,3 +391,83 @@ class TestCompiledEvaluator:
         # long sums nest deeply on the left; straight-line code has no nesting limit
         e = parse(" + ".join(["x"] * 400))
         assert eval_expr(e, 0.5) == 200.0
+
+
+def _walk_first_error(e, nodes):
+    """The scalar walk over the nodes in order: its values, or its first error."""
+    return _outcome(lambda: np.array([walk_eval(e, x) for x in nodes.tolist()], dtype=float))
+
+
+# fine_grid's b at seed 0: two_peak's b, sampled on 5e4 cells
+FINE_GRID_B = "1 + exp(-200*(x - 0.25)^2) + 0.8*exp(-200*(x - 0.7)^2)"
+
+
+class TestArrayEvaluator:
+    """Chunked array evaluation gives the scalar walk's bits and errors."""
+
+    @staticmethod
+    def canonical_sources():
+        sources = {FINE_GRID_B}
+        for path in sorted(SCENARIO_DIR.glob("*.ini")):
+            s = load_scenario(path)
+            sources |= {s.b.source, s.d.source, s.u0.source}
+        return sorted(sources)
+
+    @pytest.mark.parametrize("n_nodes", [4095, 4096, 4097, 50_001])
+    def test_canonical_expressions_bitwise_across_chunk_edges(self, n_nodes):
+        assert _CHUNK == 4096
+        nodes = Grid(0.0, 1.0, n_nodes - 1).nodes
+        for source in self.canonical_sources():
+            e = parse(source)
+            ours = _outcome(lambda: TraitFunction(source, e).sample(nodes))
+            assert ours[0] == "value" and ours == _walk_first_error(e, nodes), source
+
+    def test_first_failing_node_in_a_later_chunk(self):
+        nodes = Grid(0.0, 1.0, 10_000).nodes  # node 9000 is 0.9, in the third chunk
+        e = parse("1 + 1/(x - 0.9)")
+        with pytest.raises(EvalError) as exc:
+            TraitFunction("", e).sample(nodes)
+        assert (str(exc.value), exc.value.offset) == ("division by zero at offset 4", 4)
+        assert _outcome(lambda: TraitFunction("", e).sample(nodes)) == _walk_first_error(e, nodes)
+
+    def test_earlier_node_wins_over_an_earlier_check(self):
+        # x = 0.6 fails the sqrt check, which comes first in the walk, but
+        # x = 0.2 is the earlier node and fails the later division check
+        nodes = Grid(0.0, 1.0, 10).nodes
+        e = parse("sqrt(0.5 - x) + 1/(x - 0.2)")
+        with pytest.raises(EvalError, match="^division by zero at offset 16$"):
+            TraitFunction("", e).sample(nodes)
+        with pytest.raises(EvalError, match="^square root of negative at offset 0$"):
+            TraitFunction("", e).sample(nodes[4:])
+        assert _outcome(lambda: TraitFunction("", e).sample(nodes)) == _walk_first_error(e, nodes)
+
+    @pytest.mark.parametrize("source", ["exp(1000*x)", "(x - 2)^1025", "2 - exp(800*x)*x"])
+    def test_overflow_saturates_inside_an_array(self, source):
+        nodes = Grid(0.0, 1.0, 5000).nodes
+        e = parse(source)
+        ours = TraitFunction(source, e).sample(nodes)
+        assert np.isinf(ours).any() and np.isfinite(ours).any()
+        assert _outcome(lambda: ours) == _walk_first_error(e, nodes)
+
+    def test_no_numpy_warning(self):
+        nodes = Grid(-1.0, 1.0, 9000).nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for source in ("exp(1000*x) - exp(1000*x)", "1e300*x*1e300", "0*exp(800*x)",
+                           "min(exp(1000*x) - exp(1000*x), x)", "1e-300*x*1e-300",
+                           "ind(exp(900*x)*0, 1)"):
+                e = parse(source)
+                ours = _outcome(lambda: TraitFunction(source, e).sample(nodes))
+                assert ours == _walk_first_error(e, nodes), source
+
+    def test_long_sum_needs_no_recursion(self):
+        e = parse(" + ".join(["x"] * 1000 + ["0.1*x"] * 1000))
+        nodes = Grid(0.0, 1.0, 10).nodes
+        expected = []
+        for x in nodes.tolist():  # the walk's order: ((x + x) + x) + ...
+            acc = x
+            for term in [x] * 999 + [0.1 * x] * 1000:
+                acc = acc + term
+            expected.append(acc)
+        assert TraitFunction("", e).sample(nodes).tobytes() == np.array(expected).tobytes()
+        assert eval_expr(e, 0.5) == expected[5]

@@ -321,14 +321,14 @@ class TestStepDirect:
         assert sd.B == pytest.approx(se.B, abs=1e-9)
 
     def test_undershoot_clamped_and_counted(self):
-        # deliberately unstable step: the RK4 combination goes negative
-        s = make_scenario(
-            b=TWO_PEAK_B, d="1", n_cells=100, t_end=50.0, dt=2.5,
-            sample_every=1, scheme="direct",
-        )
-        t = run(s)
-        assert t.records[-1].undershoot_clamps > 0
-        assert all(np.isfinite(r.rho) for r in t.records)
+        # deliberately unstable steps, past the bound run enforces (1.23):
+        # the RK4 combination goes negative
+        s = make_scenario(b=TWO_PEAK_B, d="1", n_cells=100, scheme="direct")
+        state = init_state(s)
+        for _ in range(20):
+            state = step_direct(state, 2.5, s)
+            assert np.isfinite(state.rho)
+        assert state.undershoot_clamps > 0
 
 
 class TestStabilityBound:
@@ -349,12 +349,22 @@ class TestStabilityBound:
         run(s.with_controls(dt=limit))
         with pytest.raises(ValueError, match="^dt must"):
             run(s.with_controls(dt=math.nextafter(limit, math.inf)))
+        # the direct scheme adds max(0, -G_min), G_min = b_m/(1 + c0 rho_M) - d_M rho_M
+        g_min = p.b_m / (1.0 + 0.5 * p.rho_M) - p.d_M * p.rho_M
+        assert g_min < 0.0
+        limit = integrator.RK4_STABILITY / (lam - g_min)
+        run(s.with_controls(dt=limit, scheme="direct"))
+        with pytest.raises(ValueError, match="^dt must .* stable direct step"):
+            run(s.with_controls(dt=math.nextafter(limit, math.inf), scheme="direct"))
 
     def test_stable_dt_and_the_direct_scheme_run(self):
         t = run(make_scenario(t_end=17.0, dt=1.7, **self.TINY))
         assert round(t.final_state.t / 1.7) == 10 and not t.breaches
-        # the direct scheme's own bound is not derived; its dt is not checked
-        run(make_scenario(t_end=50.0, dt=5.0, scheme="direct", **self.TINY))
+        # the direct bound is lower: lambda* = 1.5994 + 0.2450 (G_min = -0.2450)
+        t = run(make_scenario(t_end=15.0, dt=1.5, scheme="direct", **self.TINY))
+        assert round(t.final_state.t / 1.5) == 10 and not t.breaches
+        with pytest.raises(ValueError, match=r"^dt must be <= 1\.50997 for a stable direct step"):
+            run(make_scenario(t_end=50.0, dt=5.0, scheme="direct", **self.TINY))
 
     def test_no_shipped_scenario_rejected(self):
         paths = [*sorted(SCENARIO_DIR.glob("*.ini")), DATA_DIR / "tiny.ini"]
@@ -449,12 +459,16 @@ class TestRun:
         final_support = t.final_state.log_u > -np.inf
         np.testing.assert_array_equal(final_support, s.support_mask)
 
-    def test_corridor_breach_recorded_not_raised(self):
-        # deliberately coarse direct step destabilizes the mass
+    def test_corridor_breach_recorded_not_raised(self, monkeypatch):
+        # deliberately coarse direct step destabilizes the mass; run refuses
+        # it unless the stability bound is lifted
         s = make_scenario(
             b=TWO_PEAK_B, d="1", n_cells=100, t_end=30.0, dt=10.0,
             sample_every=1, scheme="direct",
         )
+        with pytest.raises(ValueError, match="^dt must"):
+            run(s)
+        monkeypatch.setattr(integrator, "RK4_STABILITY", math.inf)
         t = run(s)
         assert t.breaches
         assert "corridor breach" in t.breaches[0]

@@ -383,6 +383,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="d must be positive and finite"):
             make_scenario(d="exp(1000*x)").validate()
 
+    def test_rejects_snapshot_times_sharing_a_file_name(self):
+        # snapshot_{t:g}.csv keeps six significant digits
+        for times in ((0.0050000001, 0.0050000002), (1.0, 1.0000001)):
+            with pytest.raises(ValueError, match=r"^snapshot_times must differ in 6 significant"):
+                make_scenario(t_end=2.0, snapshot_times=times).validate()
+        # repeats of one time share one file legitimately, and the benchmark's
+        # times (0 and multiples of 0.125) all pass
+        make_scenario(t_end=2.0, snapshot_times=(0.5, 0.5, 0.50001)).validate()
+        make_scenario(t_end=5.0, snapshot_times=tuple(k * 0.125 for k in range(41))).validate()
+
     def test_pickle_round_trip_samples_identically(self):
         s = make_scenario(b="1 + exp(-200*(x - 0.25)^2)", u0="ind(0.1, 0.9)").validate()
         copy = pickle.loads(pickle.dumps(s))

@@ -12,11 +12,22 @@ It records, in this order:
   in reference seconds, then per-layer metrics);
 * ``scenarios``: ``traitsim run`` on each file in ``scenarios/`` to its own
   t_end, :data:`REPEATS` fresh processes each, raw wall seconds (min and
-  median);
+  median) and the same in reference seconds;
 * ``tier1``: wall seconds and the pass/fail counts of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
-  the path), with the ids of the failing tests;
+  the path), with the ids of the failing tests, and the wall time in
+  reference seconds;
 * ``src_lines`` and ``environment``: the benchmark's own environment block.
+
+Raw seconds follow the host's speed, which drifts by tens of percent over
+minutes.  So every timed process is paired with a run of
+``perfbench/calibrate.py``, as perfbench pairs its ops: the first of a
+scenario's repeats runs after its calibration, the next before it, and so
+on; the tier-1 suite runs between two calibrations, whose mean it is
+divided by.  Each timing records the ratio wall / calibration and the
+reference seconds ratio * ``CAL_REF_S`` (perfbench's unit), which follow
+the host's drift less than raw seconds do, though a short calibration
+beside a long run adds noise of its own.
 
 The file goes to BENCH_<n>.json in the checkout root with the smallest n
 not yet taken; commit it with the change it measures.  Timings on a shared
@@ -54,27 +65,45 @@ def perfbench(workload: str, seconds: float, trace: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def scenario_wall(path: Path) -> dict:
-    times = []
+def timed(argv: list[str], **kwargs) -> tuple[float, subprocess.CompletedProcess]:
+    start = time.perf_counter()
+    proc = subprocess.run(argv, **kwargs)
+    return time.perf_counter() - start, proc
+
+
+def calibration() -> float:
+    """Wall seconds of one ``perfbench/calibrate.py`` process."""
+    wall, _ = timed([sys.executable, str(PERFBENCH / "calibrate.py")],
+                    check=True, capture_output=True)
+    return wall
+
+
+def scenario_wall(path: Path, cal_ref_s: float) -> dict:
+    walls, ratios = [], []
     with tempfile.TemporaryDirectory() as out:
         argv = [sys.executable, "-m", "traitsim", "run", str(path), "--out", out, "--quiet"]
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            subprocess.run(argv, env=_env(), check=True)
-            times.append(time.perf_counter() - start)
-    return {"wall_s_min": min(times), "wall_s_median": statistics.median(times),
+        for k in range(REPEATS):
+            first = calibration() if k % 2 == 0 else 0.0
+            wall, _ = timed(argv, env=_env(), check=True)
+            walls.append(wall)
+            ratios.append(wall / (first or calibration()))
+    refs = [r * cal_ref_s for r in ratios]
+    return {"wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
+            "ratio_median": statistics.median(ratios),
+            "ref_s_min": min(refs), "ref_s_median": statistics.median(refs),
             "repeats": REPEATS, "unit": "s"}
 
 
-def tier1() -> dict:
+def tier1(cal_ref_s: float) -> dict:
     argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
             "-p", "no:cacheprovider", "-rf"]
-    start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True, text=True)
-    wall = time.perf_counter() - start
+    before = calibration()
+    wall, proc = timed(argv, cwd=ROOT, env=_env(), capture_output=True, text=True)
+    cal = (before + calibration()) / 2.0
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", proc.stdout)}
     failed = re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
-    return {"wall_s": wall, "unit": "s", "passed": counts.get("passed", 0),
+    return {"wall_s": wall, "unit": "s", "ratio": wall / cal, "ref_s": wall / cal * cal_ref_s,
+            "calibration_s": cal, "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0), "errors": counts.get("error", 0),
             "failed_tests": failed}
 
@@ -90,7 +119,7 @@ def main() -> int:
     seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
 
     sys.path.insert(0, str(PERFBENCH))
-    from run import WORKLOADS, environment  # perfbench/run.py; its main runs only as a script
+    from run import CAL_REF_S, WORKLOADS, environment  # perfbench/run.py, not run as a script
 
     doc: dict = {}
     doc["perfbench"] = {
@@ -98,8 +127,9 @@ def main() -> int:
         for name in WORKLOADS
     }
     scenarios = sorted((ROOT / "scenarios").glob("*.ini"))
-    doc["scenarios"] = {path.stem: scenario_wall(path) for path in scenarios}
-    doc["tier1"] = tier1()
+    doc["scenarios"] = {path.stem: scenario_wall(path, CAL_REF_S) for path in scenarios}
+    doc["tier1"] = tier1(CAL_REF_S)
+    doc["cal_ref_s"] = CAL_REF_S
     env = environment(0)
     doc["src_lines"] = env["src_lines"]
     doc["environment"] = env

@@ -185,14 +185,23 @@ class Scenario:
     epsilon: float | None = None
     tail_R: float | None = None
 
-    def _sampled(self, f: TraitFunction) -> np.ndarray:
-        v = f.sample(self.grid.nodes)
+    @cached_property
+    def b_nodes(self) -> np.ndarray:
+        v = self.b.sample(self.grid.nodes)
         v.setflags(write=False)
         return v
 
-    b_nodes = cached_property(lambda self: self._sampled(self.b))
-    d_nodes = cached_property(lambda self: self._sampled(self.d))
-    u0_nodes = cached_property(lambda self: self._sampled(self.u0))
+    @cached_property
+    def d_nodes(self) -> np.ndarray:
+        v = self.d.sample(self.grid.nodes)
+        v.setflags(write=False)
+        return v
+
+    @cached_property
+    def u0_nodes(self) -> np.ndarray:
+        v = self.u0.sample(self.grid.nodes)
+        v.setflags(write=False)
+        return v
 
     @cached_property
     def support_mask(self) -> np.ndarray:

@@ -320,15 +320,19 @@ class TestStepDirect:
         assert sd.A == pytest.approx(se.A, abs=1e-9)
         assert sd.B == pytest.approx(se.B, abs=1e-9)
 
-    def test_undershoot_clamped_and_counted(self):
-        # deliberately unstable steps, past the bound run enforces (1.23):
-        # the RK4 combination goes negative
-        s = make_scenario(b=TWO_PEAK_B, d="1", n_cells=100, scheme="direct")
-        state = init_state(s)
-        for _ in range(20):
-            state = step_direct(state, 2.5, s)
-            assert np.isfinite(state.rho)
-        assert state.undershoot_clamps > 0
+    def test_undershoot_clamped_and_counted(self, monkeypatch):
+        # deliberately unstable step: the RK4 combination goes negative; run
+        # refuses it unless the stability bound is lifted
+        s = make_scenario(
+            b=TWO_PEAK_B, d="1", n_cells=100, t_end=50.0, dt=2.5,
+            sample_every=1, scheme="direct",
+        )
+        with pytest.raises(ValueError, match="^dt must"):
+            run(s)
+        monkeypatch.setattr(integrator, "RK4_STABILITY", math.inf)
+        t = run(s)
+        assert t.records[-1].undershoot_clamps > 0
+        assert all(np.isfinite(r.rho) for r in t.records)
 
 
 class TestStabilityBound:

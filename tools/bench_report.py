@@ -12,7 +12,7 @@ It records, in this order:
   in reference seconds, then per-layer metrics);
 * ``scenarios``: ``traitsim run`` on each file in ``scenarios/`` to its own
   t_end, :data:`REPEATS` fresh processes each, raw wall seconds (min and
-  median) and the same in reference seconds;
+  median) and the median in reference seconds;
 * ``tier1``: wall seconds and the pass/fail counts of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
   the path), with the ids of the failing tests, and the wall time in
@@ -20,14 +20,13 @@ It records, in this order:
 * ``src_lines`` and ``environment``: the benchmark's own environment block.
 
 Raw seconds follow the host's speed, which drifts by tens of percent over
-minutes.  So every timed process is paired with a run of
-``perfbench/calibrate.py``, as perfbench pairs its ops: the first of a
-scenario's repeats runs after its calibration, the next before it, and so
-on; the tier-1 suite runs between two calibrations, whose mean it is
-divided by.  Each timing records the ratio wall / calibration and the
-reference seconds ratio * ``CAL_REF_S`` (perfbench's unit), which follow
-the host's drift less than raw seconds do, though a short calibration
-beside a long run adds noise of its own.
+minutes.  So the timed processes are interleaved with :data:`REPEATS` runs
+of ``perfbench/calibrate.py`` (a scenario's repeats alternate which of the
+two goes first; tier-1 runs between the first and the last calibrations),
+and each timing records ``ratio``, its median wall over the median
+calibration, and ``ref_s``, that ratio * ``CAL_REF_S`` (perfbench's unit).
+One 0.35 s calibration is too short to divide a several-second run by; the
+median of several follows the host's drift with less noise of its own.
 
 The file goes to BENCH_<n>.json in the checkout root with the smallest n
 not yet taken; commit it with the change it measures.  Timings on a shared
@@ -78,34 +77,37 @@ def calibration() -> float:
     return wall
 
 
+def calibrated(walls: list[float], cals: list[float], cal_ref_s: float) -> dict:
+    ratio = statistics.median(walls) / statistics.median(cals)
+    return {"calibration_s_median": statistics.median(cals), "ratio": ratio,
+            "ref_s": ratio * cal_ref_s}
+
+
 def scenario_wall(path: Path, cal_ref_s: float) -> dict:
-    walls, ratios = [], []
+    walls, cals = [], []
     with tempfile.TemporaryDirectory() as out:
         argv = [sys.executable, "-m", "traitsim", "run", str(path), "--out", out, "--quiet"]
         for k in range(REPEATS):
-            first = calibration() if k % 2 == 0 else 0.0
-            wall, _ = timed(argv, env=_env(), check=True)
-            walls.append(wall)
-            ratios.append(wall / (first or calibration()))
-    refs = [r * cal_ref_s for r in ratios]
+            if k % 2 == 0:
+                cals.append(calibration())
+            walls.append(timed(argv, env=_env(), check=True)[0])
+            if k % 2 == 1:
+                cals.append(calibration())
     return {"wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
-            "ratio_median": statistics.median(ratios),
-            "ref_s_min": min(refs), "ref_s_median": statistics.median(refs),
-            "repeats": REPEATS, "unit": "s"}
+            **calibrated(walls, cals, cal_ref_s), "repeats": REPEATS, "unit": "s"}
 
 
 def tier1(cal_ref_s: float) -> dict:
     argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
             "-p", "no:cacheprovider", "-rf"]
-    before = calibration()
+    cals = [calibration() for _ in range(REPEATS // 2 + 1)]
     wall, proc = timed(argv, cwd=ROOT, env=_env(), capture_output=True, text=True)
-    cal = (before + calibration()) / 2.0
+    cals += [calibration() for _ in range(REPEATS // 2)]
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", proc.stdout)}
     failed = re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
-    return {"wall_s": wall, "unit": "s", "ratio": wall / cal, "ref_s": wall / cal * cal_ref_s,
-            "calibration_s": cal, "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0), "errors": counts.get("error", 0),
-            "failed_tests": failed}
+    return {"wall_s": wall, "unit": "s", **calibrated([wall], cals, cal_ref_s),
+            "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+            "errors": counts.get("error", 0), "failed_tests": failed}
 
 
 def next_path() -> Path:
@@ -119,7 +121,7 @@ def main() -> int:
     seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
 
     sys.path.insert(0, str(PERFBENCH))
-    from run import CAL_REF_S, WORKLOADS, environment  # perfbench/run.py, not run as a script
+    from run import CAL_REF_S, WORKLOADS, environment  # perfbench/run.py; main runs as a script
 
     doc: dict = {}
     doc["perfbench"] = {

@@ -73,8 +73,8 @@ __all__ = [
 
 OUT_DIR_ENV = "TRAITSIM_OUT"
 
-#: serialized record fields in declaration order; ``rescaled`` is diagnostic only
-_RECORD_FIELDS = tuple(f for f in fields(DiagnosticsRecord) if f.name != "rescaled")
+#: serialized record fields in declaration order
+_RECORD_FIELDS = fields(DiagnosticsRecord)
 TRAJECTORY_COLUMNS = tuple(f.name for f in _RECORD_FIELDS)
 _record_values = attrgetter(*TRAJECTORY_COLUMNS)
 

@@ -56,9 +56,7 @@ class DiagnosticsRecord:
 
     ``mass_near_xbar`` is the fraction of rho within the concentration
     window of the predicted x_bar; ``tail_mass`` is the absolute mass at
-    nodes |x| >= R (0 when no tail radius is configured).  ``rescaled``
-    flags rows whose integrals were evaluated under a max shift because
-    exp(log_u) would overflow; it is diagnostic only and not serialized.
+    nodes |x| >= R (0 when no tail radius is configured).
     """
 
     t: float
@@ -71,7 +69,6 @@ class DiagnosticsRecord:
     mass_near_xbar: float
     tail_mass: float
     undershoot_clamps: int
-    rescaled: bool = False
 
 
 class ConcentrationReport(NamedTuple):
@@ -235,7 +232,6 @@ def make_record(
         mass_near_xbar=_window_fraction(u, t, window),
         tail_mass=_tail_mass(u, shift, t),
         undershoot_clamps=state.undershoot_clamps,
-        rescaled=shift > 0.0,
     )
 
 

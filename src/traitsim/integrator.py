@@ -28,6 +28,8 @@ reproducible (identical scenario and dt give bit-identical trajectories).
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -76,13 +78,14 @@ _LOG_MAX = math.log(np.finfo(float).max)
 #: below this max log-density the mass is summed without shifting
 _SAFE_EXP = 600.0
 
+#: what n steps of a scheme return: the last state reached and the error that ended them early
+_Steps = tuple["PopulationState", "IntegrationError | None"]
+
 
 class IntegrationError(RuntimeError):
-    """A step failed (overflow or NaN); ``partial`` holds the trajectory so far."""
+    """A step failed (overflow or NaN); from :func:`run`, ``partial`` is the trajectory so far."""
 
-    def __init__(self, message: str, partial: "Trajectory | None" = None):
-        super().__init__(message)
-        self.partial = partial
+    partial: Trajectory | None = None
 
 
 class ExponentOverflow(IntegrationError):
@@ -206,7 +209,7 @@ def rho_from_exponents(A: float, B: float, scenario: Scenario) -> float:
 
 
 def _exponential_state(
-    tables: SupportTables, t: float, A: float, B: float, rho: float, undershoot_clamps: int = 0
+    tables: SupportTables, t: float, A: float, B: float, rho: float
 ) -> PopulationState:
     """The exact state at exponents (A, B): log_u is rebuilt from the tables.
 
@@ -223,33 +226,38 @@ def _exponential_state(
         values, log_u = log_u, np.full(tables.n_nodes, -np.inf)
         log_u[tables.support] = values
     log_u.setflags(write=False)
-    return PopulationState(t, A, B, log_u, rho, undershoot_clamps)
+    return PopulationState(t, A, B, log_u, rho)
 
 
-def _advance_exponential(
-    t: SupportTables, c0: float, A: float, B: float, rho: float, dt: float, e: np.ndarray
-) -> tuple[float, float, float]:
-    """One RK4 step of A' = 1/(1 + c0*rho(A, B)), B' = rho(A, B).
+def _exponential_steps(state: PopulationState, n: int, dt: float, scenario: Scenario) -> _Steps:
+    """n RK4 steps of A' = 1/(1 + c0*rho(A, B)), B' = rho(A, B), in local floats.
 
-    ``rho`` must equal the mass at (A, B); the first stage reuses it, the
-    refreshed mass at the new point is returned for the next step.  ``e`` is
-    the kernel's scratch array.  A NaN mass anywhere in the step reaches the
-    new mass, which raises :class:`IntegrationError`.
+    Each first stage reuses the stored rho; log_u is rebuilt once, from the
+    last step that succeeded.  A NaN anywhere in a step reaches the new mass.
     """
-    k1a = 1.0 / (1.0 + c0 * rho)
-    k1b = rho
-    k2b = _mass_at(t, A + 0.5 * dt * k1a, B + 0.5 * dt * k1b, e)
-    k2a = 1.0 / (1.0 + c0 * k2b)
-    k3b = _mass_at(t, A + 0.5 * dt * k2a, B + 0.5 * dt * k2b, e)
-    k3a = 1.0 / (1.0 + c0 * k3b)
-    k4b = _mass_at(t, A + dt * k3a, B + dt * k3b, e)
-    k4a = 1.0 / (1.0 + c0 * k4b)
-    A1 = A + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    B1 = B + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    rho1 = _mass_at(t, A1, B1, e)
-    if rho1 != rho1:  # NaN
-        raise IntegrationError(f"mass is NaN after a step from A = {A!r}, B = {B!r}; reduce dt")
-    return A1, B1, rho1
+    tables, c0 = scenario.support_tables, scenario.c0
+    t, A, B, rho = state.t, state.A, state.B, state.rho
+    e = np.empty(tables.b_s.size)  # the kernel's scratch array
+    try:
+        for _ in range(n):
+            k1a = 1.0 / (1.0 + c0 * rho)
+            k2b = _mass_at(tables, A + 0.5 * dt * k1a, B + 0.5 * dt * rho, e)
+            k2a = 1.0 / (1.0 + c0 * k2b)
+            k3b = _mass_at(tables, A + 0.5 * dt * k2a, B + 0.5 * dt * k2b, e)
+            k3a = 1.0 / (1.0 + c0 * k3b)
+            k4b = _mass_at(tables, A + dt * k3a, B + dt * k3b, e)
+            k4a = 1.0 / (1.0 + c0 * k4b)
+            A1 = A + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            B1 = B + dt / 6.0 * (rho + 2.0 * k2b + 2.0 * k3b + k4b)
+            rho1 = _mass_at(tables, A1, B1, e)
+            if rho1 != rho1:  # NaN
+                raise IntegrationError(
+                    f"mass is NaN after a step from A = {A!r}, B = {B!r}; reduce dt"
+                )
+            t, A, B, rho = t + dt, A1, B1, rho1
+    except IntegrationError as err:
+        return _exponential_state(tables, t, A, B, rho), err
+    return _exponential_state(tables, t, A, B, rho), None
 
 
 def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> PopulationState:
@@ -260,11 +268,10 @@ def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> P
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    tables = scenario.support_tables
-    A1, B1, rho1 = _advance_exponential(
-        tables, scenario.c0, state.A, state.B, state.rho, dt, np.empty(tables.b_s.size)
-    )
-    return _exponential_state(tables, state.t + dt, A1, B1, rho1, state.undershoot_clamps)
+    state, err = _exponential_steps(state, 1, dt, scenario)
+    if err is not None:
+        raise err
+    return state
 
 
 def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> PopulationState:
@@ -337,6 +344,16 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
     )
 
 
+def _direct_steps(state: PopulationState, n: int, dt: float, scenario: Scenario) -> _Steps:
+    """n RK4 steps of the per-node system, by :func:`step_direct`."""
+    try:
+        for _ in range(n):
+            state = step_direct(state, dt, scenario)
+    except IntegrationError as err:
+        return state, err
+    return state, None
+
+
 def _step_count(t_end: float, dt: float) -> int:
     n = int(round(t_end / dt))
     if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
@@ -349,14 +366,18 @@ def _step_count(t_end: float, dt: float) -> int:
 
 
 def run(scenario: Scenario) -> Trajectory:
-    """Integrate to t_end with fixed dt, sampling diagnostics as configured.
+    """Integrate to t_end with fixed dt, observing the state as configured.
 
-    A diagnostics record is emitted at t = 0, every ``sample_every`` steps
-    and at the final step.  Sampled masses outside the a priori corridor
-    (with :data:`CORRIDOR_TOL` slack) are recorded as breaches, not errors.
-    With ``stop_tol`` set, the run stops once |rho - rho_bar| and W stay
-    below it for :data:`STOP_WINDOW` consecutive samples.  Step failures
-    raise :class:`IntegrationError` with the partial trajectory attached.
+    The run is observed at step 0, every ``sample_every`` steps, at each
+    snapshot step (the nearest to each snapshot time) and at the last step;
+    a diagnostics record is taken at every observed step except a snapshot
+    step off the sampling grid.  Sampled masses after step 0 outside the a
+    priori corridor (with :data:`CORRIDOR_TOL` slack) are recorded as
+    breaches, not errors.  With ``stop_tol`` set, the run stops once
+    |rho - rho_bar| and W stay below it for :data:`STOP_WINDOW` consecutive
+    samples after step 0.  A step failure raises :class:`IntegrationError`
+    with the trajectory so far attached; its ``final_state`` is the last
+    step that succeeded.
 
     Either scheme rejects (``ValueError``) a dt past RK4's stability bound.
     The (A, B) Jacobian has one nonzero eigenvalue,
@@ -379,68 +400,47 @@ def run(scenario: Scenario) -> Trajectory:
             f"dt must be <= {RK4_STABILITY / lam:.6g} for a stable {scenario.scheme} step "
             f"(RK4 bound {RK4_STABILITY} / lambda*, lambda* = {lam:.6g}), got {dt!r}"
         )
-    state = init_state(scenario)
-    tables = scenario.support_tables if exponential else None
-    scratch = np.empty(tables.b_s.size) if exponential else None
+    advance = _exponential_steps if exponential else _direct_steps
     n_steps = _step_count(scenario.t_end, dt)
+    every = scenario.sample_every
     snapshot_steps: dict[int, list[float]] = {}  # step -> the distinct times taken there
     for tau in dict.fromkeys(scenario.snapshot_times):
         snapshot_steps.setdefault(int(round(tau / dt)), []).append(tau)
+    observed = heapq.merge(range(0, n_steps + 1, every), sorted(snapshot_steps), (n_steps,))
 
     trajectory = Trajectory(
         scenario=scenario,
         prediction=pred,
         fingerprint=scenario_fingerprint(scenario),
-        records=[diagnostics.make_record(state, scenario, pred)],
-        final_state=state,
+        records=[],
     )
-    for tau in snapshot_steps.get(0, ()):
-        trajectory.snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
-
-    lo = pred.rho_m - CORRIDOR_TOL
-    hi = pred.rho_M + CORRIDOR_TOL
-    every = scenario.sample_every
-    t, A, B, rho = state.t, state.A, state.B, state.rho
-    stop_streak = 0
-    for k in range(1, n_steps + 1):
-        try:
-            if exponential:
-                # (t, A, B, rho) in local floats is the whole exponential
-                # state; a PopulationState with its density is built only at
-                # steps something observes (sample, snapshot, last step) and
-                # on failure, from the last step that succeeded
-                A, B, rho = _advance_exponential(tables, c0, A, B, rho, dt, scratch)
-                t += dt
-                if k % every and k != n_steps and k not in snapshot_steps:
-                    continue
-                state = _exponential_state(tables, t, A, B, rho)
-            else:
-                state = step_direct(state, dt, scenario)
-        except IntegrationError as err:
-            if exponential:
-                state = _exponential_state(tables, t, A, B, rho)
-            trajectory.final_state = state
+    state, done, stop_streak = init_state(scenario), 0, 0
+    for k, _ in itertools.groupby(observed):
+        state, err = advance(state, k - done, dt, scenario)
+        trajectory.final_state, done = state, k
+        if err is not None:
             err.partial = trajectory
-            raise
-        if k in snapshot_steps:
-            for tau in snapshot_steps[k]:
-                trajectory.snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
-        if k % every == 0 or k == n_steps:
-            rec = diagnostics.make_record(state, scenario, pred)
-            trajectory.records.append(rec)
-            if not (lo <= rec.rho <= hi):
-                trajectory.breaches.append(
-                    f"corridor breach at t = {rec.t:.6g}: rho = {rec.rho!r} "
-                    f"outside [{pred.rho_m!r}, {pred.rho_M!r}]"
-                )
-            if scenario.stop_tol is not None:
-                near = (
-                    abs(rec.rho - pred.rho_bar) < scenario.stop_tol
-                    and rec.W < scenario.stop_tol
-                )
-                stop_streak = stop_streak + 1 if near else 0
-                if stop_streak >= STOP_WINDOW:
-                    trajectory.early_stop_t = rec.t
-                    break
-    trajectory.final_state = state
+            raise err
+        for tau in snapshot_steps.get(k, ()):
+            trajectory.snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
+        if k % every and k != n_steps:
+            continue
+        rec = diagnostics.make_record(state, scenario, pred)
+        trajectory.records.append(rec)
+        if not k:
+            continue
+        if not (pred.rho_m - CORRIDOR_TOL <= rec.rho <= pred.rho_M + CORRIDOR_TOL):
+            trajectory.breaches.append(
+                f"corridor breach at t = {rec.t:.6g}: rho = {rec.rho!r} "
+                f"outside [{pred.rho_m!r}, {pred.rho_M!r}]"
+            )
+        if scenario.stop_tol is not None:
+            near = (
+                abs(rec.rho - pred.rho_bar) < scenario.stop_tol
+                and rec.W < scenario.stop_tol
+            )
+            stop_streak = stop_streak + 1 if near else 0
+            if stop_streak >= STOP_WINDOW:
+                trajectory.early_stop_t = rec.t
+                break
     return trajectory

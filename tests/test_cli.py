@@ -417,7 +417,7 @@ class TestOutputRows:
         return Trajectory(scenario=s, prediction=pred, fingerprint="0", records=[])
 
     def test_trajectory_rows_match_fmt(self, tmp_path):
-        names = [f.name for f in fields(DiagnosticsRecord) if f.name != "rescaled"]
+        names = [f.name for f in fields(DiagnosticsRecord)]
         integer = {f.name for f in fields(DiagnosticsRecord) if f.type in (int, "int")}
         assert integer == {"undershoot_clamps"}
         trajectory = self._trajectory()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -457,6 +458,58 @@ class TestRun:
         with pytest.raises(IntegrationError, match="NaN"):
             step_exponential(final, s.dt, s)
 
+    @pytest.mark.parametrize("u0", ["1 + x", "ind(0.2, 0.7)"])
+    def test_direct_run_matches_repeated_steps_bitwise(self, u0):
+        # snapshots at steps 7 and 50 fall between samples; 102 steps end
+        # off the sampling grid
+        s = make_scenario(
+            b="2 - (x-0.3)^2", d="1 + x", u0=u0, n_cells=50, t_end=0.102,
+            sample_every=4, snapshot_times=(0.0, 0.007, 0.05), scheme="direct",
+        )
+        t = run(s)
+        records, snapshots, final = _stepped(s, 102, step_direct)
+        assert [_bits(r) for r in t.records] == [_bits(r) for r in records]
+        assert [_bits(x) for x in t.snapshots] == [_bits(x) for x in snapshots]
+        assert _bits(t.final_state) == _bits(final)
+
+    def test_direct_failure_mid_run_keeps_exact_partial(self, monkeypatch):
+        # step 24 fails; step 23, the last that succeeded, is off the sampling grid
+        s = make_scenario(
+            b="2 - (x-0.3)^2", d="1 + x", n_cells=50, t_end=0.1, sample_every=4,
+            snapshot_times=(0.0, 0.007, 0.05), scheme="direct",
+        )
+        records, snapshots, final = _stepped(s, 23, step_direct)
+        rates, calls = integrator.fitness_on_nodes, []
+
+        def nan_from_step_24(*args):  # 4 rate evaluations per step
+            calls.append(None)
+            return math.nan if len(calls) > 4 * 23 else rates(*args)
+
+        monkeypatch.setattr(integrator, "fitness_on_nodes", nan_from_step_24)
+        with pytest.raises(IntegrationError, match="non-finite density") as exc:
+            run(s)
+        assert type(exc.value) is IntegrationError
+        partial = exc.value.partial
+        assert [_bits(r) for r in partial.records] == [_bits(r) for r in records[:6]]
+        assert [_bits(x) for x in partial.snapshots] == [_bits(x) for x in snapshots]
+        assert _bits(partial.final_state) == _bits(final)
+
+    def test_observation_schedule_is_not_materialised(self):
+        # 1e6 steps stop after 100 samples; a list of the sampled steps alone
+        # would take several MB
+        s = make_scenario(
+            b="2", d="1", u0="ind(0, 1)", t_end=1000.0, dt=1e-3,
+            sample_every=1, stop_tol=1e-6,
+        )
+        tracemalloc.start()
+        try:
+            t = run(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t.records) == 101
+        assert peak < 1 << 20
+
     def test_support_conservation_through_run(self):
         s = make_scenario(u0="ind(0.2, 0.7)", b="2 - (x-0.3)^2", t_end=2.0, n_cells=40)
         t = run(s)
@@ -553,15 +606,15 @@ def _bits(obj):
     ]
 
 
-def _stepped(s, n_steps):
-    """run's records, snapshots and final state, rebuilt from step_exponential."""
+def _stepped(s, n_steps, step=step_exponential):
+    """run's records, snapshots and final state, rebuilt from repeated steps."""
     pred = predict_equilibrium(s)
     st = init_state(s)
     snap_steps = {round(tau / s.dt): tau for tau in s.snapshot_times}
     records = [make_record(st, s, pred)]
     snapshots = [DensitySnapshot(snap_steps[0], st.t, st.log_u)] if 0 in snap_steps else []
     for k in range(1, n_steps + 1):
-        st = step_exponential(st, s.dt, s)
+        st = step(st, s.dt, s)
         if k in snap_steps:
             snapshots.append(DensitySnapshot(snap_steps[k], st.t, st.log_u))
         if k % s.sample_every == 0 or k == n_steps:

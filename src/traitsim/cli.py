@@ -44,23 +44,27 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 from dataclasses import MISSING, fields, replace
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import DiagnosticsRecord, blow_up_report
 from .exprlang import ExprError, TraitFunction
-from .integrator import CORRIDOR_TOL, IntegrationError, Trajectory, run
 from .model import (
     RUN_CONTROLS, SCHEMES, SNAPSHOT_NAME, Grid, Scenario, predict_equilibrium, scenario_items,
 )
+
+if TYPE_CHECKING:  # the integrator is loaded by the commands that run one
+    from .integrator import Trajectory
 
 __all__ = [
     "SCENARIO_SECTIONS",
@@ -72,11 +76,6 @@ __all__ = [
 ]
 
 OUT_DIR_ENV = "TRAITSIM_OUT"
-
-#: serialized record fields in declaration order
-_RECORD_FIELDS = fields(DiagnosticsRecord)
-TRAJECTORY_COLUMNS = tuple(f.name for f in _RECORD_FIELDS)
-_record_values = attrgetter(*TRAJECTORY_COLUMNS)
 
 #: verification tolerances, pinned to the acceptance criteria (with CORRIDOR_TOL)
 LYAPUNOV_SLACK = 1e-8
@@ -191,10 +190,9 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-#: one trajectory row: integer fields print as integers, every other field
-#: as :func:`_fmt` does (``%.17g`` and ``format(x, ".17g")`` give the same text)
-_ROW_FORMAT = ",".join("%s" if f.type in (int, "int") else "%.17g" for f in _RECORD_FIELDS)
-_SNAPSHOT_FORMAT = "%.17g,%.17g,%.17g"
+#: snapshot rows are formatted this many nodes at a time
+_SNAPSHOT_CHUNK = 4096
+_SNAPSHOT_FORMAT = "%.17g,%.17g,%.17g\n"
 
 
 def _fmt_short(x: float) -> str:
@@ -230,39 +228,46 @@ def _json_dump(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _record_dict(rec: DiagnosticsRecord) -> dict:
-    return dict(zip(TRAJECTORY_COLUMNS, _record_values(rec)))
-
-
 def _prediction_dict(pred) -> dict:
     doc = {f.name: getattr(pred, f.name) for f in fields(pred)}
     doc["notes"] = list(pred.notes)
     return doc
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write newline-terminated lines (or blocks of them) to ``path`` as they come."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def _write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    lines.extend(_ROW_FORMAT % _record_values(rec) for rec in trajectory.records)
-    _write_text(path, "\n".join(lines) + "\n")
+    from .diagnostics import DiagnosticsRecord
+
+    columns = fields(DiagnosticsRecord)
+    # integer fields print as integers, every other field as _fmt does
+    # (``%.17g`` and ``format(x, ".17g")`` give the same text)
+    row = ",".join("%s" if f.type in (int, "int") else "%.17g" for f in columns) + "\n"
+    values = attrgetter(*(f.name for f in columns))
+    header = ",".join(f.name for f in columns) + "\n"
+    rows = map(row.__mod__, map(values, trajectory.records))  # formatted as they are written
+    _write_lines(path, itertools.chain((header,), rows))
+
+
+def _snapshot_lines(nodes: np.ndarray, log_u: np.ndarray) -> Iterable[str]:
+    yield "x,u,log_u\n"
+    for i in range(0, log_u.size, _SNAPSHOT_CHUNK):
+        x, lu = nodes[i:i + _SNAPSHOT_CHUNK], log_u[i:i + _SNAPSHOT_CHUNK]
+        with np.errstate(under="ignore", over="ignore"):
+            u = np.exp(lu)
+        yield from map(_SNAPSHOT_FORMAT.__mod__, zip(x.tolist(), u.tolist(), lu.tolist()))
 
 
 def _write_snapshots(trajectory: Trajectory, out_dir: Path) -> list[str]:
     names = []
     nodes = trajectory.scenario.grid.nodes
     for snap in trajectory.snapshots:
-        with np.errstate(under="ignore", over="ignore"):
-            u = np.exp(snap.log_u)
-        lines = ["x,u,log_u"]
-        lines.extend(map(
-            _SNAPSHOT_FORMAT.__mod__, zip(nodes.tolist(), u.tolist(), snap.log_u.tolist())
-        ))
         name = SNAPSHOT_NAME.format(snap.requested_t)
-        _write_text(out_dir / name, "\n".join(lines) + "\n")
+        _write_lines(out_dir / name, _snapshot_lines(nodes, snap.log_u))
         names.append(name)
     return names
 
@@ -272,15 +277,15 @@ def _write_summary(trajectory: Trajectory, path: Path, error: str | None = None)
         "fingerprint": trajectory.fingerprint,
         "scenario": dict(scenario_items(trajectory.scenario)),
         "prediction": _prediction_dict(trajectory.prediction),
-        "initial": _record_dict(trajectory.records[0]),
-        "final": _record_dict(trajectory.records[-1]),
+        "initial": vars(trajectory.records[0]),  # a record's fields in declaration order
+        "final": vars(trajectory.records[-1]),
         "record_count": len(trajectory.records),
         "early_stop_t": trajectory.early_stop_t,
         "breaches": list(trajectory.breaches),
     }
     if error is not None:
         doc["error"] = error
-    _write_text(path, _json_dump(doc) + "\n")
+    _write_lines(path, (_json_dump(doc) + "\n",))
 
 
 _PLOT_SCRIPT = """\
@@ -310,14 +315,14 @@ plot {plots}
 
 def _write_plot_script(trajectory: Trajectory, out_dir: Path, snapshot_names: list[str]) -> None:
     note = " and snapshot csvs" if snapshot_names else ""
-    text = _PLOT_SCRIPT.format(version=__version__, snapshot_note=note)
+    blocks = [_PLOT_SCRIPT.format(version=__version__, snapshot_note=note)]
     if snapshot_names:
         plots = ", \\\n     ".join(
             f'"{name}" using 1:2 with lines title "{name[:-4]}"'
             for name in snapshot_names
         )
-        text += _PLOT_SNAPSHOTS.format(plots=plots)
-    _write_text(out_dir / "plot.gp", text)
+        blocks.append(_PLOT_SNAPSHOTS.format(plots=plots))
+    _write_lines(out_dir / "plot.gp", blocks)
 
 
 # --------------------------------------------------------------------------
@@ -329,6 +334,8 @@ def evaluate_invariants(trajectory: Trajectory) -> list[tuple[str, bool | None, 
     Returns (name, ok, detail) triples; ok None means not applicable.
     Tolerances match the acceptance criteria exactly.
     """
+    from .integrator import CORRIDOR_TOL
+
     pred = trajectory.prediction
     records = trajectory.records
     rhos = np.array([r.rho for r in records])
@@ -463,11 +470,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import integrator
+
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     out = _out_dir(args)
     try:
-        trajectory, error = _warned(run, scenario), None
-    except IntegrationError as err:
+        trajectory, error = _warned(integrator.run, scenario), None
+    except integrator.IntegrationError as err:
         if err.partial is None:
             raise
         trajectory, error = err.partial, str(err)
@@ -499,8 +508,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import diagnostics, integrator
+
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    trajectory = _warned(run, scenario)
+    trajectory = _warned(integrator.run, scenario)
     checks = evaluate_invariants(trajectory)
     failed = 0
     for name, ok, detail in checks:
@@ -514,7 +525,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{status} {name:<20} {detail}")
     if trajectory.prediction.x_bar_on_boundary:
         try:
-            report = blow_up_report(trajectory)
+            report = diagnostics.blow_up_report(trajectory)
             print(
                 f"info blow_up             monotone_growth={report.monotone_growth}, "
                 f"log-density slope {report.growth_rate_estimate:.3e}, "
@@ -528,8 +539,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _sweep_child(scenario: Scenario) -> tuple[float, float, str]:
+    from . import integrator
+
     try:
-        trajectory = run(scenario)
+        trajectory = integrator.run(scenario)
         final_rho = trajectory.records[-1].rho
         return final_rho, abs(final_rho - trajectory.prediction.rho_bar), "ok"
     except Exception as err:  # recorded per child; the sweep continues
@@ -575,12 +588,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             order = float(np.polyfit(xs, ys, 1)[0])
 
     out = _out_dir(args)
-    lines = [f"{parameter},rho_final,abs_err_vs_prediction,status"]
+    lines = [f"{parameter},rho_final,abs_err_vs_prediction,status\n"]
     for value, (final_rho, err, status) in zip(values, results):
         value_text = str(value) if parameter == "n_cells" else _fmt(value)
-        lines.append(f"{value_text},{_fmt(final_rho)},{_fmt(err)},{status}")
-    lines.append(f"# fitted_order {_fmt(order)}")
-    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
+        lines.append(f"{value_text},{_fmt(final_rho)},{_fmt(err)},{status}\n")
+    lines.append(f"# fitted_order {_fmt(order)}\n")
+    _write_lines(out / "sweep.csv", lines)
     _print(args, f"wrote {out / 'sweep.csv'}; fitted order {order:.3f}")
     return 0 if ok_idx else 3
 
@@ -629,12 +642,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except IntegrationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except ValueError as err:  # ScenarioFileError and ExprError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        from .integrator import IntegrationError  # loaded already by a command that raises it
+
+        if not isinstance(err, IntegrationError):
+            raise
+        print(f"error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

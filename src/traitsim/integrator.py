@@ -152,7 +152,7 @@ def init_state(scenario: Scenario) -> PopulationState:
     with np.errstate(divide="ignore"):
         log_u = np.log(scenario.u0_nodes)
     log_u.setflags(write=False)
-    return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=scenario.initial_mass())
+    return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=scenario.rho0)
 
 
 def _mass_at(t: SupportTables, A: float, B: float, e: np.ndarray) -> float:

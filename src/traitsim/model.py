@@ -166,9 +166,10 @@ class Scenario:
     initial mass, every number finite and in range (snapshot times within
     [0, t_end], at most :data:`MAX_STEPS` steps) and a known scheme.
 
-    Every value derived from the scenario (the sampled b, d and u0, b/d,
-    its maximizers, the support and record tables) is built once, on first
-    use, and cached read-only.  None of them reads a run control.
+    Every value derived from the scenario (the sampled b, d and u0, the
+    initial mass once the grid checks pass, b/d, its maximizers, the
+    support and record tables) is built once, on first use, and cached
+    read-only.  None of them reads a run control.
     """
 
     grid: Grid
@@ -285,6 +286,29 @@ class Scenario:
     def initial_mass(self) -> float:
         return quadrature(self.u0_nodes, self.grid)
 
+    @cached_property
+    def rho0(self) -> float:
+        """The initial mass, once b, d and u0 pass :meth:`validate`'s grid checks.
+
+        A failing check raises ``ValueError`` and caches nothing, so every
+        call fails with the same message.
+        """
+        for key, values in (("b", self.b_nodes), ("d", self.d_nodes)):
+            lo, hi = float(values.min()), float(values.max())  # NaN if any node is NaN
+            if not (lo > 0.0 and hi < math.inf):
+                raise ValueError(
+                    f"{key} must be positive and finite on the grid, range [{lo}, {hi}]"
+                )
+        u = self.u0_nodes
+        if not np.all(np.isfinite(u)):
+            raise ValueError("u0 must be finite on the grid")
+        if np.any(u < 0.0):
+            raise ValueError("u0 must be nonnegative on the grid")
+        mass = self.initial_mass()
+        if not (mass > 0.0):
+            raise ValueError("u0 has zero initial mass (empty support)")
+        return mass
+
     def validate(self) -> "Scenario":
         if not (0.0 <= self.c0 < math.inf):
             raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
@@ -310,19 +334,7 @@ class Scenario:
         times = sorted(set(self.snapshot_times))
         if len({SNAPSHOT_NAME.format(tau) for tau in times}) < len(times):  # one file per time
             raise ValueError(f"snapshot_times must differ in 6 significant digits, got {times}")
-        for key, values in (("b", self.b_nodes), ("d", self.d_nodes)):
-            lo, hi = float(values.min()), float(values.max())  # NaN if any node is NaN
-            if not (lo > 0.0 and hi < math.inf):
-                raise ValueError(
-                    f"{key} must be positive and finite on the grid, range [{lo}, {hi}]"
-                )
-        u = self.u0_nodes
-        if not np.all(np.isfinite(u)):
-            raise ValueError("u0 must be finite on the grid")
-        if np.any(u < 0.0):
-            raise ValueError("u0 must be nonnegative on the grid")
-        if not (self.initial_mass() > 0.0):
-            raise ValueError("u0 has zero initial mass (empty support)")
+        self.rho0  # the grid checks: run once per scenario, shared by with_controls copies
         return self
 
 
@@ -477,7 +489,7 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
         alpha_R=None,
         notes=tuple(notes),
     )
-    rho_m, rho_M = apriori_corridor(pred, scenario.initial_mass())
+    rho_m, rho_M = apriori_corridor(pred, scenario.rho0)
     pred = replace(pred, rho_m=rho_m, rho_M=rho_M)
     if scenario.tail_R is not None:
         alpha = check_tail_condition(scenario, pred, scenario.tail_R)

@@ -3,12 +3,13 @@
 import json
 import math
 import re
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, make_scenario
 from traitsim import exprlang, integrator
 from traitsim.cli import (
     SCENARIO_SECTIONS,
@@ -450,6 +451,41 @@ class TestOutputRows:
             f"{_fmt(xi)},{_fmt(ui)},{_fmt(li)}" for xi, ui, li in zip(nodes, u, log_u)
         ]
         assert (tmp_path / "snapshot_0.5.csv").read_text().splitlines() == want
+
+
+def traced_peak(write) -> int:
+    """The tracemalloc peak, in bytes, of ``write()``."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOutputMemory:
+    """Outputs are written as a stream: no file's text is held whole."""
+
+    def test_trajectory_csv_streams_rows(self, tmp_path):
+        s = load_scenario(TINY)
+        record = DiagnosticsRecord(0.1, 1.0, -0.5, 0.25, 1e-3, 2.0, 0.5, 0.75, 0.0, 0)
+        records = [replace(record, t=k * 1e-3) for k in range(20_000)]
+        trajectory = Trajectory(scenario=s, prediction=None, fingerprint="0", records=records)
+        path = tmp_path / "trajectory.csv"
+        peak = traced_peak(lambda: _write_trajectory_csv(trajectory, path))
+        assert len(path.read_text().splitlines()) == 1 + len(records)
+        assert peak < 0.5e6
+
+    def test_snapshot_streams_chunks_of_nodes(self, tmp_path):
+        s = make_scenario(n_cells=50_000)
+        nodes = s.grid.nodes
+        trajectory = Trajectory(scenario=s, prediction=None, fingerprint="0", records=[])
+        trajectory.snapshots.append(DensitySnapshot(0.5, 0.5, np.log1p(nodes)))
+        peak = traced_peak(lambda: _write_snapshots(trajectory, tmp_path))
+        lines = (tmp_path / "snapshot_0.5.csv").read_text().splitlines()
+        assert len(lines) == 1 + nodes.size
+        assert lines[-1] == f"{_fmt(1.0)},{_fmt(2.0)},{_fmt(np.log1p(1.0))}"
+        assert peak < 1e6
 
 
 class TestVerifyCommand:

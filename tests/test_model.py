@@ -332,6 +332,23 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             make_scenario(u0="x - 0.5").validate()
 
+    def test_grid_checks_run_once_per_scenario(self):
+        s = make_scenario(b="2 - (x-0.3)^2", u0="ind(0.2, 0.6)").validate()
+        for name in ("b_nodes", "d_nodes", "u0_nodes"):  # any later pass over the grid fails
+            vars(s)[name] = None
+        t = s.with_controls(t_end=2.0, dt=1e-2)
+        assert s.validate() is s and t.validate() is t
+        assert t.rho0 is s.rho0
+        with pytest.raises(ValueError, match="dt"):  # the scalar checks still run
+            s.with_controls(dt=0.0).validate()
+
+    def test_failed_grid_check_is_not_cached(self):
+        s = make_scenario(u0="ind(0.2, 0.6) - 0.5")
+        for scenario in (s, s, s.with_controls(t_end=2.0)):
+            with pytest.raises(ValueError, match="^u0 must be nonnegative on the grid$"):
+                scenario.validate()
+            assert "rho0" not in vars(scenario)
+
     def test_rejects_bad_dt_and_scheme(self):
         with pytest.raises(ValueError, match="dt"):
             make_scenario(dt=0.0).validate()

@@ -15,6 +15,7 @@ import pytest
 import traitsim
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+TINY = Path(__file__).resolve().parent / "data" / "tiny.ini"
 
 
 def fresh(code: str):
@@ -59,6 +60,46 @@ def test_cli_loads_no_process_pool():
         "print(json.dumps('concurrent.futures.process' in sys.modules))\n"
     )
     assert loaded is False
+
+
+#: what only running the dynamics needs: ``predict`` loads none of them
+RUN_ONLY = ("traitsim.integrator", "traitsim.diagnostics", "_hashlib")
+
+
+def test_predict_loads_no_integrator_and_run_does(tmp_path):
+    loaded = fresh(
+        "import contextlib, io, json, sys\n"
+        "from traitsim import cli\n"
+        f"names = {RUN_ONLY!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['predict', {str(TINY)!r}]) == 0\n"
+        "    after_predict = [m for m in names if m in sys.modules]\n"
+        f"    assert cli.main(['run', {str(TINY)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(json.dumps([after_predict, [m for m in names if m in sys.modules]]))\n"
+    )
+    assert loaded == [[], list(RUN_ONLY)]
+
+
+def test_exit_codes_without_the_integrator_loaded_up_front(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(TINY.read_text().replace("[model]", "[model]\nc1 = 1.0"))
+    codes = fresh(
+        "import contextlib, io, json, sys\n"
+        "from traitsim import cli\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    bad_key = cli.main(['predict', {str(bad)!r}])\n"
+        f"    loaded = [m for m in {RUN_ONLY!r} if m in sys.modules]\n"
+        "    import traitsim.integrator as integrator\n"
+        "    def overflow(*args):\n"
+        "        raise integrator.ExponentOverflow('total mass overflows', 800.0)\n"
+        "    integrator._mass_at = overflow\n"
+        f"    overflowed = cli.main(['verify', {str(TINY)!r}])\n"
+        "print(json.dumps([bad_key, loaded, overflowed, err.getvalue().splitlines()]))\n"
+    )
+    assert codes == [
+        2, [], 3, ["error: unknown key model.c1", "error: total mass overflows"]
+    ]
 
 
 def test_star_import_binds_each_name_from_its_home_module():

@@ -365,7 +365,9 @@ def evaluate_invariants(trajectory: Trajectory) -> list[tuple[str, bool | None, 
     checks.append(("dissipation_nonneg", ok, f"min D = {Ds.min():.3e}"))
 
     W0, WT = records[0].W, records[-1].W
-    if W0 <= 1e-300:
+    if not (math.isfinite(W0) and math.isfinite(WT)):
+        checks.append(("residual_decay", False, f"W(0) = {W0!r}, W(T) = {WT!r}: not finite"))
+    elif W0 <= 1e-300:
         checks.append(("residual_decay", True, "W(0) = 0: already concentrated"))
     else:
         ok = WT <= RESIDUAL_DECAY_FACTOR * W0

@@ -255,10 +255,11 @@ def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
         raise ValueError(
             f"need at least 10 post-transient samples, got {len(window)}"
         )
-    ts = np.array([r.t for r in window])
     logs = np.array([r.max_log_u for r in window])
     monotone = bool(np.all(np.diff(logs) >= 0.0))
-    slope = float(np.polyfit(ts, logs, 1)[0])
+    ts = np.array([r.t for r in window]) / t_final  # in [1/2, 1]: no square underflows
+    ts -= ts.mean()  # least squares in closed form, with no LAPACK call
+    slope = float(ts.dot(logs - logs.mean())) / float(ts.dot(ts)) / t_final
 
     scenario = trajectory.scenario
     state = trajectory.final_state

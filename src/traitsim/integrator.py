@@ -27,7 +27,6 @@ reproducible (identical scenario and dt give bit-identical trajectories).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import math
@@ -137,13 +136,42 @@ class Trajectory:
     early_stop_t: float | None = None
 
 
+def _sha256(data: bytes) -> str:
+    """SHA-256 (FIPS 180-4) of data in hex: the digest of ``hashlib``, without OpenSSL."""
+    def root_bits(p: int, k: int) -> int:  # the first 32 fractional bits of p ** (1/k)
+        r = round(p ** (1.0 / k) * 2**32)  # the float is within 1e-5: r is the floor or one above
+        return (r - (r**k > p << 32 * k)) & 0xFFFFFFFF
+
+    def rotr(x: int, n: int) -> int:
+        return (x >> n | x << 32 - n) & 0xFFFFFFFF
+
+    # the first 64 primes: no odd composite below 341 passes the base-2 Fermat test
+    primes = [2] + [p for p in range(3, 312, 2) if pow(2, p - 1, p) == 1]
+    K, H = [root_bits(p, 3) for p in primes], [root_bits(p, 2) for p in primes[:8]]
+    data += b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
+    for i in range(0, len(data), 64):
+        w = [int.from_bytes(data[j : j + 4], "big") for j in range(i, i + 64, 4)]
+        for j in range(16, 64):
+            s0 = rotr(w[j - 15], 7) ^ rotr(w[j - 15], 18) ^ w[j - 15] >> 3
+            s1 = rotr(w[j - 2], 17) ^ rotr(w[j - 2], 19) ^ w[j - 2] >> 10
+            w.append((w[j - 16] + s0 + w[j - 7] + s1) & 0xFFFFFFFF)
+        a, b, c, d, e, f, g, h = H
+        for j in range(64):
+            t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e & f ^ ~e & g) + K[j] + w[j]
+            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            h, g, f, e = g, f, e, (d + t1) & 0xFFFFFFFF
+            d, c, b, a = c, b, a, (t1 + t2) & 0xFFFFFFFF
+        H = [(x + y) & 0xFFFFFFFF for x, y in zip(H, (a, b, c, d, e, f, g, h))]
+    return b"".join(x.to_bytes(4, "big") for x in H).hex()
+
+
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Stable hex digest of everything that determines a trajectory."""
+    """Stable hex digest of everything that determines a trajectory (SHA-256, pure Python)."""
     parts = [
         f"{name}={value}" if isinstance(value, str) else f"{name}={value!r}"
         for name, value in scenario_items(scenario)
     ]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+    return _sha256("\n".join(parts).encode())[:16]
 
 
 def init_state(scenario: Scenario) -> PopulationState:

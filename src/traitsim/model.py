@@ -117,12 +117,13 @@ class Grid:
 class SupportTables:
     """b, d, log u0 and trapezoid weights on the support of u0, and their ranges.
 
-    ``d`` is d there (a float when constant); ``log_u0`` is log u0 there (a
-    float when constant, None when 0 everywhere).
+    ``support`` is a slice when it is one run of nodes, and then ``b_s``, ``w_s``
+    and an array ``d`` view the grid arrays.  ``d`` (a float when constant) and
+    ``log_u0`` (a float when constant, None when 0) are d and log u0 there.
     """
 
     n_nodes: int
-    support: np.ndarray
+    support: slice | np.ndarray
     b_s: np.ndarray
     w_s: np.ndarray
     d: float | np.ndarray
@@ -212,7 +213,9 @@ class Scenario:
 
     @cached_property
     def support_tables(self) -> SupportTables:
-        support = np.flatnonzero(self.support_mask)
+        mask = self.support_mask
+        lo, hi = int(mask.argmax()), mask.size - int(mask[::-1].argmax())
+        support = slice(lo, hi) if mask[lo:hi].all() else np.flatnonzero(mask)
         b_s = self.b_nodes[support]
         d_s = self.d_nodes[support]
         log_u0_s = np.log(self.u0_nodes[support])
@@ -288,7 +291,7 @@ class Scenario:
 
     @cached_property
     def rho0(self) -> float:
-        """The initial mass, once b, d and u0 pass :meth:`validate`'s grid checks.
+        """The initial mass, once b, d, c0 and u0 pass :meth:`validate`'s grid checks.
 
         A failing check raises ``ValueError`` and caches nothing, so every
         call fails with the same message.
@@ -299,6 +302,9 @@ class Scenario:
                 raise ValueError(
                     f"{key} must be positive and finite on the grid, range [{lo}, {hi}]"
                 )
+        kappa_M = float(self.b_nodes.max()) / float(self.d_nodes.min())  # the largest kappa
+        if self.c0 and not 4.0 * self.c0 * kappa_M < math.inf:  # as equilibrium_mass forms it
+            raise ValueError(f"c0 must keep 4 c0 b_M / d_m finite, got {self.c0}")
         u = self.u0_nodes
         if not np.all(np.isfinite(u)):
             raise ValueError("u0 must be finite on the grid")
@@ -390,9 +396,9 @@ def positive_root(kappa: float) -> float:
 def equilibrium_mass(kappa: float, c0: float) -> float:
     """Nonnegative solution of rho * (1 + c0 * rho) = kappa for general c0 >= 0.
 
-    With c0 = 0 the crowding is linear and the root is kappa itself.  Monotone
-    increasing in kappa and exact to a few ulps, so the defining identity is
-    reproduced within 1e-12 relative.
+    With c0 = 0 the crowding is linear and the root is kappa itself.  Exact
+    to a few ulps, with no cancellation or overflow while 4 c0 kappa is finite,
+    so the defining identity is reproduced within 1e-12 relative.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
@@ -400,7 +406,10 @@ def equilibrium_mass(kappa: float, c0: float) -> float:
         raise ValueError(f"c0 must be >= 0, got {c0}")
     if c0 == 0.0:
         return kappa
-    return (math.sqrt(1.0 + 4.0 * c0 * kappa) - 1.0) / (2.0 * c0)
+    q = 4.0 * c0 * kappa
+    if q >= 1.0 and 2.0 * c0 < math.inf:  # else the other form avoids cancellation and inf / inf
+        return (math.sqrt(1.0 + q) - 1.0) / (2.0 * c0)
+    return 2.0 * kappa / (1.0 + math.sqrt(1.0 + q))
 
 
 def eval_fitness(x: float, rho: float, scenario: Scenario) -> float:

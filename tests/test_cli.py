@@ -115,6 +115,7 @@ class TestLoadScenario:
         "old, new, key",
         [
             ("c0 = 1.0", "c0 = nan", "c0"),
+            ("c0 = 1.0", "c0 = 1e308", "c0"),  # the corridor's 4 c0 b_M / d_m overflows
             ("t_end = 0.01", "t_end = inf", "t_end"),
             ("dt = 1e-3", "dt = 1e-320", "dt"),
             ("scheme = exponential", "scheme = exponential\nstop_tol = -1", "stop_tol"),
@@ -543,6 +544,15 @@ scheme = exponential
         assert "mode at 0.25 vs predicted 0.25" in captured.out
         assert captured.err == ""
 
+    def test_infinite_residual_fails(self, tmp_path, capsys):
+        # W(0) = W(T) = inf once passed as inf <= 0.01 * inf
+        body = GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 1e200")
+        body = body.replace("t_end = 0.01", "t_end = 0").replace("dt = 1e-3", "dt = 1e-300")
+        path = write_scenario(tmp_path, body)
+        assert main(["verify", path]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL residual_decay       W(0) = inf, W(T) = inf: not finite" in out
+
     def test_unconverged_run_reports_failures(self, capsys):
         # tiny horizon: the mass cannot concentrate yet
         code = main(["verify", TINY])
@@ -564,6 +574,13 @@ class TestEvaluateInvariants:
             "support_conserved",
             "concentration",
         ]
+
+    @pytest.mark.parametrize("W0, WT", [(math.inf, math.inf), (math.inf, 1.0), (1.0, math.inf)])
+    def test_residual_decay_fails_on_non_finite_W(self, W0, WT):
+        t = run(load_scenario(TINY))
+        t.records[0], t.records[-1] = replace(t.records[0], W=W0), replace(t.records[-1], W=WT)
+        status = {name: ok for name, ok, _ in evaluate_invariants(t)}
+        assert status["residual_decay"] is False
 
     def test_direct_scheme_skips_support_check(self):
         from dataclasses import replace
@@ -681,6 +698,24 @@ class TestModuleEntryPoint:
             assert lines[0].startswith("warning: b/d attains its maximum at 11 support nodes")
             assert lines[1].startswith("warning: t_end = 2.0005 is not an integer multiple")
             assert ".py" not in proc.stderr and not re.search(r":\d+:", proc.stderr)
+
+    def test_verify_at_tiny_times_prints_no_numeric_noise(self, tmp_path):
+        import subprocess
+        import sys
+
+        # squares of times near 1e-299 underflow: least squares by np.polyfit
+        # printed a divide-by-zero warning and LAPACK's DLASCL errors here
+        body = (GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 1e160*(1 + x)")
+                .replace("t_end = 0.01", "t_end = 4e-299").replace("dt = 1e-3", "dt = 1e-300")
+                .replace("sample_every = 5", "sample_every = 1"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "traitsim", "verify", write_scenario(tmp_path, body)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.stderr == ""
+        assert "log-density slope 1.000e+160," in proc.stdout  # b(1) A'(t), A' = 1/2
 
     def test_step_budget_exits_2_without_running(self, tmp_path):
         import subprocess

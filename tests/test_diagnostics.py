@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,23 @@ class TestBlowUpReport:
         assert rep.monotone_growth
         assert rep.growth_rate_estimate > 0.0
         assert 0.0 < rep.boundary_cell_mass < t.prediction.rho_bar
+
+    def test_slope_matches_polyfit(self):
+        s = make_scenario(b="1 + x", d="1", n_cells=200, t_end=20.0, dt=1e-3, sample_every=100)
+        t = run(s)
+        window = [r for r in t.records if r.t >= 0.5 * t.records[-1].t]
+        want = np.polyfit([r.t for r in window], [r.max_log_u for r in window], 1)[0]
+        assert blow_up_report(t).growth_rate_estimate == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("dt, rate", [(1e-299, 3.0), (1e-320, 1e20)])
+    def test_slope_at_tiny_times(self, dt, rate):
+        # the squares of these times underflow to 0 (1e-320 is itself subnormal)
+        t = run(make_scenario(b="1 + x", d="1", n_cells=20, t_end=0.04, sample_every=1))
+        t.records = [replace(r, t=k * dt, max_log_u=k * dt * rate)
+                     for k, r in enumerate(t.records)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert blow_up_report(t).growth_rate_estimate == pytest.approx(rate, rel=1e-9)
 
     def test_requires_enough_samples(self):
         s = make_scenario(b="2 - (x-0.3)^2", d="1", t_end=0.5, sample_every=100)

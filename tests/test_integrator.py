@@ -1,6 +1,7 @@
 """Time integration: exactness, invariants, cross-scheme and failure paths."""
 
 import dataclasses
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -18,6 +19,7 @@ from traitsim.integrator import (
     IntegrationError,
     _exponential_state,
     _mass_at,
+    _sha256,
     init_state,
     rho_from_exponents,
     run,
@@ -222,6 +224,54 @@ class TestMassKernel:
             want[t.support] = log_u0_s + t.b_s * A - d_s * B
             assert log_u.tobytes() == want.tobytes()
         assert np.signbit(_exponential_state(t, 0.0, 0.0, 0.0, 1.0).log_u[t.support]).sum() == 0
+
+
+def _gathered(t):
+    """The tables with an index array and gathered copies, as built before views."""
+    def copy(v):
+        return v if v is None or isinstance(v, float) else v.copy()
+
+    return dataclasses.replace(
+        t, support=np.arange(t.n_nodes)[t.support], b_s=t.b_s.copy(), w_s=t.w_s.copy(),
+        d=copy(t.d), log_u0=copy(t.log_u0),
+    )
+
+
+class TestSupportViews:
+    """A contiguous support is a slice: b_s, w_s and an array d view the grid arrays."""
+
+    @pytest.mark.parametrize("u0, d, start", [
+        ("ind(0, 1)", "1", 0),  # the full support
+        ("(1 + x)*ind(1e-4, 0.9)", "0.5 + x^2", 1),  # views shifted by one double
+        ("exp(-x)*ind(3e-4, 1)", "1 + x", 3),
+    ])
+    def test_views_match_gathered_copies_bitwise(self, u0, d, start):
+        s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=10_000)
+        t = s.support_tables
+        assert t.support == slice(start, start + int(s.support_mask.sum()))
+        for view, base in ((t.b_s, s.b_nodes), (t.w_s, s.grid.weights), (t.d, s.d_nodes)):
+            assert isinstance(view, float) or (view.base is base and not view.flags.writeable)
+        self._assert_same_bits(t, _gathered(t))
+
+    def test_two_atom_keeps_the_index_array(self):
+        t = load_scenario(SCENARIO_DIR / "two_atom.ini").support_tables
+        assert isinstance(t.support, np.ndarray) and t.b_s.base is None
+        self._assert_same_bits(t, _gathered(t))
+
+    @staticmethod
+    def _assert_same_bits(t, gathered):
+        # plain and shifted mass branches, overflow, and states past 700
+        rng = np.random.default_rng(20261019)
+        points = [(0.0, 0.0), (1e308, 1e308), ((650.0 / t.b_hi), 0.0)]
+        points += [tuple(p) for p in rng.uniform(0.0, 1.0, (200, 2)) * 10.0 ** rng.uniform(
+            -3.0, 4.0, (200, 1))]
+        scratch = np.empty(t.b_s.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for A, B in points:
+                assert _outcome(_mass_at, t, A, B, scratch) == _outcome(
+                    _mass_at, gathered, A, B, scratch)
+                assert _exponential_state(t, 0.0, A, B, 1.0).log_u.tobytes() == (
+                    _exponential_state(gathered, 0.0, A, B, 1.0).log_u.tobytes())
 
 
 class TestStepExponential:
@@ -576,6 +626,14 @@ class TestRun:
             n_cells=40, stop_tol=1e-9, snapshot_times=(0.0, 0.5), epsilon=0.1, tail_R=-2.5
         )
         assert scenario_fingerprint(s) == "127a9864032cce54"
+
+    def test_sha256_matches_hashlib(self):
+        # every length to 200 bytes crosses the padding boundaries (55/56,
+        # 63/64, 119/120): random bytes, all zeros and all ones
+        rng = np.random.default_rng(20261019)
+        for size in [*range(201), 1000, 4096]:
+            for text in (rng.bytes(size), bytes(size), b"\xff" * size):
+                assert _sha256(text) == hashlib.sha256(text).hexdigest(), (size, text)
 
     def test_only_the_exponential_scheme_builds_support_tables(self):
         direct = make_scenario(t_end=0.01, scheme="direct")

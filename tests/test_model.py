@@ -6,7 +6,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
@@ -96,6 +96,25 @@ class TestEquilibriumMass:
     def test_defining_identity_general(self, kappa, c0):
         r = equilibrium_mass(kappa, c0)
         assert abs(r * (1.0 + c0 * r) - kappa) <= 1e-11 * (1.0 + kappa)
+
+    @given(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.floats(min_value=-323.0, max_value=308.0),
+    )
+    def test_defining_identity_at_any_scale(self, kappa, exponent):
+        # c0 from subnormal to near overflow: no cancellation for 4 c0 kappa < 1
+        # (c0 = 1e-12 was off by 2.2e-5), no inf / inf once 2 c0 overflows
+        c0 = 10.0**exponent
+        assume(c0 > 0.0 and 4.0 * c0 * kappa < math.inf)
+        r = equilibrium_mass(kappa, c0)
+        assert abs(r * (1.0 + c0 * r) - kappa) <= 2e-15 * kappa
+
+    @given(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6))
+    def test_keeps_its_bits_where_4_c0_kappa_is_at_least_1(self, kappa, c0):
+        # every canonical and benchmark prediction lies here
+        assume(4.0 * c0 * kappa >= 1.0)
+        want = (math.sqrt(1.0 + 4.0 * c0 * kappa) - 1.0) / (2.0 * c0)
+        assert equilibrium_mass(kappa, c0) == want
 
 
 class TestFitness:
@@ -385,6 +404,8 @@ class TestScenarioValidation:
             ({"snapshot_times": (math.nan,)}, "snapshot_times"),
             ({"dt": 1e-300}, "dt"),  # 1e300 steps
             ({"dt": 1e-6, "t_end": 100.000001}, "dt"),  # just over the step budget
+            ({"c0": 1e308}, "c0"),  # 4 c0 b_M / d_m overflows
+            ({"c0": 1e300, "d": "1e-10"}, "c0"),
         ],
     )
     def test_rejects_non_finite_or_out_of_range(self, changes, key):
@@ -421,7 +442,7 @@ class TestScenarioValidation:
 
     def test_with_controls_keeps_sampled_nodes(self):
         s = make_scenario(b="2 - (x-0.3)^2").validate()
-        assert s.support_mask.all() and s.support_tables.support.size == s.grid.n_nodes
+        assert s.support_mask.all() and s.support_tables.support == slice(0, s.grid.n_nodes)
         t = s.with_controls(t_end=2.0, dt=1e-2, scheme="direct")
         assert (t.t_end, t.dt, t.scheme, t.grid, t.b) == (2.0, 1e-2, "direct", s.grid, s.b)
         for name in ("b_nodes", "d_nodes", "u0_nodes", "support_mask", "support_tables"):

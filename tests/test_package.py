@@ -63,21 +63,28 @@ def test_cli_loads_no_process_pool():
 
 
 #: what only running the dynamics needs: ``predict`` loads none of them
-RUN_ONLY = ("traitsim.integrator", "traitsim.diagnostics", "_hashlib")
+RUN_ONLY = ("traitsim.integrator", "traitsim.diagnostics")
+
+#: what no command loads: OpenSSL, through ``hashlib`` (the fingerprint is pure Python)
+NEVER = ("_hashlib",)
 
 
 def test_predict_loads_no_integrator_and_run_does(tmp_path):
     loaded = fresh(
         "import contextlib, io, json, sys\n"
         "from traitsim import cli\n"
-        f"names = {RUN_ONLY!r}\n"
+        f"names = {RUN_ONLY + NEVER!r}\n"
+        "loaded = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['predict', {str(TINY)!r}]) == 0\n"
-        "    after_predict = [m for m in names if m in sys.modules]\n"
+        "    loaded.append([m for m in names if m in sys.modules])\n"
         f"    assert cli.main(['run', {str(TINY)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(json.dumps([after_predict, [m for m in names if m in sys.modules]]))\n"
+        "    loaded.append([m for m in names if m in sys.modules])\n"
+        f"    assert cli.main(['verify', {str(TINY)!r}]) == 1  # t_end is too short to pass\n"
+        "    loaded.append([m for m in names if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
     )
-    assert loaded == [[], list(RUN_ONLY)]
+    assert loaded == [[], list(RUN_ONLY), list(RUN_ONLY)]
 
 
 def test_exit_codes_without_the_integrator_loaded_up_front(tmp_path):
@@ -89,7 +96,7 @@ def test_exit_codes_without_the_integrator_loaded_up_front(tmp_path):
         "err = io.StringIO()\n"
         "with contextlib.redirect_stderr(err):\n"
         f"    bad_key = cli.main(['predict', {str(bad)!r}])\n"
-        f"    loaded = [m for m in {RUN_ONLY!r} if m in sys.modules]\n"
+        f"    loaded = [m for m in {RUN_ONLY + NEVER!r} if m in sys.modules]\n"
         "    import traitsim.integrator as integrator\n"
         "    def overflow(*args):\n"
         "        raise integrator.ExponentOverflow('total mass overflows', 800.0)\n"

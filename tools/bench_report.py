@@ -12,7 +12,13 @@ It records, in this order:
   in reference seconds, then per-layer metrics);
 * ``scenarios``: ``traitsim run`` on each file in ``scenarios/`` to its own
   t_end, :data:`REPEATS` fresh processes each, raw wall seconds (min and
-  median) and the median in reference seconds;
+  median), the median in reference seconds and the median peak resident
+  set of the runs (``ru_maxrss`` from ``os.wait4``, in MB);
+* ``reporter_peak_rss_mb``: this script's own ``ru_maxrss`` at the end.  A
+  child's ``ru_maxrss`` cannot read below its parent's peak at the time it
+  was started, so the scenarios' peaks are their own only while this stays
+  below every one of them (perfbench's runner is larger, and its floor
+  hides changes that these records show);
 * ``tier1``: wall seconds and the pass/fail counts of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
   the path), with the ids of the failing tests, and the wall time in
@@ -39,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -70,6 +77,18 @@ def timed(argv: list[str], **kwargs) -> tuple[float, subprocess.CompletedProcess
     return time.perf_counter() - start, proc
 
 
+def timed_rss(argv: list[str], **kwargs) -> tuple[float, float]:
+    """Wall seconds and peak resident MB of one process, which must exit 0."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, **kwargs)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return wall, usage.ru_maxrss / 1024.0
+
+
 def calibration() -> float:
     """Wall seconds of one ``perfbench/calibrate.py`` process."""
     wall, _ = timed([sys.executable, str(PERFBENCH / "calibrate.py")],
@@ -84,17 +103,20 @@ def calibrated(walls: list[float], cals: list[float], cal_ref_s: float) -> dict:
 
 
 def scenario_wall(path: Path, cal_ref_s: float) -> dict:
-    walls, cals = [], []
+    walls, rss, cals = [], [], []
     with tempfile.TemporaryDirectory() as out:
         argv = [sys.executable, "-m", "traitsim", "run", str(path), "--out", out, "--quiet"]
         for k in range(REPEATS):
             if k % 2 == 0:
                 cals.append(calibration())
-            walls.append(timed(argv, env=_env(), check=True)[0])
+            wall, peak = timed_rss(argv, env=_env())
+            walls.append(wall)
+            rss.append(peak)
             if k % 2 == 1:
                 cals.append(calibration())
     return {"wall_s_min": min(walls), "wall_s_median": statistics.median(walls),
-            **calibrated(walls, cals, cal_ref_s), "repeats": REPEATS, "unit": "s"}
+            **calibrated(walls, cals, cal_ref_s), "repeats": REPEATS, "unit": "s",
+            "peak_rss_mb_median": statistics.median(rss)}
 
 
 def tier1(cal_ref_s: float) -> dict:
@@ -132,6 +154,7 @@ def main() -> int:
     doc["scenarios"] = {path.stem: scenario_wall(path, CAL_REF_S) for path in scenarios}
     doc["tier1"] = tier1(CAL_REF_S)
     doc["cal_ref_s"] = CAL_REF_S
+    doc["reporter_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     env = environment(0)
     doc["src_lines"] = env["src_lines"]
     doc["environment"] = env

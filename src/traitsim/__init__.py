@@ -9,7 +9,7 @@ monotonicity, residual decay, support conservation and concentration.
 
 Public names are imported from their submodule on first use (PEP 562), so
 an entry point loads only the modules it runs: the atom oracle, for one,
-needs no numpy.
+loads neither numpy nor the dataclass machinery.
 """
 
 import importlib

@@ -354,15 +354,20 @@ def evaluate_invariants(trajectory: Trajectory) -> list[tuple[str, bool | None, 
         )
     )
 
-    drops = Vs[1:] - (Vs[:-1] - LYAPUNOV_SLACK * (1.0 + np.abs(Vs[:-1])))
-    ok = bool(np.all(drops >= 0.0))
-    worst = float(drops.min()) if drops.size else 0.0
-    checks.append(
-        ("lyapunov_monotone", ok, f"worst tolerated increment {worst:.3e} (>= 0 required)")
-    )
+    if not np.isfinite(Vs).all():
+        checks.append(("lyapunov_monotone", False, f"V in [{Vs.min()}, {Vs.max()}]: not finite"))
+    else:
+        drops = Vs[1:] - (Vs[:-1] - LYAPUNOV_SLACK * (1.0 + np.abs(Vs[:-1])))
+        ok = bool(np.all(drops >= 0.0))
+        worst = float(drops.min()) if drops.size else 0.0
+        checks.append(
+            ("lyapunov_monotone", ok, f"worst tolerated increment {worst:.3e} (>= 0 required)")
+        )
 
-    ok = bool(np.all(Ds >= 0.0))
-    checks.append(("dissipation_nonneg", ok, f"min D = {Ds.min():.3e}"))
+    if not np.isfinite(Ds).all():
+        checks.append(("dissipation_nonneg", False, f"D in [{Ds.min()}, {Ds.max()}]: not finite"))
+    else:
+        checks.append(("dissipation_nonneg", bool(np.all(Ds >= 0.0)), f"min D = {Ds.min():.3e}"))
 
     W0, WT = records[0].W, records[-1].W
     if not (math.isfinite(W0) and math.isfinite(WT)):

@@ -302,7 +302,10 @@ class Scenario:
                 raise ValueError(
                     f"{key} must be positive and finite on the grid, range [{lo}, {hi}]"
                 )
-        kappa_M = float(self.b_nodes.max()) / float(self.d_nodes.min())  # the largest kappa
+        b_M, d_m = float(self.b_nodes.max()), float(self.d_nodes.min())
+        kappa_M = b_M / d_m  # the largest kappa
+        if not kappa_M < math.inf:
+            raise ValueError(f"b and d must keep b_M / d_m finite, got {b_M} / {d_m}")
         if self.c0 and not 4.0 * self.c0 * kappa_M < math.inf:  # as equilibrium_mass forms it
             raise ValueError(f"c0 must keep 4 c0 b_M / d_m finite, got {self.c0}")
         u = self.u0_nodes

@@ -20,9 +20,8 @@ be regenerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # annotations only: the atom oracle runs without numpy
     from .integrator import Trajectory
@@ -34,21 +33,29 @@ __all__ = ["Atom", "AtomSystem", "integrate_atoms", "reference_grid_run", "ORACL
 ORACLE_MAX_DT = 1e-4
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     b: float
     d: float
     m: float
 
 
-@dataclass(frozen=True)
-class AtomSystem:
-    """Point masses at abstract traits, coupled only through the total mass."""
-
+class _AtomSystemFields(NamedTuple):
     atoms: tuple[Atom, ...]
     c0: float = 1.0
 
-    def __post_init__(self):
+
+class AtomSystem(_AtomSystemFields):
+    """Point masses at abstract traits, coupled only through the total mass.
+
+    Immutable, compared and hashed by value, and validated on construction.
+    Both classes are named tuples, not dataclasses: importing ``dataclasses``
+    (and through it ``inspect``) was most of the atom oracle's start-up.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, atoms: tuple[Atom, ...], c0: float = 1.0):
+        self = super().__new__(cls, atoms, c0)
         if not self.atoms:
             raise ValueError("atom system needs at least one atom")
         for a in self.atoms:
@@ -61,6 +68,11 @@ class AtomSystem:
             raise ValueError(f"c0 must be finite and >= 0, got {self.c0}")
         if not (0.0 < self.rho < math.inf):
             raise ValueError(f"total mass must be finite and positive, got {self.rho}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` validates too
+        return cls(*iterable)
 
     @property
     def rho(self) -> float:
@@ -159,5 +171,4 @@ def reference_grid_run(scenario: Scenario, dt_fine: float) -> Trajectory:
         )
     from .integrator import run
 
-    fine = replace(scenario, dt=dt_fine, scheme="direct")
-    return run(fine)
+    return run(scenario.with_controls(dt=dt_fine, scheme="direct"))

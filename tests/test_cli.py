@@ -116,6 +116,10 @@ class TestLoadScenario:
         [
             ("c0 = 1.0", "c0 = nan", "c0"),
             ("c0 = 1.0", "c0 = 1e308", "c0"),  # the corridor's 4 c0 b_M / d_m overflows
+            # b_M / d_m overflows, which no c0 (not even c0 = 0) makes finite
+            pytest.param("c0 = 1.0\nb = 2 - (x - 0.3)^2\nd = 1",
+                         "c0 = 0\nb = 1 + 1e300*ind(0.5, 0.5)\nd = 1 - (1 - 1e-10)*ind(0.9, 1)",
+                         "b and d", id="b_M/d_m-overflows-at-c0-0"),
             ("t_end = 0.01", "t_end = inf", "t_end"),
             ("dt = 1e-3", "dt = 1e-320", "dt"),
             ("scheme = exponential", "scheme = exponential\nstop_tol = -1", "stop_tol"),
@@ -552,6 +556,8 @@ scheme = exponential
         assert main(["verify", path]) == 1
         out = capsys.readouterr().out
         assert "FAIL residual_decay       W(0) = inf, W(T) = inf: not finite" in out
+        # D = inf once passed as inf >= 0
+        assert "FAIL dissipation_nonneg   D in [inf, inf]: not finite" in out
 
     def test_unconverged_run_reports_failures(self, capsys):
         # tiny horizon: the mass cannot concentrate yet
@@ -581,6 +587,16 @@ class TestEvaluateInvariants:
         t.records[0], t.records[-1] = replace(t.records[0], W=W0), replace(t.records[-1], W=WT)
         status = {name: ok for name, ok, _ in evaluate_invariants(t)}
         assert status["residual_decay"] is False
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field, check", [("V", "lyapunov_monotone"),
+                                              ("D", "dissipation_nonneg")])
+    @pytest.mark.parametrize("t_end", [0.0, 0.01])  # one record: no increment to check
+    def test_non_finite_V_or_D_fails(self, value, field, check, t_end):
+        t = run(load_scenario(TINY).with_controls(t_end=t_end, snapshot_times=()))
+        t.records[-1] = replace(t.records[-1], **{field: value})
+        status = {name: ok for name, ok, _ in evaluate_invariants(t)}
+        assert status[check] is False
 
     def test_direct_scheme_skips_support_check(self):
         from dataclasses import replace

@@ -406,6 +406,9 @@ class TestScenarioValidation:
             ({"dt": 1e-6, "t_end": 100.000001}, "dt"),  # just over the step budget
             ({"c0": 1e308}, "c0"),  # 4 c0 b_M / d_m overflows
             ({"c0": 1e300, "d": "1e-10"}, "c0"),
+            ({"c0": 0.0, "b": "1 + 1e300*ind(0.5, 0.5)", "d": "1 - (1 - 1e-10)*ind(0.9, 1)"},
+             "b and d"),  # b_M / d_m overflows for every c0
+            ({"b": "1 + 1e300*ind(0.5, 0.5)", "d": "1 - (1 - 1e-10)*ind(0.9, 1)"}, "b and d"),
         ],
     )
     def test_rejects_non_finite_or_out_of_range(self, changes, key):

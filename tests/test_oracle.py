@@ -49,8 +49,44 @@ class TestAtomSystem:
         with pytest.raises(ValueError, match="total mass"):
             AtomSystem((Atom(2, 1, 1e308), Atom(1, 1, 1e308)))
 
+    def test_replace_validates(self):
+        system = AtomSystem((Atom(2, 1, 0.5),))
+        assert system._replace(c0=2.0) == AtomSystem(system.atoms, 2.0)
+        with pytest.raises(ValueError, match="c0"):
+            system._replace(c0=-1.0)
+
     def test_accepts_c0_zero(self):  # the linear-fitness model
         assert AtomSystem((Atom(2, 1, 0.5),), c0=0.0).c0 == 0.0
+
+
+class TestAtomClassContract:
+    """What callers rely on, whatever kind of class implements it."""
+
+    def test_construction(self):
+        a = Atom(b=2, d=1, m=0.5)
+        assert a == Atom(2, 1, 0.5) and (a.b, a.d, a.m) == (2, 1, 0.5)
+        assert AtomSystem((a,)).c0 == 1.0
+        assert AtomSystem(atoms=(a,), c0=0.5) == AtomSystem((a,), 0.5)
+        assert AtomSystem((a,), 0.5).atoms == (a,)
+
+    def test_immutable(self):
+        system = AtomSystem((Atom(2, 1, 0.5),))
+        for obj, name in ((system.atoms[0], "m"), (system, "c0"), (system, "atoms")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1.0)
+
+    def test_equal_systems_compare_and_hash_equal(self):
+        one = AtomSystem((Atom(2, 1, 0.5), Atom(1, 1, 0.25)), c0=2.0)
+        two = AtomSystem((Atom(2.0, 1.0, 0.5), Atom(1.0, 1.0, 0.25)), 2.0)
+        assert one == two and hash(one) == hash(two)
+        assert len({one, two}) == 1
+        assert one != AtomSystem(one.atoms, c0=1.0)
+
+    def test_repr(self):
+        assert repr(Atom(2, 1, 0.5)) == "Atom(b=2, d=1, m=0.5)"
+        assert repr(AtomSystem((Atom(2, 1, 0.5),))) == (
+            "AtomSystem(atoms=(Atom(b=2, d=1, m=0.5),), c0=1.0)"
+        )
 
 
 class TestIntegrateAtoms:
@@ -219,6 +255,19 @@ class TestReferenceGridRun:
             reference_grid_run(s, 5e-4)
         with pytest.raises(ValueError, match="dt_fine"):
             reference_grid_run(s, 0.0)
+
+    def test_rerun_reuses_the_sampled_nodes(self):
+        s = make_scenario(b="2 - (x-0.3)^2", n_cells=50, t_end=0.2, dt=1e-2).validate()
+        fine = reference_grid_run(s, 1e-3).scenario
+        assert (fine.dt, fine.scheme) == (1e-3, "direct")
+        assert fine.b_nodes is s.b_nodes
+
+    def test_rerun_records_match_a_dataclasses_replace_rerun(self):
+        from dataclasses import replace
+
+        s = make_scenario(b="2 - (x-0.3)^2", n_cells=50, t_end=0.2, dt=1e-2, sample_every=5)
+        ref = reference_grid_run(s, 1e-3)
+        assert ref.records == run(replace(s, dt=1e-3, scheme="direct")).records
 
     def test_certifies_exponential_run(self):
         s = make_scenario(

@@ -19,6 +19,11 @@ It records, in this order:
   was started, so the scenarios' peaks are their own only while this stays
   below every one of them (perfbench's runner is larger, and its floor
   hides changes that these records show);
+* ``startup``: for each command in :data:`STARTUP`, the median over
+  :data:`REPEATS` fresh ``python3 -X importtime`` processes of the
+  cumulative import microseconds of each top-level ``traitsim*`` module,
+  and whether ``PYTHONDONTWRITEBYTECODE`` is set (if it is, no bytecode is
+  cached and every process compiles each module it imports from source);
 * ``tier1``: wall seconds and the pass/fail counts of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
   the path), with the ids of the failing tests, and the wall time in
@@ -56,6 +61,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 REPEATS = 5
+
+#: label -> the arguments after ``python3 -X importtime``, run from the checkout root
+STARTUP = {
+    "import traitsim.oracle": ["-c", "import traitsim.oracle"],
+    "traitsim predict scenarios/gaussian_ratio.ini":
+        ["-m", "traitsim", "predict", "scenarios/gaussian_ratio.ini"],
+    "traitsim run tests/data/tiny.ini": ["-m", "traitsim", "run", "tests/data/tiny.ini", "--quiet"],
+}
+
+#: an ``-X importtime`` line of a module imported at the top level (not by another module)
+TOP_IMPORT = re.compile(r"^import time:\s+\d+ \|\s+(\d+) \| (traitsim\S*)$", re.MULTILINE)
 
 
 def _env() -> dict:
@@ -119,6 +135,23 @@ def scenario_wall(path: Path, cal_ref_s: float) -> dict:
             "peak_rss_mb_median": statistics.median(rss)}
 
 
+def startup() -> dict:
+    """Median cumulative import microseconds of each top-level traitsim module, per command."""
+    doc: dict = {"dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+                 "repeats": REPEATS, "unit": "us"}
+    with tempfile.TemporaryDirectory() as out:
+        env = {**_env(), "TRAITSIM_OUT": out}
+        for label, args in STARTUP.items():
+            runs: dict[str, list[int]] = {}
+            for _ in range(REPEATS):
+                proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=ROOT,
+                                      env=env, capture_output=True, text=True, check=True)
+                for us, name in TOP_IMPORT.findall(proc.stderr):
+                    runs.setdefault(name, []).append(int(us))
+            doc[label] = {name: statistics.median(v) for name, v in runs.items()}
+    return doc
+
+
 def tier1(cal_ref_s: float) -> dict:
     argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
             "-p", "no:cacheprovider", "-rf"]
@@ -152,6 +185,7 @@ def main() -> int:
     }
     scenarios = sorted((ROOT / "scenarios").glob("*.ini"))
     doc["scenarios"] = {path.stem: scenario_wall(path, CAL_REF_S) for path in scenarios}
+    doc["startup"] = startup()
     doc["tier1"] = tier1(CAL_REF_S)
     doc["cal_ref_s"] = CAL_REF_S
     doc["reporter_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -199,6 +199,11 @@ def _fmt_short(x: float) -> str:
     return repr(float(x))
 
 
+#: the string escapes of json.dumps(s, ensure_ascii=False): backslash, quote and control characters
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)} | {
+    ord(c): "\\" + e for c, e in zip('\\"\b\f\n\r\t', '\\"bfnrt')}
+
+
 def _json_dump(value, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -214,8 +219,7 @@ def _json_dump(value, indent: int = 0) -> str:
         items = [f"{pad}  {_json_dump(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{value.translate(_JSON_ESCAPES)}"'
     if value is None:
         return "null"
     if isinstance(value, bool):

@@ -31,6 +31,7 @@ import heapq
 import itertools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,57 +184,70 @@ def init_state(scenario: Scenario) -> PopulationState:
     return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=scenario.rho0)
 
 
-def _mass_at(t: SupportTables, A: float, B: float, e: np.ndarray) -> float:
-    """Mass quadrature at exponents (A, B); the solver's innermost kernel.
+def _mass_kernel(t: SupportTables) -> Callable[[float, float], float]:
+    """The mass quadrature ``mass(A, B)`` on t's support; the solver's innermost kernel.
 
-    Plain summation while the largest density exponent is representable,
-    max-shifted (log-sum-exp) otherwise; numpy's default error state already
+    Plain summation while the largest density exponent is at most 600,
+    max-shifted (log-sum-exp) beyond; numpy's default error state already
     flushes underflow to zero, which is the wanted behavior for dying tails.
     Rounding is monotone, so no exponent exceeds the scalar bound computed
     from the table ranges in the same order; the exact max is taken only
-    when that bound (or NaN) does not settle the branch.  ``ndarray.dot``
-    makes the same BLAS call as ``@`` with less dispatch.  ``e`` is the
-    caller's scratch array, one entry per support node, overwritten by
-    every call.
+    when that bound (or NaN) does not settle the branch.  ``mass`` binds the
+    tables, the ufuncs and a scratch array (one entry per support node,
+    overwritten by every call, so build one kernel per run of steps), and
+    passes A and a constant d*B as 0-d arrays, which numpy need not convert.
 
     The scalar forms of ``t.d`` and ``t.log_u0`` give the bits of the arrays:
     a scalar d*B is the same IEEE product as each d_i*B, and skipping a zero
     log u0 only leaves -0.0 where adding it gives +0.0, and exp maps both to
     1.0 (NaN, +-inf and the shifted branch are unaffected).
     """
-    np.multiply(t.b_s, A, out=e)
-    e -= t.d * B
-    if t.log_u0 is not None:
-        e += t.log_u0
-    bound = max(t.b_hi * A, t.b_lo * A) - min(t.d_lo * B, t.d_hi * B) + t.log_u0_hi
-    if bound <= _SAFE_EXP or (m := float(e.max())) <= _SAFE_EXP:
-        np.exp(e, out=e)
-        return float(t.w_s.dot(e))
-    e -= m
-    np.exp(e, out=e)
-    log_rho = m + math.log(float(t.w_s.dot(e)))
-    if log_rho > _LOG_MAX:
-        raise ExponentOverflow(
-            f"total mass overflows: log rho = {log_rho:.6g} "
-            f"(largest density exponent {m:.6g})",
-            exponent=m,
-        )
-    return math.exp(log_rho)
+    b_s, d, dot, varying_d = t.b_s, t.d, t.w_s.dot, not isinstance(t.d, float)
+    log_u0 = None if t.log_u0 is None else np.asarray(t.log_u0)
+    b_lo, b_hi, d_lo, d_hi, log_u0_hi = t.b_lo, t.b_hi, t.d_lo, t.d_hi, t.log_u0_hi
+    multiply, subtract, add, exp = np.multiply, np.subtract, np.add, np.exp
+    e, a, dB = np.empty(b_s.size), np.empty(()), np.empty(())
+
+    def mass(A: float, B: float) -> float:
+        a[()] = A
+        multiply(b_s, a, out=e)
+        if varying_d:
+            subtract(e, d * B, out=e)
+        else:
+            dB[()] = d * B
+            subtract(e, dB, out=e)
+        if log_u0 is not None:
+            add(e, log_u0, out=e)
+        bound = (b_hi * A if A >= 0.0 else b_lo * A) - (d_lo * B if B >= 0.0 else d_hi * B)
+        if bound + log_u0_hi <= _SAFE_EXP or (m := float(e.max())) <= _SAFE_EXP:
+            exp(e, out=e)
+            return float(dot(e))
+        subtract(e, m, out=e)
+        exp(e, out=e)
+        log_rho = m + math.log(float(dot(e)))
+        if log_rho > _LOG_MAX:
+            raise ExponentOverflow(
+                f"total mass overflows: log rho = {log_rho:.6g} "
+                f"(largest density exponent {m:.6g})",
+                exponent=m,
+            )
+        return math.exp(log_rho)
+
+    return mass
 
 
 def rho_from_exponents(A: float, B: float, scenario: Scenario) -> float:
     """Total mass of the closed-form density u0 * exp(b*A - d*B).
 
-    Evaluated under a max shift (log-sum-exp) whenever exponentials could
-    overflow; raises :class:`ExponentOverflow` only when the mass itself
-    exceeds double range.
+    Summed plainly while no exponent can exceed 600, under a max shift
+    (log-sum-exp) beyond; raises :class:`ExponentOverflow` only when the
+    mass itself exceeds double range.
     """
     if not (math.isfinite(A) and math.isfinite(B)):
         raise ExponentOverflow(
             f"non-finite exponents A={A!r}, B={B!r}", exponent=math.inf
         )
-    tables = scenario.support_tables
-    return _mass_at(tables, A, B, np.empty(tables.b_s.size))
+    return _mass_kernel(scenario.support_tables)(A, B)
 
 
 def _exponential_state(
@@ -265,19 +279,19 @@ def _exponential_steps(state: PopulationState, n: int, dt: float, scenario: Scen
     """
     tables, c0 = scenario.support_tables, scenario.c0
     t, A, B, rho = state.t, state.A, state.B, state.rho
-    e = np.empty(tables.b_s.size)  # the kernel's scratch array
+    mass = _mass_kernel(tables)
     try:
         for _ in range(n):
             k1a = 1.0 / (1.0 + c0 * rho)
-            k2b = _mass_at(tables, A + 0.5 * dt * k1a, B + 0.5 * dt * rho, e)
+            k2b = mass(A + 0.5 * dt * k1a, B + 0.5 * dt * rho)
             k2a = 1.0 / (1.0 + c0 * k2b)
-            k3b = _mass_at(tables, A + 0.5 * dt * k2a, B + 0.5 * dt * k2b, e)
+            k3b = mass(A + 0.5 * dt * k2a, B + 0.5 * dt * k2b)
             k3a = 1.0 / (1.0 + c0 * k3b)
-            k4b = _mass_at(tables, A + dt * k3a, B + dt * k3b, e)
+            k4b = mass(A + dt * k3a, B + dt * k3b)
             k4a = 1.0 / (1.0 + c0 * k4b)
             A1 = A + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
             B1 = B + dt / 6.0 * (rho + 2.0 * k2b + 2.0 * k3b + k4b)
-            rho1 = _mass_at(tables, A1, B1, e)
+            rho1 = mass(A1, B1)
             if rho1 != rho1:  # NaN
                 raise IntegrationError(
                     f"mass is NaN after a step from A = {A!r}, B = {B!r}; reduce dt"

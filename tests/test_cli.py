@@ -301,6 +301,16 @@ class TestRunCommand:
         assert summary["scenario"]["scheme"] == "exponential"
         assert summary["record_count"] == 3
 
+    def test_multi_line_value_writes_a_valid_summary(self, tmp_path):
+        # configparser joins a value continued on an indented line with "\n"
+        body = (DATA_DIR / "tiny.ini").read_text()
+        assert body.count("b = 2 - (x - 0.3)^2\n") == 1
+        path = write_scenario(tmp_path, body.replace("b = 2 - (x - 0.3)^2", "b = 1 +\n  0.5*x"))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["scenario"]["b"] == "1 +\n0.5*x"
+
     def test_snapshot_at_zero_equals_u0(self, tmp_path):
         out = tmp_path / "out"
         main(["run", TINY, "--out", str(out), "--quiet"])
@@ -367,7 +377,7 @@ class TestRunCommand:
         def overflow(*args):
             raise integrator.ExponentOverflow("total mass overflows: log rho = 800", 800.0)
 
-        monkeypatch.setattr(integrator, "_mass_at", overflow)
+        monkeypatch.setattr(integrator, "_mass_kernel", lambda tables: overflow)
         out = tmp_path / "out"
         code = main(["run", TINY, "--out", str(out)])
         assert code == 3
@@ -379,13 +389,18 @@ class TestRunCommand:
 
 
     def test_nan_mass_flushes_partial_exit_3(self, tmp_path, capsys, monkeypatch):
-        kernel, calls = integrator._mass_at, []
+        factory, calls = integrator._mass_kernel, []
 
-        def nan_from_step_6(*args):  # 4 kernel calls per step
-            calls.append(None)
-            return math.nan if len(calls) > 4 * 5 else kernel(*args)
+        def nan_from_step_6(tables):  # 4 kernel calls per step
+            mass = factory(tables)
 
-        monkeypatch.setattr(integrator, "_mass_at", nan_from_step_6)
+            def kernel(A, B):
+                calls.append(None)
+                return math.nan if len(calls) > 4 * 5 else mass(A, B)
+
+            return kernel
+
+        monkeypatch.setattr(integrator, "_mass_kernel", nan_from_step_6)
         out = tmp_path / "out"
         assert main(["run", TINY, "--out", str(out), "--quiet"]) == 3
         assert "NaN" in capsys.readouterr().err
@@ -787,6 +802,14 @@ class TestJsonEmitter:
     def test_seventeen_digit_floats(self):
         assert _json_dump(0.1) == "0.10000000000000001"
         assert _json_dump(1.0) == "1"
+
+    def test_strings_escape_as_json_dumps(self):
+        # every ASCII character (the control characters, quote and backslash)
+        # and non-ASCII text, which stays unescaped
+        texts = [chr(c) for c in range(128)] + ["1 +\n0.5*x", 'a"b\\c\td', "é ∞ \u2028 \x7f"]
+        for text in texts:
+            assert _json_dump(text) == json.dumps(text, ensure_ascii=False), repr(text)
+            assert json.loads(_json_dump({"v": text})) == {"v": text}
 
     def test_non_finite_become_strings(self):
         assert _json_dump(math.inf) == '"inf"'

@@ -18,7 +18,8 @@ from traitsim.integrator import (
     ExponentOverflow,
     IntegrationError,
     _exponential_state,
-    _mass_at,
+    _exponential_steps,
+    _mass_kernel,
     _sha256,
     init_state,
     rho_from_exponents,
@@ -151,15 +152,11 @@ def _assert_kernel_matches_exact_max(s):
         if len(points) % 3 == 0:
             scale = rng.uniform(300.0, 1500.0)  # around the 600 threshold
         points.append(tuple(map(float, rng.uniform(-1.0, 1.0, 2) * scale)))
-    # one caller-owned scratch array for every call, NaN-filled first: the
-    # kernel must overwrite it whole and never read what a call left in it
-    scratch = np.full_like(t.b_s, np.nan)
-
-    def kernel(t, A, B):
-        return _mass_at(t, A, B, scratch)
-
+    # one kernel, so one scratch array, for every call: each call must
+    # overwrite it whole and never read what an earlier call (NaN, inf) left
+    kernel = _mass_kernel(t)
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = [_outcome(kernel, t, A, B) for A, B in points]
+        outcomes = [_outcome(kernel, A, B) for A, B in points]
         assert outcomes == [_outcome(_exact_max_mass, t, A, B, d_s, log_u0_s) for A, B in points]
         largest = [float((t.b_s * A - d_s * B + log_u0_s).max()) for A, B in points]
     plain = sum(m <= 600.0 for m in largest)
@@ -194,6 +191,46 @@ class TestMassKernel:
         else:
             assert t.log_u0 == log_u0
         _assert_kernel_matches_exact_max(s)
+
+    @pytest.mark.parametrize("u0, log_u0, support", [
+        ("ind(0.2, 0.7)", None, slice),
+        ("2*ind(0.2, 0.7)", float, slice),
+        ("(1 + x)*ind(0.2, 0.7)", np.ndarray, slice),
+        ("ind(0.1, 0.3) + ind(0.6, 0.8)", None, np.ndarray),
+        ("2*(ind(0.1, 0.3) + ind(0.6, 0.8))", float, np.ndarray),
+        ("(1 + x)*(ind(0.1, 0.3) + ind(0.6, 0.8))", np.ndarray, np.ndarray),
+    ])
+    @pytest.mark.parametrize("d, d_form", [("1", float), ("0.5 + x^2", np.ndarray)])
+    def test_kernel_bitwise_against_reference(self, d, d_form, u0, log_u0, support):
+        # every table form against the reference written out above, at the
+        # special values, around the 600 threshold and past double range
+        s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=200)
+        t, (d_s, log_u0_s) = s.support_tables, _arrays(s)
+        assert type(t.d) is d_form and type(t.support) is support
+        assert log_u0 is None and t.log_u0 is None or type(t.log_u0) is log_u0
+        special = [0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf, 1e308, -1e308]
+        points = [(A, B) for A in special for B in special]
+        points += [((605.0 + 40.0 * i) / t.b_hi, 0.0) for i in range(5)]  # shifted
+        points += [(1e3, 0.0), (1e4, 1.0), (-1e3, -1e4)]  # the mass overflows
+        kernel = _mass_kernel(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [_outcome(kernel, A, B) for A, B in points]
+            want = [_outcome(_exact_max_mass, t, A, B, d_s, log_u0_s) for A, B in points]
+            largest = [float((t.b_s * A - d_s * B + log_u0_s).max()) for A, B in points]
+        assert got == want
+        rho = [struct.unpack("<d", o)[0] for o in got if isinstance(o, bytes)]
+        assert sum(m <= 600.0 for m in largest) >= 5 and sum(r != r for r in rho) >= 5
+        assert sum(isinstance(o, bytes) and m > 600.0 for o, m in zip(got, largest)) >= 5
+        assert sum(isinstance(o, tuple) for o in got) >= 3
+
+    @pytest.mark.parametrize("d, u0", [
+        ("1", "ind(0, 1)"), ("0.5 + x^2", "(1 + x)*(ind(0.1, 0.3) + ind(0.6, 0.8))"),
+    ])
+    def test_rho_from_exponents_returns_the_kernel_bits(self, d, u0):
+        s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=200)
+        kernel = _mass_kernel(s.support_tables)
+        for A, B in [(0.0, 0.0), (3.0, 1.0), (-2.0, 5.0), (650.0, 0.0), (1e4, 0.0)]:
+            assert _outcome(rho_from_exponents, A, B, s) == _outcome(kernel, A, B)
 
     @pytest.mark.parametrize("u0", ["1 + x", "(1 + x)*ind(0.3, 0.55)"])
     def test_log_density_layout_bitwise(self, u0):
@@ -265,11 +302,10 @@ class TestSupportViews:
         points = [(0.0, 0.0), (1e308, 1e308), ((650.0 / t.b_hi), 0.0)]
         points += [tuple(p) for p in rng.uniform(0.0, 1.0, (200, 2)) * 10.0 ** rng.uniform(
             -3.0, 4.0, (200, 1))]
-        scratch = np.empty(t.b_s.size)
+        mass, gathered_mass = _mass_kernel(t), _mass_kernel(gathered)
         with np.errstate(over="ignore", invalid="ignore"):
             for A, B in points:
-                assert _outcome(_mass_at, t, A, B, scratch) == _outcome(
-                    _mass_at, gathered, A, B, scratch)
+                assert _outcome(mass, A, B) == _outcome(gathered_mass, A, B)
                 assert _exponential_state(t, 0.0, A, B, 1.0).log_u.tobytes() == (
                     _exponential_state(gathered, 0.0, A, B, 1.0).log_u.tobytes())
 
@@ -340,6 +376,19 @@ class TestStepExponential:
             assert st.A >= prev.A and st.B >= prev.B
             prev = st
         assert st.A <= st.t * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("case", ["two_atom", "varying_d"])
+    def test_n_steps_equal_n_single_steps_bitwise(self, case):
+        # one kernel for n steps gives the bits of n kernels, one per step
+        if case == "two_atom":
+            s = load_scenario(SCENARIO_DIR / "two_atom.ini")
+        else:
+            s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", u0="(1 + x)*ind(0.2, 0.7)", n_cells=200)
+        st = init_state(s)
+        for _ in range(300):
+            st = step_exponential(st, s.dt, s)
+        fast, err = _exponential_steps(init_state(s), 300, s.dt, s)
+        assert err is None and _bits(fast) == _bits(st)
 
 
 class TestStepDirect:
@@ -492,13 +541,18 @@ class TestRun:
     def test_nan_mass_mid_run_raises_with_exact_partial(self, monkeypatch):
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=50, t_end=0.1, sample_every=4)
         records, _, final = _stepped(s, 23)
-        kernel, calls = integrator._mass_at, []
+        factory, calls = integrator._mass_kernel, []
 
-        def nan_from_step_24(*args):  # 4 kernel calls per step
-            calls.append(None)
-            return math.nan if len(calls) > 4 * 23 + 1 else kernel(*args)
+        def nan_from_step_24(tables):  # 4 kernel calls per step
+            mass = factory(tables)
 
-        monkeypatch.setattr(integrator, "_mass_at", nan_from_step_24)
+            def kernel(A, B):
+                calls.append(None)
+                return math.nan if len(calls) > 4 * 23 + 1 else mass(A, B)
+
+            return kernel
+
+        monkeypatch.setattr(integrator, "_mass_kernel", nan_from_step_24)
         with pytest.raises(IntegrationError, match="NaN") as exc:
             run(s)
         assert type(exc.value) is IntegrationError
@@ -605,7 +659,7 @@ class TestRun:
         def overflow(*args):
             raise ExponentOverflow("total mass overflows: log rho = 800", exponent=800.0)
 
-        monkeypatch.setattr(integrator, "_mass_at", overflow)
+        monkeypatch.setattr(integrator, "_mass_kernel", lambda tables: overflow)
         s = make_scenario(b="3", d="1", t_end=1.0, dt=0.1, sample_every=1)
         with pytest.raises(ExponentOverflow) as exc:
             run(s)

@@ -92,6 +92,16 @@ def test_predict_loads_no_integrator_and_run_does(tmp_path):
     assert loaded == [[], list(RUN_ONLY), list(RUN_ONLY)]
 
 
+def test_run_writes_its_summary_without_loading_json(tmp_path):
+    loaded = fresh(
+        "import sys\n"
+        "from traitsim import cli\n"
+        f"assert cli.main(['run', {str(TINY)!r}, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+        "print('true' if 'json' in sys.modules else 'false')\n"
+    )
+    assert loaded is False
+
+
 def test_exit_codes_without_the_integrator_loaded_up_front(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text(TINY.read_text().replace("[model]", "[model]\nc1 = 1.0"))
@@ -105,7 +115,7 @@ def test_exit_codes_without_the_integrator_loaded_up_front(tmp_path):
         "    import traitsim.integrator as integrator\n"
         "    def overflow(*args):\n"
         "        raise integrator.ExponentOverflow('total mass overflows', 800.0)\n"
-        "    integrator._mass_at = overflow\n"
+        "    integrator._mass_kernel = lambda tables: overflow\n"
         f"    overflowed = cli.main(['verify', {str(TINY)!r}])\n"
         "print(json.dumps([bad_key, loaded, overflowed, err.getvalue().splitlines()]))\n"
     )

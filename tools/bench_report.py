@@ -14,6 +14,14 @@ It records, in this order:
   t_end, :data:`REPEATS` fresh processes each, raw wall seconds (min and
   median), the median in reference seconds and the median peak resident
   set of the runs (``ru_maxrss`` from ``os.wait4``, in MB);
+* ``kernel``: for each file in ``scenarios/``, in one fresh process, the
+  cost of the mass kernel's two layers, each over :data:`KERNEL_REPEATS`
+  repeats (min and median, raw microseconds): ``us_per_step``, one
+  exponential RK4 step (four mass quadratures) through
+  ``integrator._exponential_steps``, the function ``run`` advances by, over
+  :data:`KERNEL_STEPS` steps from the state at step :data:`KERNEL_STEPS`;
+  and ``us_per_mass_eval``, one ``rho_from_exponents`` call at that state's
+  (A, B), averaged over :data:`KERNEL_STEPS` calls;
 * ``reporter_peak_rss_mb``: this script's own ``ru_maxrss`` at the end.  A
   child's ``ru_maxrss`` cannot read below its parent's peak at the time it
   was started, so the scenarios' peaks are their own only while this stays
@@ -61,6 +69,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 REPEATS = 5
+KERNEL_REPEATS = 7
+KERNEL_STEPS = 2000
+
+#: the ``kernel`` probe, run as ``python3 -c KERNEL_PROBE SCENARIO STEPS REPEATS``
+KERNEL_PROBE = """
+import json, sys, time
+from traitsim.cli import load_scenario
+from traitsim.integrator import _exponential_steps, init_state, rho_from_exponents
+scenario = load_scenario(sys.argv[1])
+steps, repeats = int(sys.argv[2]), int(sys.argv[3])
+start, err = _exponential_steps(init_state(scenario), steps, scenario.dt, scenario)
+assert err is None, err
+step_us, mass_us = [], []
+for _ in range(repeats):
+    t0 = time.perf_counter()
+    _exponential_steps(start, steps, scenario.dt, scenario)
+    t1 = time.perf_counter()
+    for _ in range(steps):
+        rho_from_exponents(start.A, start.B, scenario)
+    t2 = time.perf_counter()
+    step_us.append((t1 - t0) / steps * 1e6)
+    mass_us.append((t2 - t1) / steps * 1e6)
+print(json.dumps({"us_per_step": step_us, "us_per_mass_eval": mass_us}))
+"""
 
 #: label -> the arguments after ``python3 -X importtime``, run from the checkout root
 STARTUP = {
@@ -135,6 +167,17 @@ def scenario_wall(path: Path, cal_ref_s: float) -> dict:
             "peak_rss_mb_median": statistics.median(rss)}
 
 
+def kernel(path: Path) -> dict:
+    """Min and median microseconds per exponential step and per mass evaluation on one scenario."""
+    argv = [sys.executable, "-c", KERNEL_PROBE, str(path), str(KERNEL_STEPS), str(KERNEL_REPEATS)]
+    proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, check=True)
+    runs = json.loads(proc.stdout)
+    doc: dict = {"steps": KERNEL_STEPS, "repeats": KERNEL_REPEATS, "unit": "us"}
+    for name, values in runs.items():
+        doc[f"{name}_min"], doc[f"{name}_median"] = min(values), statistics.median(values)
+    return doc
+
+
 def startup() -> dict:
     """Median cumulative import microseconds of each top-level traitsim module, per command."""
     doc: dict = {"dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
@@ -185,6 +228,7 @@ def main() -> int:
     }
     scenarios = sorted((ROOT / "scenarios").glob("*.ini"))
     doc["scenarios"] = {path.stem: scenario_wall(path, CAL_REF_S) for path in scenarios}
+    doc["kernel"] = {path.stem: kernel(path) for path in scenarios}
     doc["startup"] = startup()
     doc["tier1"] = tier1(CAL_REF_S)
     doc["cal_ref_s"] = CAL_REF_S

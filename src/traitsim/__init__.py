@@ -19,20 +19,14 @@ __version__ = "0.1.0"
 #: public name -> the submodule that defines it
 _HOMES = {
     "BlowUpReport": "diagnostics",
-    "ConcentrationReport": "diagnostics",
     "DiagnosticsRecord": "diagnostics",
     "blow_up_report": "diagnostics",
-    "compute_D": "diagnostics",
-    "compute_V": "diagnostics",
-    "compute_W": "diagnostics",
-    "concentration_report": "diagnostics",
     "EvalError": "exprlang",
     "Expr": "exprlang",
     "ExprError": "exprlang",
     "ParseError": "exprlang",
     "TraitFunction": "exprlang",
     "bound_on_grid": "exprlang",
-    "eval_expr": "exprlang",
     "parse": "exprlang",
     "unparse": "exprlang",
     "ExponentOverflow": "integrator",
@@ -51,7 +45,6 @@ _HOMES = {
     "apriori_corridor": "model",
     "check_tail_condition": "model",
     "equilibrium_mass": "model",
-    "eval_fitness": "model",
     "positive_root": "model",
     "predict_equilibrium": "model",
     "quadrature": "model",

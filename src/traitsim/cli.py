@@ -595,8 +595,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if i != ref and abs(results[i][0] - results[ref][0]) > 0.0
         ]
         if len(pts) >= 2:
+            from .diagnostics import least_squares_slope  # predict loads no diagnostics
+
             xs, ys = zip(*pts)
-            order = float(np.polyfit(xs, ys, 1)[0])
+            order = least_squares_slope(xs, ys)
 
     out = _out_dir(args)
     lines = [f"{parameter},rho_final,abs_err_vs_prediction,status\n"]

@@ -34,14 +34,10 @@ if TYPE_CHECKING:  # runtime import would be circular; only types are needed
 
 __all__ = [
     "DiagnosticsRecord",
-    "ConcentrationReport",
     "BlowUpReport",
     "crowding_P",
     "crowding_Q",
-    "compute_V",
-    "compute_D",
-    "compute_W",
-    "concentration_report",
+    "least_squares_slope",
     "blow_up_report",
     "make_record",
 ]
@@ -71,12 +67,6 @@ class DiagnosticsRecord:
     undershoot_clamps: int
 
 
-class ConcentrationReport(NamedTuple):
-    mass_near_xbar: float
-    x_mode: float
-    max_log_u: float
-
-
 class BlowUpReport(NamedTuple):
     monotone_growth: bool
     growth_rate_estimate: float
@@ -91,26 +81,6 @@ def crowding_P(rho: float, c0: float) -> float:
 def crowding_Q(rho: float, c0: float) -> float:
     """Q for general c0; rho*(1 + c0*rho), the fitness zero locus in b/d."""
     return c0 * rho * rho + rho
-
-
-#: the one error-state scope of each record and of D and W: dying tails flush
-#: to zero, and G^2 and the squared deviation saturate to inf past double range
-_QUIET = np.errstate(under="ignore", over="ignore")
-#: the scope of the other entry points: only the dying tails of exp(log_u)
-_UNDER = np.errstate(under="ignore")
-
-
-def _window(scenario: Scenario, t: RecordTables, x_bar: float, eps: float | None = None) -> slice:
-    """The nodes within eps (default: the scenario's window) of x_bar, as a slice.
-
-    The default window around the scenario's own x_bar is read from its
-    record tables; any other one is computed and not kept.
-    """
-    if eps is None:
-        if x_bar == t.x_bar:
-            return t.window
-        eps = scenario.concentration_epsilon
-    return scenario.grid.window(x_bar, eps)
 
 
 def _density(state: "PopulationState") -> tuple[np.ndarray, float, int]:
@@ -158,49 +128,6 @@ def _W(u: np.ndarray, shift: float, rho: float, t: RecordTables, work: np.ndarra
     return _unscale(float(t.w.dot(work)), shift)
 
 
-def _integral(functional, state: "PopulationState", scenario: Scenario) -> float:
-    u, shift, _ = _density(state)
-    return functional(u, shift, state.rho, scenario.record_tables, np.empty(u.size))
-
-
-@_UNDER
-def compute_V(state: "PopulationState", scenario: Scenario) -> float:
-    """Lyapunov functional V = integral (b/d - P(rho)) u dx."""
-    return _integral(_V, state, scenario)
-
-
-@_QUIET
-def compute_D(state: "PopulationState", scenario: Scenario) -> float:
-    """Dissipation D = integral (1 + c0*rho)/d * G^2 u dx; nonnegative by construction."""
-    return _integral(_D, state, scenario)
-
-
-@_QUIET
-def compute_W(state: "PopulationState", scenario: Scenario) -> float:
-    """Selection residual W = integral (b/d - Q(rho))^2 u dx."""
-    return _integral(_W, state, scenario)
-
-
-@_UNDER
-def concentration_report(
-    state: "PopulationState",
-    scenario: Scenario,
-    pred: EquilibriumPrediction,
-    epsilon: float | None = None,
-) -> ConcentrationReport:
-    """Mass fraction within epsilon of x_bar, the mode node and max log-density.
-
-    ``epsilon`` defaults to the scenario's concentration window (5 cells).
-    The fraction is shift invariant, so it stays meaningful in blow-up runs.
-    """
-    t = scenario.record_tables
-    window = _window(scenario, t, pred.x_bar, epsilon)
-    u, _, mode = _density(state)
-    return ConcentrationReport(
-        _window_fraction(u, t, window), float(t.nodes[mode]), float(state.log_u[mode])
-    )
-
-
 def _window_fraction(u: np.ndarray, t: RecordTables, window: slice) -> float:
     total = float(t.w.dot(u))
     return float(t.w[window].dot(u[window])) / total if total > 0.0 else 0.0
@@ -212,13 +139,15 @@ def _tail_mass(u: np.ndarray, shift: float, t: RecordTables) -> float:
     return _unscale(float(t.w_tail.dot(u[t.tail])), shift)  # an empty tail sums to 0.0
 
 
-@_QUIET
+@np.errstate(under="ignore", over="ignore")  # dying tails flush to 0; G^2 may saturate
 def make_record(
     state: "PopulationState", scenario: Scenario, pred: EquilibriumPrediction
 ) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one sampled state from one density."""
     t = scenario.record_tables
-    window = _window(scenario, t, pred.x_bar)
+    window = t.window if pred.x_bar == t.x_bar else scenario.grid.window(
+        pred.x_bar, scenario.concentration_epsilon
+    )
     u, shift, mode = _density(state)
     rho, work = state.rho, np.empty(u.size)
     return DiagnosticsRecord(
@@ -235,7 +164,15 @@ def make_record(
     )
 
 
-@_UNDER
+def least_squares_slope(xs, ys) -> float:
+    """The least-squares slope of ys against xs, in closed form with no LAPACK call."""
+    xs = np.asarray(xs, dtype=float)
+    xs = xs - xs.mean()
+    ys = np.asarray(ys, dtype=float)
+    return float(xs.dot(ys - ys.mean())) / float(xs.dot(xs))
+
+
+@np.errstate(under="ignore")
 def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
     """Growth statistics over the second half of a run.
 
@@ -258,8 +195,7 @@ def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
     logs = np.array([r.max_log_u for r in window])
     monotone = bool(np.all(np.diff(logs) >= 0.0))
     ts = np.array([r.t for r in window]) / t_final  # in [1/2, 1]: no square underflows
-    ts -= ts.mean()  # least squares in closed form, with no LAPACK call
-    slope = float(ts.dot(logs - logs.mean())) / float(ts.dot(ts)) / t_final
+    slope = least_squares_slope(ts, logs) / t_final
 
     scenario = trajectory.scenario
     state = trajectory.final_state

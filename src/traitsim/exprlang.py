@@ -57,7 +57,6 @@ __all__ = [
     "FUNCTIONS",
     "CONSTANTS",
     "parse",
-    "eval_expr",
     "unparse",
     "bound_on_grid",
     "TraitFunction",
@@ -318,16 +317,6 @@ def parse(source: str) -> Expr:
 _CHUNK = 4096
 
 
-def eval_expr(expr: Expr, x: float) -> float:
-    """Evaluate ``expr`` at the trait value ``x`` in IEEE-754 double precision.
-
-    Raises :class:`EvalError` for division by zero, square roots of negative
-    numbers and fractional powers of negative bases; overflow saturates to
-    infinity as in IEEE arithmetic.
-    """
-    return float(_sample(expr, np.array([x], dtype=float))[0])
-
-
 def _exp(v: float) -> float:
     try:
         return math.exp(v)
@@ -491,9 +480,11 @@ class TraitFunction:
     def from_source(cls, source: str) -> "TraitFunction":
         return cls(source, parse(source))
 
-    def __call__(self, x: float) -> float:
-        return eval_expr(self.expr, x)
-
     def sample(self, nodes: np.ndarray) -> np.ndarray:
-        """Evaluate on every node; returns a float64 array."""
+        """Evaluate on every node; returns a float64 array.
+
+        Raises :class:`EvalError` for division by zero, square roots of negative
+        numbers and fractional powers of negative bases; overflow saturates to
+        infinity as in IEEE arithmetic.
+        """
         return _sample(self.expr, nodes)

@@ -336,23 +336,17 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
     with np.errstate(under="ignore"):
         u = np.exp(state.log_u)
 
-    def mass(v: np.ndarray) -> float:
-        return float(w @ v)
-
-    def rates(rho: float) -> np.ndarray:
-        return fitness_on_nodes(rho, scenario)
-
     r1 = state.rho
-    k1 = rates(r1) * u
+    k1 = fitness_on_nodes(r1, scenario) * u
     u2 = u + 0.5 * dt * k1
-    r2 = mass(u2)
-    k2 = rates(r2) * u2
+    r2 = float(w @ u2)
+    k2 = fitness_on_nodes(r2, scenario) * u2
     u3 = u + 0.5 * dt * k2
-    r3 = mass(u3)
-    k3 = rates(r3) * u3
+    r3 = float(w @ u3)
+    k3 = fitness_on_nodes(r3, scenario) * u3
     u4 = u + dt * k3
-    r4 = mass(u4)
-    k4 = rates(r4) * u4
+    r4 = float(w @ u4)
+    k4 = fitness_on_nodes(r4, scenario) * u4
 
     u_new = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     negative = u_new < 0.0
@@ -364,7 +358,7 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
             f"non-finite density after direct step at t = {state.t:.6g} "
             f"(dt = {dt:.6g}); reduce dt"
         )
-    rho_new = mass(u_new)
+    rho_new = float(w @ u_new)
     c0 = scenario.c0
     A1 = state.A + dt / 6.0 * (
         1.0 / (1.0 + c0 * r1)

@@ -36,7 +36,6 @@ __all__ = [
     "scenario_items",
     "positive_root",
     "equilibrium_mass",
-    "eval_fitness",
     "fitness_on_nodes",
     "quadrature",
     "trapezoid_weights",
@@ -73,8 +72,10 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max):
-            raise ValueError(f"grid needs x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not (self.x_min < self.x_max and math.isfinite(self.x_max - self.x_min)):
+            raise ValueError(
+                f"grid needs x_min < x_max with a finite width, got [{self.x_min}, {self.x_max}]"
+            )
         if self.n_cells < 2:
             raise ValueError(f"grid needs n_cells >= 2, got {self.n_cells}")
         if self.n_cells > MAX_CELLS:
@@ -286,9 +287,6 @@ class Scenario:
         new.__dict__.update((k, v) for k, v in self.__dict__.items() if k not in changes)
         return new
 
-    def initial_mass(self) -> float:
-        return quadrature(self.u0_nodes, self.grid)
-
     @cached_property
     def rho0(self) -> float:
         """The initial mass, once b, d, c0 and u0 pass :meth:`validate`'s grid checks.
@@ -313,7 +311,7 @@ class Scenario:
             raise ValueError("u0 must be finite on the grid")
         if np.any(u < 0.0):
             raise ValueError("u0 must be nonnegative on the grid")
-        mass = self.initial_mass()
+        mass = quadrature(u, self.grid)
         if not (mass > 0.0):
             raise ValueError("u0 has zero initial mass (empty support)")
         return mass
@@ -415,15 +413,8 @@ def equilibrium_mass(kappa: float, c0: float) -> float:
     return 2.0 * kappa / (1.0 + math.sqrt(1.0 + q))
 
 
-def eval_fitness(x: float, rho: float, scenario: Scenario) -> float:
-    """Per-capita growth rate G(x, rho); strictly decreasing in rho."""
-    if rho < 0.0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    return scenario.b(x) / (1.0 + scenario.c0 * rho) - scenario.d(x) * rho
-
-
 def fitness_on_nodes(rho: float, scenario: Scenario) -> np.ndarray:
-    """G(x_i, rho) on every grid node (vectorized counterpart of eval_fitness)."""
+    """The per-capita growth rate G(x_i, rho) on every grid node; decreasing in rho."""
     g = scenario.b_nodes / (1.0 + scenario.c0 * rho)
     g -= scenario.d_nodes * rho
     return g

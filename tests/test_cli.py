@@ -681,9 +681,14 @@ scheme = exponential
                      "--values", "1e-1,5e-2,2.5e-2,1.25e-2", "--out", str(out),
                      "--quiet"])
         assert code == 0
-        trailer = (out / "sweep.csv").read_text().splitlines()[-1]
-        order = float(trailer.split()[-1])
+        lines = (out / "sweep.csv").read_text().splitlines()
+        order = float(lines[-1].split()[-1])
         assert 3.5 <= order <= 4.5  # classical RK4
+        # the closed-form fit agrees with LAPACK's on the rows written
+        dts, rhos = zip(*[map(float, line.split(",")[:2]) for line in lines[1:-1]])
+        errs = [abs(r - rhos[-1]) for r in rhos[:-1]]
+        want = np.polyfit(np.log(dts[:-1]), np.log(errs), 1)[0]
+        assert order == pytest.approx(want, rel=1e-12)
 
     def test_child_failures_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -763,6 +768,25 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: dt must")
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("bounds", [("-inf", "1.0"), ("-1e308", "1e308")])
+    def test_infinite_grid_width_exits_2_naming_the_bounds(self, tmp_path, bounds):
+        import subprocess
+        import sys
+
+        # an infinite bound, or a width past double range, made nodes of NaN
+        body = GOOD_BODY.replace("x_min = 0.0", f"x_min = {bounds[0]}")
+        path = write_scenario(tmp_path, body.replace("x_max = 1.0", f"x_max = {bounds[1]}"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "traitsim", "run", path, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert [line.split(": ", 1)[0] for line in proc.stderr.splitlines()] == ["error"]
+        assert "x_min" in proc.stderr, proc.stderr
+        assert ".py" not in proc.stderr and not re.search(r":\d+:", proc.stderr)
 
     def test_overflowing_rates_rejected_without_numpy_warnings(self, tmp_path):
         import subprocess

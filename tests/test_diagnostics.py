@@ -16,16 +16,17 @@ from traitsim import diagnostics
 from traitsim.diagnostics import (
     DiagnosticsRecord,
     blow_up_report,
-    compute_D,
-    compute_V,
-    compute_W,
-    concentration_report,
     crowding_P,
     crowding_Q,
     make_record,
 )
 from traitsim.integrator import PopulationState, init_state, run
-from traitsim.model import fitness_on_nodes, predict_equilibrium, trapezoid_weights
+from traitsim.model import (
+    AssumptionWarning,
+    fitness_on_nodes,
+    predict_equilibrium,
+    trapezoid_weights,
+)
 
 
 def state_with(scenario, rho, log_u=None, t=0.0):
@@ -34,6 +35,13 @@ def state_with(scenario, rho, log_u=None, t=0.0):
         with np.errstate(divide="ignore"):
             log_u = np.log(scenario.u0_nodes)
     return PopulationState(t=t, A=0.0, B=0.0, log_u=np.asarray(log_u, float), rho=rho)
+
+
+def tied_record(state, scenario):
+    """make_record's row for ``state``, where b/d is constant on a run of nodes."""
+    with pytest.warns(AssumptionWarning, match="attains its maximum"):
+        pred = predict_equilibrium(scenario)
+    return make_record(state, scenario, pred)
 
 
 class TestPolynomials:
@@ -79,14 +87,14 @@ class TestPolynomials:
 class TestIntegralFunctionals:
     def test_V_constant_integrand(self):
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
-        v = compute_V(state_with(s, rho=1.0), s)
+        v = tied_record(state_with(s, rho=1.0), s).V
         assert v == pytest.approx(7.0 / 6.0, rel=1e-12)
 
     def test_V_ignores_empty_cells(self):
         s = make_scenario(b="2", d="1", u0="ind(0, 0.5)", n_cells=10)
-        v = compute_V(state_with(s, rho=1.0), s)
+        v = tied_record(state_with(s, rho=1.0), s).V
         # support mass is the trapezoid mass of ind(0, 0.5) on this grid
-        support_mass = s.initial_mass()
+        support_mass = s.rho0
         assert v == pytest.approx((2.0 - 5.0 / 6.0) * support_mass, rel=1e-12)
 
     def test_V_two_atom_weighted_sum_oracle(self):
@@ -101,58 +109,58 @@ class TestIntegralFunctionals:
         g = s.grid
         p = crowding_P(st_.rho, 1.0)
         expected = 0.0
-        for i, x in enumerate(g.nodes):
+        for i in range(g.n_nodes):
             w = g.dx * (0.5 if i in (0, g.n_cells) else 1.0)
-            expected += w * (s.b(x) / s.d(x) - p) * s.u0(x)
-        assert compute_V(st_, s) == pytest.approx(expected, rel=1e-12)
+            expected += w * (s.b_nodes[i] / s.d_nodes[i] - p) * s.u0_nodes[i]
+        assert make_record(st_, s, predict_equilibrium(s)).V == pytest.approx(expected, rel=1e-12)
 
     def test_D_zero_at_stationary_configuration(self):
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
-        assert compute_D(state_with(s, rho=1.0), s) == 0.0
+        assert tied_record(state_with(s, rho=1.0), s).D == 0.0
 
     def test_D_hand_computed(self):
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
-        d = compute_D(state_with(s, rho=0.5), s)
+        d = tied_record(state_with(s, rho=0.5), s).D
         assert d == pytest.approx(1.5 * (5.0 / 6.0) ** 2, rel=1e-12)
 
     def test_W_vanishes_at_equilibrium(self):
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
-        assert compute_W(state_with(s, rho=1.0), s) == 0.0
+        assert tied_record(state_with(s, rho=1.0), s).W == 0.0
 
     def test_W_hand_computed(self):
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
-        w = compute_W(state_with(s, rho=0.5), s)
+        w = tied_record(state_with(s, rho=0.5), s).W
         assert w == pytest.approx(1.5625, rel=1e-12)
 
     def test_D_and_W_nonnegative_on_random_states(self):
         rng = np.random.default_rng(5)
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=30)
+        pred = predict_equilibrium(s)
         for _ in range(50):
             log_u = rng.uniform(-3.0, 2.0, s.grid.n_nodes)
             st_ = state_with(s, rho=float(rng.uniform(0.01, 3.0)), log_u=log_u)
-            assert compute_D(st_, s) >= 0.0
-            assert compute_W(st_, s) >= 0.0
+            rec = make_record(st_, s, pred)
+            assert rec.D >= 0.0
+            assert rec.W >= 0.0
 
     def test_rescaled_path_matches_analytic(self):
         # log densities near 705: exp overflows float64 only after the
         # trapezoid weights are applied, so the shifted path must kick in
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
         st_ = state_with(s, rho=1.0, log_u=np.full(s.grid.n_nodes, 705.0))
-        v = compute_V(st_, s)
+        v = tied_record(st_, s).V
         assert math.isfinite(v)
         assert v == pytest.approx(math.exp(705.0) * 7.0 / 6.0, rel=1e-9)
-        assert make_record(st_, s, predict_equilibrium(s)).V == v
 
     def test_rescaled_past_double_range_saturates(self):
         # log densities beyond 709: the true integral exceeds double range
         # and must come back as inf, not raise
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
-        st_ = state_with(s, rho=1.0, log_u=np.full(s.grid.n_nodes, 750.0))
-        assert compute_V(st_, s) == math.inf
-        assert compute_W(st_, s) == 0.0  # integrand is exactly zero at rho = 1
+        rec = tied_record(state_with(s, rho=1.0, log_u=np.full(s.grid.n_nodes, 750.0)), s)
+        assert rec.V == math.inf
+        assert rec.W == 0.0  # integrand is exactly zero at rho = 1
         # the mass fraction is a ratio, so it stays finite under the shift
-        rep = concentration_report(st_, s, predict_equilibrium(s))
-        assert rep.mass_near_xbar == pytest.approx(0.055, rel=1e-12)
+        assert rec.mass_near_xbar == pytest.approx(0.055, rel=1e-12)
 
     def test_dissipation_is_dV_dt(self):
         # centered finite differences of sampled V reproduce sampled D
@@ -171,9 +179,8 @@ class TestIntegralFunctionals:
 
 class TestConcentration:
     def test_uniform_density_window_fraction(self):
-        s = make_scenario(b="2 - (x-0.3)^2", d="1", n_cells=2000)
-        pred = predict_equilibrium(s)
-        rep = concentration_report(init_state(s), s, pred, epsilon=0.05)
+        s = make_scenario(b="2 - (x-0.3)^2", d="1", n_cells=2000, epsilon=0.05)
+        rep = make_record(init_state(s), s, predict_equilibrium(s))
         assert rep.mass_near_xbar == pytest.approx(0.1, abs=2e-3)
         assert rep.x_mode == 0.0  # uniform density: the mode ties to the first node
         assert rep.max_log_u == 0.0
@@ -183,22 +190,16 @@ class TestConcentration:
         pred = predict_equilibrium(s)
         log_u = np.full(s.grid.n_nodes, -np.inf)
         log_u[pred.x_bar_index] = 3.0
-        rep = concentration_report(state_with(s, rho=1.0, log_u=log_u), s, pred)
+        rep = make_record(state_with(s, rho=1.0, log_u=log_u), s, pred)
         assert rep.mass_near_xbar == 1.0
         assert rep.x_mode == pred.x_bar
 
     def test_default_epsilon_from_scenario(self):
         s = make_scenario(b="2 - (x-0.3)^2", d="1", n_cells=100)
         pred = predict_equilibrium(s)
-        rep_default = concentration_report(init_state(s), s, pred)
-        rep_explicit = concentration_report(init_state(s), s, pred, epsilon=5 * 0.01)
-        assert rep_default == rep_explicit
-
-    def test_epsilon_must_be_positive(self):
-        s = make_scenario()
-        pred = predict_equilibrium(make_scenario(b="2 - (x-0.3)^2", d="1"))
-        with pytest.raises(ValueError, match="epsilon"):
-            concentration_report(init_state(s), s, pred, epsilon=0.0)
+        explicit = replace(s, epsilon=5 * 0.01)
+        rep_default = make_record(init_state(s), s, pred)
+        assert rep_default == make_record(init_state(explicit), explicit, pred)
 
 
 class TestBlowUpReport:
@@ -288,8 +289,8 @@ def _ref_W(state, s):
     return _ref_unscale(float(trapezoid_weights(s.grid) @ (dev * dev * u)), shift)
 
 
-def _ref_concentration(state, s, pred, epsilon=None):
-    eps = s.concentration_epsilon if epsilon is None else epsilon
+def _ref_concentration(state, s, pred):
+    eps = s.concentration_epsilon
     u, _ = _ref_density(state)
     w = trapezoid_weights(s.grid)
     total = float(w @ u)
@@ -366,12 +367,6 @@ class TestOneMaterialization:
         for st_ in states:
             got, want = make_record(st_, s, pred), _ref_record(st_, s, pred)
             assert list(map(_bits, vars(got).values())) == list(map(_bits, vars(want).values()))
-            assert _bits(compute_V(st_, s)) == _bits(want.V)
-            assert _bits(compute_D(st_, s)) == _bits(want.D)
-            assert _bits(compute_W(st_, s)) == _bits(want.W)
-            eps = 0.1 if s.epsilon is None else s.epsilon
-            rep = concentration_report(st_, s, pred, epsilon=eps)
-            assert list(map(_bits, rep)) == list(map(_bits, _ref_concentration(st_, s, pred, eps)))
             rescaled += bool(np.max(st_.log_u) > 700.0)
             saturated += math.isinf(got.V)
         assert 0 < rescaled < len(states) and saturated > 0
@@ -426,7 +421,7 @@ class TestOneMaterialization:
     @pytest.mark.parametrize("name", sorted(RECORD_SCENARIOS))
     def test_record_bit_identical_under_strict_underflow(self, name):
         # the records keep their bits when the caller raises on underflow:
-        # make_record and the functionals run in their own error state
+        # make_record runs in its own error state
         s = make_scenario(**RECORD_SCENARIOS[name])
         pred = predict_equilibrium(s)
         rng = np.random.default_rng(17 + sum(map(ord, name)))
@@ -437,11 +432,9 @@ class TestOneMaterialization:
         want = [_ref_record(st_, s, pred) for st_ in states]
         with np.errstate(under="raise"):
             got = [make_record(st_, s, pred) for st_ in states]
-            V = [compute_V(st_, s) for st_ in states]
         assert [list(map(_bits, vars(r).values())) for r in got] == [
             list(map(_bits, vars(r).values())) for r in want
         ]
-        assert list(map(_bits, V)) == [_bits(r.V) for r in want]
 
 
 class TestRecordTables:
@@ -474,22 +467,19 @@ class TestRecordTables:
         pred = predict_equilibrium(s)
         st_ = init_state(s)
         for eps in (0.2, s.concentration_epsilon, 0.01):
-            rep = concentration_report(st_, s, pred, epsilon=eps)
-            assert list(map(_bits, rep)) == list(map(_bits, _ref_concentration(st_, s, pred, eps)))
+            other = replace(s, epsilon=eps)
+            got = make_record(st_, other, pred)
+            assert list(map(_bits, [got.mass_near_xbar, got.x_mode, got.max_log_u])) == list(
+                map(_bits, _ref_concentration(st_, other, pred))
+            )
             assert _bits(make_record(st_, s, pred).mass_near_xbar) == _bits(
                 _ref_concentration(st_, s, pred)[0]
             )
-        with pytest.raises(ValueError, match="epsilon"):
-            concentration_report(st_, s, pred, epsilon=0.0)
-        # the default window is built once; explicit ones and another x_bar's are not kept
+        # the default window is built once; another x_bar's is not kept
         t = s.record_tables
         assert t.x_bar == pred.x_bar
-        concentration_report(st_, s, pred, epsilon=0.2)
         moved = replace(pred, x_bar=pred.x_bar + 0.1)
         assert _bits(make_record(st_, s, moved).mass_near_xbar) == _bits(
-            _ref_concentration(st_, s, moved)[0]
-        )
-        assert _bits(concentration_report(st_, s, moved).mass_near_xbar) == _bits(
             _ref_concentration(st_, s, moved)[0]
         )
         assert s.record_tables is t and t.x_bar == pred.x_bar

@@ -83,9 +83,9 @@ class TestRhoFromExponents:
         A, B = 1.0, 1.0
         g = s.grid
         total = 0.0
-        for i, x in enumerate(g.nodes):
+        for i in range(g.n_nodes):
             w = g.dx * (0.5 if i in (0, g.n_cells) else 1.0)
-            total += w * s.u0(x) * math.exp(s.b(x) * A - s.d(x) * B)
+            total += w * s.u0_nodes[i] * math.exp(s.b_nodes[i] * A - s.d_nodes[i] * B)
         assert rho_from_exponents(A, B, s) == pytest.approx(total, rel=1e-12)
 
     def test_large_exponents_use_shift(self):

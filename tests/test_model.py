@@ -20,7 +20,7 @@ from traitsim.model import (
     apriori_corridor,
     check_tail_condition,
     equilibrium_mass,
-    eval_fitness,
+    fitness_on_nodes,
     positive_root,
     predict_equilibrium,
     quadrature,
@@ -46,13 +46,20 @@ class TestGrid:
         assert g.n_nodes == 8
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="x_min < x_max"):
-            Grid(1.0, 0.0, 10)
+        for x_min, x_max in ((1.0, 0.0), (-math.inf, 1.0), (0.0, math.inf), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="x_min < x_max with a finite width"):
+                Grid(x_min, x_max, 10)
         with pytest.raises(ValueError, match="n_cells"):
             Grid(0.0, 1.0, 1)
         assert Grid(0.0, 1.0, MAX_CELLS).n_nodes == MAX_CELLS + 1  # nodes not yet built
         with pytest.raises(ValueError, match="^n_cells must"):
             Grid(0.0, 1.0, MAX_CELLS + 1)
+
+    def test_window_epsilon_must_be_positive(self):
+        g = Grid(0.0, 1.0, 10)
+        for eps in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be > 0"):
+                g.window(0.5, eps)
 
 
 class TestPositiveRoot:
@@ -120,29 +127,21 @@ class TestEquilibriumMass:
 class TestFitness:
     def test_goldens(self):
         s = make_scenario(b="2", d="1")
-        assert eval_fitness(0.5, 1.0, s) == 0.0
-        assert eval_fitness(0.5, 0.0, s) == 2.0
+        assert np.all(fitness_on_nodes(1.0, s) == 0.0)
+        assert np.all(fitness_on_nodes(0.0, s) == 2.0)
         s2 = make_scenario(b="3", d="2")
-        assert eval_fitness(0.1, 0.5, s2) == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(fitness_on_nodes(0.5, s2), 1.0, rtol=1e-15)
 
-    @given(
-        st.floats(min_value=0.0, max_value=0.99),
-        st.floats(min_value=1e-6, max_value=5.0),
-    )
-    def test_strictly_decreasing_in_rho(self, x, drho):
+    @given(st.floats(min_value=1e-6, max_value=5.0))
+    def test_strictly_decreasing_in_rho(self, drho):
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x")
         rho = 0.3
-        assert eval_fitness(x, rho, s) > eval_fitness(x, rho + drho, s)
+        assert np.all(fitness_on_nodes(rho, s) > fitness_on_nodes(rho + drho, s))
 
     def test_zero_at_predicted_equilibrium(self):
         s = make_scenario(b="2 - (x-0.3)^2", d="1", n_cells=10)
         pred = predict_equilibrium(s)
-        assert abs(eval_fitness(pred.x_bar, pred.rho_bar, s)) <= 1e-12
-
-    def test_negative_rho_rejected(self):
-        s = make_scenario()
-        with pytest.raises(ValueError, match="rho"):
-            eval_fitness(0.0, -0.1, s)
+        assert abs(fitness_on_nodes(pred.rho_bar, s)[pred.x_bar_index]) <= 1e-12
 
 
 class TestQuadrature:
@@ -220,7 +219,7 @@ class TestPredictEquilibrium:
             1 + pred.kappa
         )
         assert 0.0 < pred.rho_m <= pred.rho_M
-        rho0 = s.initial_mass()
+        rho0 = s.rho0
         assert pred.rho_m == min(pred.r_m, rho0)
         assert pred.rho_M == max(pred.r_M, rho0)
 
@@ -237,7 +236,7 @@ class TestPredictEquilibrium:
         s = make_scenario(b="2 - (x-0.8)^2", d="1", u0="ind(0, 0.4)", n_cells=10)
         pred = predict_equilibrium(s)
         assert pred.x_bar == 0.4 and pred.x_bar_index == 4
-        assert pred.kappa == s.b(0.4)
+        assert pred.kappa == s.b.sample(np.array([0.4]))[0]
         assert pred.x_bar_on_boundary
 
     def test_scaling_invariance(self):

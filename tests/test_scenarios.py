@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, make_scenario
@@ -27,7 +28,7 @@ def test_gaussian_ratio_prediction():
     assert pred.b_m == pytest.approx(1.51, rel=1e-15)
     assert pred.r_m == pytest.approx(positive_root(1.51), rel=1e-15)
     assert pred.r_M == 1.0
-    assert scenario.initial_mass() == pytest.approx(1.0, rel=1e-12)
+    assert scenario.rho0 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_boundary_blowup_prediction():
@@ -47,7 +48,7 @@ def test_two_atom_prediction():
     assert pred.kappa == 2.0
     assert pred.rho_bar == 1.0
     assert pred.x_bar_on_boundary
-    assert scenario.initial_mass() == pytest.approx(1.0, rel=1e-12)
+    assert scenario.rho0 == pytest.approx(1.0, rel=1e-12)
     assert int(scenario.support_mask.sum()) == 2
 
 
@@ -57,9 +58,10 @@ def test_off_support_peak_prediction():
     # optimum is the support's edge node, where the mass piles up
     assert pred.x_bar == 0.5
     assert pred.x_bar_on_boundary
-    assert pred.kappa == scenario.b(0.5)
-    assert pred.rho_bar == positive_root(scenario.b(0.5)) == 0.9696938456699069
-    assert scenario.initial_mass() == pytest.approx(0.50025, rel=1e-12)
+    b_edge = scenario.b.sample(np.array([0.5]))[0]
+    assert pred.kappa == b_edge
+    assert pred.rho_bar == positive_root(b_edge) == 0.9696938456699069
+    assert scenario.rho0 == pytest.approx(0.50025, rel=1e-12)
 
 
 def test_two_peak_prediction():

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import EquilibriumPrediction, RecordTables, Scenario
+from .model import EquilibriumPrediction, Scenario
 
 if TYPE_CHECKING:  # runtime import would be circular; only types are needed
     from .integrator import PopulationState, Trajectory
@@ -83,15 +83,15 @@ def crowding_Q(rho: float, c0: float) -> float:
     return c0 * rho * rho + rho
 
 
-def _density(state: "PopulationState") -> tuple[np.ndarray, float, int]:
-    """(exp(log_u - shift), shift, argmax of log_u); the shift is nonzero only
-    where exp(log_u) could overflow, so blow-up integrals stay finite."""
+def _density(state: "PopulationState") -> tuple[np.ndarray, float, int, float]:
+    """(exp(log_u - shift), shift, argmax of log_u, max of log_u); the shift is
+    nonzero only where exp(log_u) could overflow, so blow-up integrals stay finite."""
     mode = int(state.log_u.argmax())
-    m = float(state.log_u[mode])
+    m = state.log_u.item(mode)
     if m > _RESCALE_THRESHOLD:
         u = state.log_u - m
-        return np.exp(u, out=u), m, mode
-    return np.exp(state.log_u), 0.0, mode
+        return np.exp(u, out=u), m, mode, m
+    return np.exp(state.log_u), 0.0, mode, m
 
 
 def _unscale(raw: float, shift: float) -> float:
@@ -104,41 +104,6 @@ def _unscale(raw: float, shift: float) -> float:
         return math.copysign(math.inf, raw)
 
 
-# The integrands below overwrite ``work``, one array the size of the grid.
-
-def _V(u: np.ndarray, shift: float, rho: float, t: RecordTables, work: np.ndarray) -> float:
-    np.subtract(t.ratio, crowding_P(rho, t.c0), out=work)
-    work *= u
-    return _unscale(float(t.w.dot(work)), shift)
-
-
-def _D(u: np.ndarray, shift: float, rho: float, t: RecordTables, work: np.ndarray) -> float:
-    np.divide(t.b, 1.0 + t.c0 * rho, out=work)  # G(x, rho), as fitness_on_nodes computes it
-    work -= t.d * rho
-    work *= work
-    work /= t.d
-    work *= u
-    return _unscale((1.0 + t.c0 * rho) * float(t.w.dot(work)), shift)
-
-
-def _W(u: np.ndarray, shift: float, rho: float, t: RecordTables, work: np.ndarray) -> float:
-    np.subtract(t.ratio, crowding_Q(rho, t.c0), out=work)
-    work *= work
-    work *= u
-    return _unscale(float(t.w.dot(work)), shift)
-
-
-def _window_fraction(u: np.ndarray, t: RecordTables, window: slice) -> float:
-    total = float(t.w.dot(u))
-    return float(t.w[window].dot(u[window])) / total if total > 0.0 else 0.0
-
-
-def _tail_mass(u: np.ndarray, shift: float, t: RecordTables) -> float:
-    if t.tail is None:
-        return 0.0
-    return _unscale(float(t.w_tail.dot(u[t.tail])), shift)  # an empty tail sums to 0.0
-
-
 @np.errstate(under="ignore", over="ignore")  # dying tails flush to 0; G^2 may saturate
 def make_record(
     state: "PopulationState", scenario: Scenario, pred: EquilibriumPrediction
@@ -148,20 +113,33 @@ def make_record(
     window = t.window if pred.x_bar == t.x_bar else scenario.grid.window(
         pred.x_bar, scenario.concentration_epsilon
     )
-    u, shift, mode = _density(state)
-    rho, work = state.rho, np.empty(u.size)
-    return DiagnosticsRecord(
-        t=state.t,
-        rho=rho,
-        V=_V(u, shift, rho, t, work),
-        D=_D(u, shift, rho, t, work),
-        W=_W(u, shift, rho, t, work),
-        max_log_u=float(state.log_u[mode]),
-        x_mode=float(t.nodes[mode]),
-        mass_near_xbar=_window_fraction(u, t, window),
-        tail_mass=_tail_mass(u, shift, t),
-        undershoot_clamps=state.undershoot_clamps,
+    u, shift, mode, max_log_u = _density(state)
+    rho, c0, d, dot = state.rho, t.c0, t.d, t.w.dot
+    work = np.subtract(t.ratio, crowding_P(rho, c0))
+    work *= u
+    V = float(dot(work))
+    np.divide(t.b, 1.0 + c0 * rho, out=work)  # G(x, rho), as fitness_on_nodes computes it
+    work -= d * rho
+    work *= work
+    if not (isinstance(d, float) and d == 1.0):  # x / 1.0 is x for every double
+        work /= d
+    work *= u
+    D = (1.0 + c0 * rho) * float(dot(work))
+    np.subtract(t.ratio, crowding_Q(rho, c0), out=work)
+    work *= work
+    work *= u
+    W = float(dot(work))
+    total = float(dot(u))
+    near = float(t.w[window].dot(u[window])) / total if total > 0.0 else 0.0
+    tail = 0.0 if t.tail is None else float(t.w_tail.dot(u[t.tail]))  # an empty tail sums to 0.0
+    if shift:
+        V, D, W, tail = (_unscale(x, shift) for x in (V, D, W, tail))
+    record = object.__new__(DiagnosticsRecord)  # skips the frozen __init__; every field, in order
+    record.__dict__.update(
+        t=state.t, rho=rho, V=V, D=D, W=W, max_log_u=max_log_u, x_mode=t.nodes.item(mode),
+        mass_near_xbar=near, tail_mass=tail, undershoot_clamps=state.undershoot_clamps,
     )
+    return record
 
 
 def least_squares_slope(xs, ys) -> float:
@@ -199,7 +177,7 @@ def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
 
     scenario = trajectory.scenario
     state = trajectory.final_state
-    u, shift, _ = _density(state)
+    u, shift, _, _ = _density(state)
     i = trajectory.prediction.x_bar_index
     dx = scenario.grid.dx
     # trapezoid mass of the one or two cells touching x_bar

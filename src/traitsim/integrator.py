@@ -80,6 +80,7 @@ _SAFE_EXP = 600.0
 
 #: what n steps of a scheme return: the last state reached and the error that ended them early
 _Steps = tuple["PopulationState", "IntegrationError | None"]
+_Advance = Callable[["PopulationState", int], _Steps]
 
 
 class IntegrationError(RuntimeError):
@@ -184,8 +185,8 @@ def init_state(scenario: Scenario) -> PopulationState:
     return PopulationState(t=0.0, A=0.0, B=0.0, log_u=log_u, rho=scenario.rho0)
 
 
-def _mass_kernel(t: SupportTables) -> Callable[[float, float], float]:
-    """The mass quadrature ``mass(A, B)`` on t's support; the solver's innermost kernel.
+def _mass_kernel(t: SupportTables) -> Callable[..., float]:
+    """The mass quadrature ``mass(A, B, e=None)`` on t's support; the solver's innermost kernel.
 
     Plain summation while the largest density exponent is at most 600,
     max-shifted (log-sum-exp) beyond; numpy's default error state already
@@ -193,9 +194,11 @@ def _mass_kernel(t: SupportTables) -> Callable[[float, float], float]:
     Rounding is monotone, so no exponent exceeds the scalar bound computed
     from the table ranges in the same order; the exact max is taken only
     when that bound (or NaN) does not settle the branch.  ``mass`` binds the
-    tables, the ufuncs and a scratch array (one entry per support node,
-    overwritten by every call, so build one kernel per run of steps), and
-    passes A and a constant d*B as 0-d arrays, which numpy need not convert.
+    tables and the ufuncs, so build one kernel per run, and passes A and a
+    constant d*B as 0-d arrays, which numpy need not convert.  ``e`` is a
+    scratch array (one entry per support node) that the call overwrites; a
+    caller passes its own, so that it lives only as long as the caller's
+    steps, or gets a fresh one.
 
     The scalar forms of ``t.d`` and ``t.log_u0`` give the bits of the arrays:
     a scalar d*B is the same IEEE product as each d_i*B, and skipping a zero
@@ -206,9 +209,11 @@ def _mass_kernel(t: SupportTables) -> Callable[[float, float], float]:
     log_u0 = None if t.log_u0 is None else np.asarray(t.log_u0)
     b_lo, b_hi, d_lo, d_hi, log_u0_hi = t.b_lo, t.b_hi, t.d_lo, t.d_hi, t.log_u0_hi
     multiply, subtract, add, exp = np.multiply, np.subtract, np.add, np.exp
-    e, a, dB = np.empty(b_s.size), np.empty(()), np.empty(())
+    a, dB = np.empty(()), np.empty(())
 
-    def mass(A: float, B: float) -> float:
+    def mass(A: float, B: float, e: np.ndarray | None = None) -> float:
+        if e is None:
+            e = np.empty(b_s.size)
         a[()] = A
         multiply(b_s, a, out=e)
         if varying_d:
@@ -268,38 +273,48 @@ def _exponential_state(
         values, log_u = log_u, np.full(tables.n_nodes, -np.inf)
         log_u[tables.support] = values
     log_u.setflags(write=False)
-    return PopulationState(t, A, B, log_u, rho)
+    state = object.__new__(PopulationState)  # skips the frozen __init__'s per-field set-up
+    state.__dict__.update(t=t, A=A, B=B, log_u=log_u, rho=rho, undershoot_clamps=0)
+    return state
 
 
-def _exponential_steps(state: PopulationState, n: int, dt: float, scenario: Scenario) -> _Steps:
-    """n RK4 steps of A' = 1/(1 + c0*rho(A, B)), B' = rho(A, B), in local floats.
+def _exponential_advance(scenario: Scenario, dt: float) -> _Advance:
+    """``advance(state, n)``: n RK4 steps of A' = 1/(1 + c0*rho(A, B)), B' = rho(A, B).
 
-    Each first stage reuses the stored rho; log_u is rebuilt once, from the
-    last step that succeeded.  A NaN anywhere in a step reaches the new mass.
+    The mass kernel, the tables, c0 and dt are bound once, so build one
+    advance per run; each call allocates the kernel's scratch, so a run
+    holds no extra support-sized array while it observes.  Each first stage
+    reuses the stored rho; log_u is rebuilt once per call, from the last
+    step that succeeded.  A NaN anywhere in a step reaches the new mass.
     """
     tables, c0 = scenario.support_tables, scenario.c0
-    t, A, B, rho = state.t, state.A, state.B, state.rho
     mass = _mass_kernel(tables)
-    try:
-        for _ in range(n):
-            k1a = 1.0 / (1.0 + c0 * rho)
-            k2b = mass(A + 0.5 * dt * k1a, B + 0.5 * dt * rho)
-            k2a = 1.0 / (1.0 + c0 * k2b)
-            k3b = mass(A + 0.5 * dt * k2a, B + 0.5 * dt * k2b)
-            k3a = 1.0 / (1.0 + c0 * k3b)
-            k4b = mass(A + dt * k3a, B + dt * k3b)
-            k4a = 1.0 / (1.0 + c0 * k4b)
-            A1 = A + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            B1 = B + dt / 6.0 * (rho + 2.0 * k2b + 2.0 * k3b + k4b)
-            rho1 = mass(A1, B1)
-            if rho1 != rho1:  # NaN
-                raise IntegrationError(
-                    f"mass is NaN after a step from A = {A!r}, B = {B!r}; reduce dt"
-                )
-            t, A, B, rho = t + dt, A1, B1, rho1
-    except IntegrationError as err:
-        return _exponential_state(tables, t, A, B, rho), err
-    return _exponential_state(tables, t, A, B, rho), None
+
+    def advance(state: PopulationState, n: int) -> _Steps:
+        t, A, B, rho = state.t, state.A, state.B, state.rho
+        e = np.empty(tables.b_s.size)  # the kernel's scratch: not held between calls
+        try:
+            for _ in range(n):
+                k1a = 1.0 / (1.0 + c0 * rho)
+                k2b = mass(A + 0.5 * dt * k1a, B + 0.5 * dt * rho, e)
+                k2a = 1.0 / (1.0 + c0 * k2b)
+                k3b = mass(A + 0.5 * dt * k2a, B + 0.5 * dt * k2b, e)
+                k3a = 1.0 / (1.0 + c0 * k3b)
+                k4b = mass(A + dt * k3a, B + dt * k3b, e)
+                k4a = 1.0 / (1.0 + c0 * k4b)
+                A1 = A + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+                B1 = B + dt / 6.0 * (rho + 2.0 * k2b + 2.0 * k3b + k4b)
+                rho1 = mass(A1, B1, e)
+                if rho1 != rho1:  # NaN
+                    raise IntegrationError(
+                        f"mass is NaN after a step from A = {A!r}, B = {B!r}; reduce dt"
+                    )
+                t, A, B, rho = t + dt, A1, B1, rho1
+        except IntegrationError as err:
+            return _exponential_state(tables, t, A, B, rho), err
+        return _exponential_state(tables, t, A, B, rho), None
+
+    return advance
 
 
 def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> PopulationState:
@@ -310,7 +325,7 @@ def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> P
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    state, err = _exponential_steps(state, 1, dt, scenario)
+    state, err = _exponential_advance(scenario, dt)(state, 1)
     if err is not None:
         raise err
     return state
@@ -380,14 +395,17 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
     )
 
 
-def _direct_steps(state: PopulationState, n: int, dt: float, scenario: Scenario) -> _Steps:
-    """n RK4 steps of the per-node system, by :func:`step_direct`."""
-    try:
-        for _ in range(n):
-            state = step_direct(state, dt, scenario)
-    except IntegrationError as err:
-        return state, err
-    return state, None
+def _direct_advance(scenario: Scenario, dt: float) -> _Advance:
+    """``advance(state, n)``: n RK4 steps of the per-node system, by :func:`step_direct`."""
+    def advance(state: PopulationState, n: int) -> _Steps:
+        try:
+            for _ in range(n):
+                state = step_direct(state, dt, scenario)
+        except IntegrationError as err:
+            return state, err
+        return state, None
+
+    return advance
 
 
 def _step_count(t_end: float, dt: float) -> int:
@@ -436,7 +454,7 @@ def run(scenario: Scenario) -> Trajectory:
             f"dt must be <= {RK4_STABILITY / lam:.6g} for a stable {scenario.scheme} step "
             f"(RK4 bound {RK4_STABILITY} / lambda*, lambda* = {lam:.6g}), got {dt!r}"
         )
-    advance = _exponential_steps if exponential else _direct_steps
+    advance = (_exponential_advance if exponential else _direct_advance)(scenario, dt)
     n_steps = _step_count(scenario.t_end, dt)
     every = scenario.sample_every
     snapshot_steps: dict[int, list[float]] = {}  # step -> the distinct times taken there
@@ -450,31 +468,31 @@ def run(scenario: Scenario) -> Trajectory:
         fingerprint=scenario_fingerprint(scenario),
         records=[],
     )
+    records, snapshots = trajectory.records, trajectory.snapshots
+    rho_lo, rho_hi = pred.rho_m - CORRIDOR_TOL, pred.rho_M + CORRIDOR_TOL
+    rho_bar, stop_tol = pred.rho_bar, scenario.stop_tol
     state, done, stop_streak = init_state(scenario), 0, 0
     for k, _ in itertools.groupby(observed):
-        state, err = advance(state, k - done, dt, scenario)
+        state, err = advance(state, k - done)
         trajectory.final_state, done = state, k
         if err is not None:
             err.partial = trajectory
             raise err
         for tau in snapshot_steps.get(k, ()):
-            trajectory.snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
+            snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
         if k % every and k != n_steps:
             continue
         rec = diagnostics.make_record(state, scenario, pred)
-        trajectory.records.append(rec)
+        records.append(rec)
         if not k:
             continue
-        if not (pred.rho_m - CORRIDOR_TOL <= rec.rho <= pred.rho_M + CORRIDOR_TOL):
+        if not (rho_lo <= rec.rho <= rho_hi):
             trajectory.breaches.append(
                 f"corridor breach at t = {rec.t:.6g}: rho = {rec.rho!r} "
                 f"outside [{pred.rho_m!r}, {pred.rho_M!r}]"
             )
-        if scenario.stop_tol is not None:
-            near = (
-                abs(rec.rho - pred.rho_bar) < scenario.stop_tol
-                and rec.W < scenario.stop_tol
-            )
+        if stop_tol is not None:
+            near = abs(rec.rho - rho_bar) < stop_tol and rec.W < stop_tol
             stop_streak = stop_streak + 1 if near else 0
             if stop_streak >= STOP_WINDOW:
                 trajectory.early_stop_t = rec.t

@@ -80,6 +80,11 @@ class Grid:
             raise ValueError(f"grid needs n_cells >= 2, got {self.n_cells}")
         if self.n_cells > MAX_CELLS:
             raise ValueError(f"n_cells must be <= {MAX_CELLS:.0e}, got {self.n_cells}")
+        # a cell over 4 float spacings wide settles it; finer grids compare their nodes
+        spacing = math.ulp(max(-self.x_min, self.x_max)) + math.ulp(self.x_max - self.x_min)
+        if self.dx <= 4.0 * spacing and not (np.diff(self.nodes) > 0.0).all():
+            raise ValueError(f"grid nodes must be strictly increasing, but x_min = {self.x_min}, "
+                             f"x_max = {self.x_max} and n_cells = {self.n_cells} repeat nodes")
 
     @property
     def dx(self) -> float:

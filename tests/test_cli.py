@@ -394,9 +394,9 @@ class TestRunCommand:
         def nan_from_step_6(tables):  # 4 kernel calls per step
             mass = factory(tables)
 
-            def kernel(A, B):
+            def kernel(A, B, *scratch):
                 calls.append(None)
-                return math.nan if len(calls) > 4 * 5 else mass(A, B)
+                return math.nan if len(calls) > 4 * 5 else mass(A, B, *scratch)
 
             return kernel
 
@@ -787,6 +787,22 @@ class TestModuleEntryPoint:
         assert [line.split(": ", 1)[0] for line in proc.stderr.splitlines()] == ["error"]
         assert "x_min" in proc.stderr, proc.stderr
         assert ".py" not in proc.stderr and not re.search(r":\d+:", proc.stderr)
+
+    def test_grid_finer_than_float_spacing_exits_2_naming_the_grid(self, tmp_path, capsys):
+        # dx = 0.8 against a float spacing of 2 near 1e16 repeated nodes in the
+        # snapshots, and the run exited 0
+        body = (DATA_DIR / "tiny.ini").read_text()
+        for old, new in (("x_min = 0.0", "x_min = 1e16"),
+                         ("x_max = 1.0", "x_max = 1.000000000000001e16"),
+                         ("b = 2 - (x - 0.3)^2", "b = 2"), ("u0 = ind(0, 1)", "u0 = 1")):
+            assert old in body
+            body = body.replace(old, new)
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, body), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid nodes must be strictly increasing")
+        assert all(key in err[0] for key in ("x_min", "x_max", "n_cells")), err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_overflowing_rates_rejected_without_numpy_warnings(self, tmp_path):
         import subprocess

@@ -4,7 +4,7 @@ import math
 import random
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -385,6 +385,17 @@ class TestOneMaterialization:
             assert list(map(_bits, vars(t.records[i]).values())) == list(
                 map(_bits, vars(want).values())
             )
+
+    def test_fast_record_constructor_matches_the_dataclass(self):
+        s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", tail_R=0.5)
+        rec = make_record(init_state(s), s, predict_equilibrium(s))
+        public = DiagnosticsRecord(**vars(rec))
+        assert type(rec) is DiagnosticsRecord and rec == public
+        assert astuple(rec) == astuple(public)
+        assert list(vars(rec)) == list(vars(public)) == [f.name for f in fields(public)]
+        assert replace(rec) == rec
+        with pytest.raises(FrozenInstanceError):
+            rec.W = 0.0
 
     def test_underflow_ignored_under_strict_error_state(self):
         s = make_scenario(b="2 - (x-0.3)^2", d="1")

@@ -17,8 +17,9 @@ from traitsim.integrator import (
     DensitySnapshot,
     ExponentOverflow,
     IntegrationError,
+    PopulationState,
+    _exponential_advance,
     _exponential_state,
-    _exponential_steps,
     _mass_kernel,
     _sha256,
     init_state,
@@ -379,7 +380,7 @@ class TestStepExponential:
 
     @pytest.mark.parametrize("case", ["two_atom", "varying_d"])
     def test_n_steps_equal_n_single_steps_bitwise(self, case):
-        # one kernel for n steps gives the bits of n kernels, one per step
+        # one advance of n steps gives the bits of n advances, one per step
         if case == "two_atom":
             s = load_scenario(SCENARIO_DIR / "two_atom.ini")
         else:
@@ -387,7 +388,7 @@ class TestStepExponential:
         st = init_state(s)
         for _ in range(300):
             st = step_exponential(st, s.dt, s)
-        fast, err = _exponential_steps(init_state(s), 300, s.dt, s)
+        fast, err = _exponential_advance(s, s.dt)(init_state(s), 300)
         assert err is None and _bits(fast) == _bits(st)
 
 
@@ -523,20 +524,45 @@ class TestRun:
         ("6", "1", "2*ind(0, 1)", 1e-6),  # float log u0, stationary: stops early
     ])
     def test_run_matches_repeated_steps_bitwise(self, b, d, u0, stop_tol):
-        # snapshots at steps 7 and 50 fall between samples; 102 steps end
-        # off the sampling grid
-        s = make_scenario(
-            b=b, d=d, u0=u0, n_cells=50, t_end=0.102 if stop_tol is None else 5.0,
-            sample_every=4, stop_tol=stop_tol, snapshot_times=(0.0, 0.007, 0.05),
-        )
-        t = run(s)
-        n_steps = round(t.final_state.t / s.dt)
-        assert (t.early_stop_t is not None) == (stop_tol is not None)
-        assert n_steps == (102 if stop_tol is None else 4 * integrator.STOP_WINDOW)
-        records, snapshots, final = _stepped(s, n_steps)
-        assert [_bits(r) for r in t.records] == [_bits(r) for r in records]
-        assert [_bits(x) for x in t.snapshots] == [_bits(x) for x in snapshots]
-        assert _bits(t.final_state) == _bits(final)
+        # every 4 steps, snapshots at steps 7 and 50 fall between samples and
+        # 102 steps end off the sampling grid; every step, each is a sample
+        for every in (4, 1):
+            s = make_scenario(
+                b=b, d=d, u0=u0, n_cells=50, t_end=0.102 if stop_tol is None else 5.0,
+                sample_every=every, stop_tol=stop_tol, snapshot_times=(0.0, 0.007, 0.05),
+            )
+            t = run(s)
+            n_steps = round(t.final_state.t / s.dt)
+            assert (t.early_stop_t is not None) == (stop_tol is not None)
+            assert n_steps == (102 if stop_tol is None else every * integrator.STOP_WINDOW)
+            records, snapshots, final = _stepped(s, n_steps)
+            assert len(t.records) == len(records) == 1 + -(-n_steps // every)
+            assert [_bits(r) for r in t.records] == [_bits(r) for r in records]
+            assert [_bits(x) for x in t.snapshots] == [_bits(x) for x in snapshots]
+            assert _bits(t.final_state) == _bits(final)
+
+    @pytest.mark.parametrize("scheme", ["exponential", "direct"])
+    def test_one_advance_and_one_kernel_per_run(self, monkeypatch, scheme):
+        # the kernel factory runs once, however many states the run observes
+        factory, built = integrator._mass_kernel, []
+        monkeypatch.setattr(integrator, "_mass_kernel", lambda t: built.append(t) or factory(t))
+        for every in (1, 7, 1000):
+            s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=50, t_end=0.06,
+                              sample_every=every, snapshot_times=(0.0, 0.013), scheme=scheme)
+            assert len(run(s).records) == 1 + -(-60 // every)
+        assert len(built) == (3 if scheme == "exponential" else 0)
+
+    def test_fast_state_constructor_matches_the_dataclass(self):
+        s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=50)
+        fast = step_exponential(init_state(s), s.dt, s)
+        public = PopulationState(fast.t, fast.A, fast.B, fast.log_u, fast.rho)
+        assert type(fast) is PopulationState and fast == public
+        assert _bits(fast) == _bits(public)  # astuple, with each float's repr and the array's bytes
+        names = [f.name for f in dataclasses.fields(public)]
+        assert list(vars(fast)) == list(vars(public)) == names
+        assert dataclasses.replace(fast) == fast
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.rho = 0.0
 
     def test_nan_mass_mid_run_raises_with_exact_partial(self, monkeypatch):
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=50, t_end=0.1, sample_every=4)
@@ -546,9 +572,9 @@ class TestRun:
         def nan_from_step_24(tables):  # 4 kernel calls per step
             mass = factory(tables)
 
-            def kernel(A, B):
+            def kernel(A, B, *scratch):
                 calls.append(None)
-                return math.nan if len(calls) > 4 * 23 + 1 else mass(A, B)
+                return math.nan if len(calls) > 4 * 23 + 1 else mass(A, B, *scratch)
 
             return kernel
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import SCENARIO_DIR, make_scenario
+from traitsim.cli import load_scenario
 from traitsim.model import (
     MAX_CELLS,
     MAX_STEPS,
@@ -54,6 +55,22 @@ class TestGrid:
         assert Grid(0.0, 1.0, MAX_CELLS).n_nodes == MAX_CELLS + 1  # nodes not yet built
         with pytest.raises(ValueError, match="^n_cells must"):
             Grid(0.0, 1.0, MAX_CELLS + 1)
+
+    def test_nodes_finer_than_float_spacing_rejected(self):
+        with pytest.raises(ValueError, match="^grid nodes must be strictly increasing.*n_cells"):
+            Grid(1e16, 1.000000000000001e16, 10)  # dx = 0.8, float spacing 2
+        # at one float spacing per cell the nodes still increase, so the grid stands
+        assert np.all(np.diff(Grid(1.0, 1.0 + 45 * 2.0**-52, 45).nodes) > 0.0)
+
+    def test_ordinary_grids_accepted_without_building_nodes(self):
+        # the spacing bound settles these: a 1e7-cell grid allocates no nodes
+        domains = [(0.0, 1.0, 10**7)] + [
+            (g.x_min, g.x_max, g.n_cells)
+            for g in (load_scenario(path).grid for path in sorted(SCENARIO_DIR.glob("*.ini")))
+        ]
+        grids = [Grid(*domain) for domain in domains]
+        assert len(grids) == 6
+        assert not any("nodes" in vars(g) for g in grids)
 
     def test_window_epsilon_must_be_positive(self):
         g = Grid(0.0, 1.0, 10)

@@ -17,11 +17,19 @@ It records, in this order:
 * ``kernel``: for each file in ``scenarios/``, in one fresh process, the
   cost of the mass kernel's two layers, each over :data:`KERNEL_REPEATS`
   repeats (min and median, raw microseconds): ``us_per_step``, one
-  exponential RK4 step (four mass quadratures) through
-  ``integrator._exponential_steps``, the function ``run`` advances by, over
-  :data:`KERNEL_STEPS` steps from the state at step :data:`KERNEL_STEPS`;
-  and ``us_per_mass_eval``, one ``rho_from_exponents`` call at that state's
-  (A, B), averaged over :data:`KERNEL_STEPS` calls;
+  exponential RK4 step (four mass quadratures) through the advance that
+  ``integrator._exponential_advance`` builds (``run`` builds one per run),
+  over :data:`KERNEL_STEPS` steps in one call from the state at step
+  :data:`KERNEL_STEPS`; and ``us_per_mass_eval``, one
+  ``rho_from_exponents`` call at that state's (A, B), averaged over
+  :data:`KERNEL_STEPS` calls;
+* ``observation``: what a run with ``sample_every = 1`` pays per observed
+  step, on :data:`OBSERVED` in one fresh process, with the same steps,
+  start and repeats as ``kernel`` (min and median, raw microseconds):
+  ``us_per_observed_step``, one call ``advance(state, 1)`` (an RK4 step
+  and the rebuilt ``log_u``), ``us_per_record``, one ``make_record`` of
+  that state, and ``us_per_row``, one trajectory.csv row, written by the
+  CLI's writer to a file;
 * ``reporter_peak_rss_mb``: this script's own ``ru_maxrss`` at the end.  A
   child's ``ru_maxrss`` cannot read below its parent's peak at the time it
   was started, so the scenarios' peaks are their own only while this stays
@@ -29,9 +37,12 @@ It records, in this order:
   hides changes that these records show);
 * ``startup``: for each command in :data:`STARTUP`, the median over
   :data:`REPEATS` fresh ``python3 -X importtime`` processes of the
-  cumulative import microseconds of each top-level ``traitsim*`` module,
-  and whether ``PYTHONDONTWRITEBYTECODE`` is set (if it is, no bytecode is
-  cached and every process compiles each module it imports from source);
+  cumulative import microseconds of each top-level ``traitsim*`` module
+  (``import_us``), the same divided by the median calibration and times
+  ``CAL_REF_S`` (``import_ref_us``, which files from different sessions
+  can compare), the processes' calibrated wall time, and whether
+  ``PYTHONDONTWRITEBYTECODE`` is set (if it is, no bytecode is cached and
+  every process compiles each module it imports from source);
 * ``tier1``: wall seconds and the pass/fail counts of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
   the path), with the ids of the failing tests, and the wall time in
@@ -40,8 +51,9 @@ It records, in this order:
 
 Raw seconds follow the host's speed, which drifts by tens of percent over
 minutes.  So the timed processes are interleaved with :data:`REPEATS` runs
-of ``perfbench/calibrate.py`` (a scenario's repeats alternate which of the
-two goes first; tier-1 runs between the first and the last calibrations),
+of ``perfbench/calibrate.py`` (the repeats of a scenario or a start-up
+command alternate which of the two goes first; tier-1 runs between the
+first and the last calibrations),
 and each timing records ``ratio``, its median wall over the median
 calibration, and ``ref_s``, that ratio * ``CAL_REF_S`` (perfbench's unit).
 One 0.35 s calibration is too short to divide a several-second run by; the
@@ -76,15 +88,16 @@ KERNEL_STEPS = 2000
 KERNEL_PROBE = """
 import json, sys, time
 from traitsim.cli import load_scenario
-from traitsim.integrator import _exponential_steps, init_state, rho_from_exponents
+from traitsim.integrator import _exponential_advance, init_state, rho_from_exponents
 scenario = load_scenario(sys.argv[1])
 steps, repeats = int(sys.argv[2]), int(sys.argv[3])
-start, err = _exponential_steps(init_state(scenario), steps, scenario.dt, scenario)
+advance = _exponential_advance(scenario, scenario.dt)
+start, err = advance(init_state(scenario), steps)
 assert err is None, err
 step_us, mass_us = [], []
 for _ in range(repeats):
     t0 = time.perf_counter()
-    _exponential_steps(start, steps, scenario.dt, scenario)
+    advance(start, steps)
     t1 = time.perf_counter()
     for _ in range(steps):
         rho_from_exponents(start.A, start.B, scenario)
@@ -92,6 +105,40 @@ for _ in range(repeats):
     step_us.append((t1 - t0) / steps * 1e6)
     mass_us.append((t2 - t1) / steps * 1e6)
 print(json.dumps({"us_per_step": step_us, "us_per_mass_eval": mass_us}))
+"""
+
+#: the scenario file in ``scenarios/`` that the ``observation`` block observes at every step
+OBSERVED = "boundary_blowup"
+
+#: the ``observation`` probe, run as ``python3 -c OBSERVATION_PROBE SCENARIO STEPS REPEATS CSV``
+OBSERVATION_PROBE = """
+import json, sys, time
+from traitsim.cli import _write_trajectory_csv, load_scenario
+from traitsim.diagnostics import make_record
+from traitsim.integrator import Trajectory, _exponential_advance, init_state
+from traitsim.model import predict_equilibrium
+scenario = load_scenario(sys.argv[1]).with_controls(sample_every=1)
+steps, repeats, csv = int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+pred = predict_equilibrium(scenario)
+advance = _exponential_advance(scenario, scenario.dt)
+start, err = advance(init_state(scenario), steps)
+assert err is None, err
+clock, step_us, record_us, row_us = time.perf_counter, [], [], []
+for _ in range(repeats):
+    state, records, step_s, record_s = start, [], 0.0, 0.0
+    for _ in range(steps):
+        t0 = clock()
+        state, err = advance(state, 1)
+        t1 = clock()
+        records.append(make_record(state, scenario, pred))
+        step_s, record_s = step_s + (t1 - t0), record_s + (clock() - t1)
+    t0 = clock()
+    _write_trajectory_csv(Trajectory(scenario, pred, "", records), csv)
+    row_us.append((clock() - t0) / steps * 1e6)
+    step_us.append(step_s / steps * 1e6)
+    record_us.append(record_s / steps * 1e6)
+print(json.dumps({"us_per_observed_step": step_us, "us_per_record": record_us,
+                  "us_per_row": row_us}))
 """
 
 #: label -> the arguments after ``python3 -X importtime``, run from the checkout root
@@ -167,9 +214,9 @@ def scenario_wall(path: Path, cal_ref_s: float) -> dict:
             "peak_rss_mb_median": statistics.median(rss)}
 
 
-def kernel(path: Path) -> dict:
-    """Min and median microseconds per exponential step and per mass evaluation on one scenario."""
-    argv = [sys.executable, "-c", KERNEL_PROBE, str(path), str(KERNEL_STEPS), str(KERNEL_REPEATS)]
+def probe(source: str, path: Path, *extra: str) -> dict:
+    """Min and median of each timing that a probe (``KERNEL_PROBE``, ...) prints for a scenario."""
+    argv = [sys.executable, "-c", source, str(path), str(KERNEL_STEPS), str(KERNEL_REPEATS), *extra]
     proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, check=True)
     runs = json.loads(proc.stdout)
     doc: dict = {"steps": KERNEL_STEPS, "repeats": KERNEL_REPEATS, "unit": "us"}
@@ -178,7 +225,7 @@ def kernel(path: Path) -> dict:
     return doc
 
 
-def startup() -> dict:
+def startup(cal_ref_s: float) -> dict:
     """Median cumulative import microseconds of each top-level traitsim module, per command."""
     doc: dict = {"dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
                  "repeats": REPEATS, "unit": "us"}
@@ -186,12 +233,23 @@ def startup() -> dict:
         env = {**_env(), "TRAITSIM_OUT": out}
         for label, args in STARTUP.items():
             runs: dict[str, list[int]] = {}
-            for _ in range(REPEATS):
-                proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=ROOT,
-                                      env=env, capture_output=True, text=True, check=True)
+            walls, cals = [], []
+            for k in range(REPEATS):
+                if k % 2 == 0:
+                    cals.append(calibration())
+                wall, proc = timed([sys.executable, "-X", "importtime", *args], cwd=ROOT,
+                                   env=env, capture_output=True, text=True, check=True)
+                walls.append(wall)
+                if k % 2 == 1:
+                    cals.append(calibration())
                 for us, name in TOP_IMPORT.findall(proc.stderr):
                     runs.setdefault(name, []).append(int(us))
-            doc[label] = {name: statistics.median(v) for name, v in runs.items()}
+            import_us = {name: statistics.median(v) for name, v in runs.items()}
+            scale = cal_ref_s / statistics.median(cals)
+            doc[label] = {"import_us": import_us,
+                          "import_ref_us": {name: us * scale for name, us in import_us.items()},
+                          "wall_s_median": statistics.median(walls),
+                          **calibrated(walls, cals, cal_ref_s)}
     return doc
 
 
@@ -228,8 +286,12 @@ def main() -> int:
     }
     scenarios = sorted((ROOT / "scenarios").glob("*.ini"))
     doc["scenarios"] = {path.stem: scenario_wall(path, CAL_REF_S) for path in scenarios}
-    doc["kernel"] = {path.stem: kernel(path) for path in scenarios}
-    doc["startup"] = startup()
+    doc["kernel"] = {path.stem: probe(KERNEL_PROBE, path) for path in scenarios}
+    with tempfile.TemporaryDirectory() as out:
+        observed = ROOT / "scenarios" / f"{OBSERVED}.ini"
+        doc["observation"] = {"scenario": OBSERVED, "sample_every": 1,
+                              **probe(OBSERVATION_PROBE, observed, str(Path(out) / "t.csv"))}
+    doc["startup"] = startup(CAL_REF_S)
     doc["tier1"] = tier1(CAL_REF_S)
     doc["cal_ref_s"] = CAL_REF_S
     doc["reporter_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

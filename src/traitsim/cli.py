@@ -139,7 +139,7 @@ def load_scenario(path: str | Path) -> Scenario:
     # no section name is empty, so [DEFAULT] is an ordinary (unknown) section
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte order mark is not text
             cp.read_file(fh)
     except OSError as err:
         raise ScenarioFileError(f"cannot read scenario file: {err}") from None

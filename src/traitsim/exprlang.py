@@ -17,7 +17,9 @@ Grammar (EBNF)::
 
 ``^`` binds tighter than unary minus and is right associative, so ``-x^2``
 parses as ``-(x^2)`` and ``2^3^2`` as ``2^(3^2)``.  ``+ - * /`` are left
-associative.
+associative.  Nesting is bounded: at most :data:`MAX_NESTING` parentheses
+open at once (a call's included), and as many minus signs and ``^``
+exponents around any operand; deeper input is a :class:`ParseError`.
 
 Builtins: ``exp``, ``sin``, ``cos``, ``sqrt``, ``abs`` (one argument),
 ``min``, ``max`` (two), ``clamp(v, lo, hi)`` and the indicator
@@ -200,10 +202,26 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # --------------------------------------------------------------------------
 # Parser
 
+#: most parentheses open at once (a call's included), and most minus signs and
+#: ^ exponents enclosing one operand: parsing, sampling and unparse recurse per
+#: level, and this bound keeps each of them well inside Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.parens = self.operators = 0  # the nesting levels open at pos
+
+    @staticmethod
+    def nest(depth: int, offset: int) -> int:
+        """``depth + 1``, the levels open once the token at ``offset`` opens one more."""
+        if depth >= MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels at offset {offset}", offset
+            )
+        return depth + 1
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -242,20 +260,27 @@ class _Parser:
         return node
 
     def parse_unary(self) -> Expr:
-        if self.peek()[0] == "-":
-            _, _, offset = self.advance()
-            operand = self.parse_unary()
-            return Neg(operand, (offset, operand.span[1]))
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            # exponent is a unary so ^ is right associative and -x can follow
-            exponent = self.parse_unary()
-            return Bin("^", base, exponent, (base.span[0], exponent.span[1]))
-        return base
+        # a chain of signed atoms joined by ^, looped and folded from the right:
+        # -a ^ -b ^ c is -(a ^ (-(b ^ c)))
+        links, enclosing = [], self.operators
+        while True:
+            signs = []
+            while self.peek()[0] == "-":
+                signs.append(self.advance()[2])
+                self.operators = self.nest(self.operators, signs[-1])
+            links.append((signs, self.parse_atom()))
+            if self.peek()[0] != "^":
+                break
+            self.operators = self.nest(self.operators, self.advance()[2])
+        self.operators = enclosing
+        node = None
+        for signs, base in reversed(links):
+            if node is not None:
+                base = Bin("^", base, node, (base.span[0], node.span[1]))
+            for offset in reversed(signs):
+                base = Neg(base, (offset, base.span[1]))
+            node = base
+        return node
 
     def parse_atom(self) -> Expr:
         kind, text, offset = self.peek()
@@ -264,8 +289,10 @@ class _Parser:
             return Num(float(text), (offset, offset + len(text)))
         if kind == "(":
             self.advance()
+            self.parens = self.nest(self.parens, offset)
             inner = self.parse_expr()
             self.expect(")", "')'")
+            self.parens -= 1
             return inner
         if kind == "name":
             self.advance()
@@ -280,12 +307,13 @@ class _Parser:
         raise self.error("an operand")
 
     def parse_call(self, name: str, start: int) -> Expr:
-        self.expect("(", "'('")
+        self.parens = self.nest(self.parens, self.expect("(", "'('")[2])
         args = [self.parse_expr()]
         while self.peek()[0] == ",":
             self.advance()
             args.append(self.parse_expr())
         _, _, rp = self.expect(")", "')' or ','")
+        self.parens -= 1
         arity = FUNCTIONS[name]
         if len(args) != arity:
             raise ParseError(
@@ -429,7 +457,11 @@ def _sample(e: Expr, nodes) -> np.ndarray:
 # Printing
 
 def unparse(e: Expr) -> str:
-    """Canonical fully parenthesized form; ``parse(unparse(e))`` equals ``e``."""
+    """Canonical fully parenthesized form; ``parse(unparse(e))`` equals ``e``.
+
+    Each operator gets parentheses of its own, so the printed form nests
+    deeper than the source, and past :data:`MAX_NESTING` it does not parse.
+    """
     if isinstance(e, Num):
         return _format_number(e.value)
     if isinstance(e, Var):

@@ -316,7 +316,10 @@ class Scenario:
             raise ValueError("u0 must be finite on the grid")
         if np.any(u < 0.0):
             raise ValueError("u0 must be nonnegative on the grid")
-        mass = quadrature(u, self.grid)
+        with np.errstate(over="ignore"):  # a sum past double range reads inf or NaN
+            mass = quadrature(u, self.grid)
+        if not mass < math.inf:
+            raise ValueError("u0's initial mass overflows double range")
         if not (mass > 0.0):
             raise ValueError("u0 has zero initial mass (empty support)")
         return mass

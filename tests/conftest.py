@@ -56,6 +56,15 @@ _LEAF_NUMBERS = [0.0, 1.0, 2.0, 0.5, 0.3, 3.0, 10.0, 0.001, 1e-05, 7.25, 100.0]
 _UNARY_FUNCS = ["exp", "sin", "cos", "sqrt", "abs"]
 
 
+#: each way of nesting an expression n levels deep, with its value at x
+NESTED_SHAPES = {
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n + " + 1", lambda x: x + 1),
+    "unary_minus": (lambda n: "-" * n + "x", lambda x: x),  # n even
+    "power_chain": (lambda n: "^".join(["1.0"] * (n + 1)), lambda x: 1.0),
+    "calls": (lambda n: "abs(" * n + "x" + ")" * n, abs),
+}
+
+
 def random_expr(rng: random.Random, depth: int) -> Expr:
     """A random AST; nonnegative finite literals, negation via Neg nodes."""
     if depth <= 0 or rng.random() < 0.25:

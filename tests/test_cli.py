@@ -1,16 +1,20 @@
 """CLI: scenario files, output schema, golden bytes, exit codes."""
 
+import gc
+import importlib
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT, SCENARIO_DIR, make_scenario
-from traitsim import exprlang, integrator
+from conftest import DATA_DIR, GOLDEN_DIR, NESTED_SHAPES, REPO_ROOT, SCENARIO_DIR, make_scenario
+from traitsim import cli, exprlang, integrator
 from traitsim.cli import (
     SCENARIO_SECTIONS,
     ScenarioFileError,
@@ -34,6 +38,19 @@ def write_scenario(tmp_path, body, name="case.ini"):
     path = tmp_path / name
     path.write_text(body, encoding="utf-8")
     return str(path)
+
+
+def tiny_with(tmp_path, old, new):
+    """The path of a copy of tiny.ini with the line ``old`` replaced by ``new``."""
+    body = (DATA_DIR / "tiny.ini").read_text()
+    assert old in body
+    return write_scenario(tmp_path, body.replace(old, new))
+
+
+def python_m_traitsim(*args):
+    """``python -m traitsim ARGS`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "traitsim", *args],
+                          capture_output=True, text=True, timeout=60)
 
 
 GOOD_BODY = """\
@@ -336,6 +353,15 @@ class TestRunCommand:
         main(["run", TINY, "--out", str(b), "--quiet"])
         for name in ("trajectory.csv", "summary.json", "plot.gp", "snapshot_0.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_byte_order_mark_is_not_part_of_the_file(self, tmp_path):
+        bom = tmp_path / "tiny.ini"
+        bom.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "tiny.ini").read_bytes())
+        outputs = {}
+        for name, path in (("plain", TINY), ("bom", str(bom))):
+            assert main(["run", path, "--out", str(tmp_path / name), "--quiet"]) == 0
+            outputs[name] = {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+        assert outputs["bom"] == outputs["plain"] and "summary.json" in outputs["plain"]
 
     def test_snapshot_times_sharing_a_step_each_get_a_file(self, tmp_path, capsys):
         # tiny.ini asks for t = 0 and t = 0.01; at dt = 1 both round to step 0
@@ -829,6 +855,53 @@ class TestModuleEntryPoint:
             assert lines[0].startswith(tie) and len(lines) == 1 + (code != 0), proc.stderr
         final = json.loads((tmp_path / "out" / "summary.json").read_text())["final"]
         assert (final["D"], final["W"]) == ("inf", "inf")
+
+    @pytest.mark.parametrize("shape,offset", [("parentheses", 100), ("unary_minus", 100),
+                                              ("power_chain", 403), ("calls", 403)])
+    def test_expression_nested_5000_deep_exits_2_in_one_line(self, tmp_path, shape, offset):
+        # 5,000 levels overflowed the parser's stack: a RecursionError traceback, exit 1
+        path = tiny_with(tmp_path, "b = 2 - (x - 0.3)^2", f"b = {NESTED_SHAPES[shape][0](5000)}")
+        proc = python_m_traitsim("predict", path)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: invalid expression for model.b: "
+                               f"nesting deeper than 100 levels at offset {offset}\n")
+
+    def test_u0_mass_past_double_range_exits_2_in_one_line(self, tmp_path):
+        # the mass summed to inf, minus half of inf is NaN: reported as an empty
+        # support, after numpy's two-line overflow warning
+        proc = python_m_traitsim("predict", tiny_with(tmp_path, "u0 = ind(0, 1)", "u0 = 1e308"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: u0's initial mass overflows double range\n"
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["predict", TINY, "--quiet"]) == 0
+        assert gc.get_freeze_count() == before
+        assert "gc" not in vars(cli)
+
+    def test_python_dash_m_exits_with_the_import_time_heap_frozen(self):
+        # atexit handlers run before the interpreter's final collection
+        wrapper = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            f"sys.argv = ['traitsim', 'predict', {TINY!r}, '--quiet']\n"
+            "runpy.run_module('traitsim', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        frozen = re.fullmatch(r"frozen (\d+)\n", proc.stderr)
+        assert frozen and int(frozen.group(1)) > 10_000, proc.stderr  # numpy's heap among them
+
+    def test_console_script_runs_the_module_entry(self):
+        scripts = (REPO_ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
+        module, name = re.search(r'^traitsim = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+        assert module == "traitsim.__main__"
+        entry = importlib.import_module(module)
+        # the one call under `if __name__ == "__main__":` in that module
+        guard = entry.__loader__.get_source(module).split('if __name__ == "__main__":')[1]
+        assert guard.strip() == f"sys.exit({name}())"
+        assert getattr(entry, name).__module__ == module
 
 
 class TestJsonEmitter:

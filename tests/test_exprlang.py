@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, random_expr, reference_eval
+from conftest import NESTED_SHAPES, SCENARIO_DIR, random_expr, reference_eval
 from traitsim.cli import load_scenario
 from traitsim.exprlang import (
     FUNCTIONS,
+    MAX_NESTING,
     Bin,
     Call,
     Const,
@@ -52,6 +53,8 @@ class TestGrammar:
             ("2*3^2", 0.0, 18.0),
             ("-2^2", 0.0, -4.0),  # unary minus binds looser than ^
             ("2^-1", 0.0, 0.5),
+            ("-2^-1^2", 0.0, -0.5),  # -(2^(-(1^2)))
+            ("2^-3^2", 0.0, 2.0**-9),
             ("1-2-3", 0.0, -4.0),  # left associative
             ("8/4/2", 0.0, 1.0),
             ("2 - -3", 0.0, 5.0),
@@ -142,6 +145,34 @@ class TestErrors:
     def test_non_finite_point(self):
         with pytest.raises(EvalError):
             eval_at(parse("x"), math.inf)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    def test_shape_at_the_limit_round_trips(self, shape):
+        source, value = NESTED_SHAPES[shape]
+        e = parse(source(MAX_NESTING))
+        nodes = np.array([-0.5, 0.0, 0.25])
+        assert TraitFunction("", e).sample(nodes).tolist() == [value(x) for x in nodes]
+        assert parse(unparse(e)) == e
+
+    @pytest.mark.parametrize("shape,offset", [("parentheses", 100), ("unary_minus", 100),
+                                              ("power_chain", 403), ("calls", 403)])
+    def test_one_level_past_the_limit_names_its_offset(self, shape, offset):
+        # the offset is the token that opens level 101: a '(', a '-' or a '^'
+        assert MAX_NESTING == 100
+        with pytest.raises(ParseError) as exc:
+            parse(NESTED_SHAPES[shape][0](MAX_NESTING + 1))
+        assert str(exc.value) == f"nesting deeper than 100 levels at offset {offset}"
+        assert exc.value.offset == offset
+
+    def test_operator_levels_count_through_parentheses(self):
+        assert parse("(-" * 100 + "x" + ")" * 100) == parse("-" * 100 + "x")
+        with pytest.raises(ParseError, match="at offset 150$"):
+            parse("-(" * 50 + "-" * 51 + "x" + ")" * 50)
+        # levels close again: a hundred chains side by side are each 100 deep
+        e = parse(" + ".join(["-" * 100 + "x"] * 100))
+        assert TraitFunction("", e).sample(np.array([0.5])).tolist() == [50.0]
 
 
 class TestRoundTrip:

@@ -42,7 +42,16 @@ It records, in this order:
   ``CAL_REF_S`` (``import_ref_us``, which files from different sessions
   can compare), the processes' calibrated wall time, and whether
   ``PYTHONDONTWRITEBYTECODE`` is set (if it is, no bytecode is cached and
-  every process compiles each module it imports from source);
+  every process compiles each module it imports from source).
+  ``import_us`` also holds numpy's cumulative import where the command
+  loads it.  Each process runs its command through :data:`EXIT_WRAPPER`,
+  which notes the time as it starts and registers an ``atexit`` handler
+  before the command runs, so the handler runs after the command's own.
+  The median microseconds from launch to the wrapper's start are the boot
+  phase (``boot_us``: interpreter start-up and ``site``), and those from
+  that handler to the end of the process the exit phase (``exit_us``:
+  buffer flushes, module teardown and the interpreter's final garbage
+  collection), each also calibrated (``boot_ref_us``, ``exit_ref_us``);
 * ``tier1``: wall seconds and the pass/fail counts of the tier-1 suite
   (``python -m pytest -q --continue-on-collection-errors`` with ``src`` on
   the path), with the ids of the failing tests, and the wall time in
@@ -141,7 +150,26 @@ print(json.dumps({"us_per_observed_step": step_us, "us_per_record": record_us,
                   "us_per_row": row_us}))
 """
 
-#: label -> the arguments after ``python3 -X importtime``, run from the checkout root
+#: runs ``-c CODE`` or ``-m MODULE ARGS...`` as ``python3`` would, and prints
+#: ``time.perf_counter()`` to stderr as it starts (``started_at``) and from the last
+#: atexit handler to run (``atexit_at``); on Linux perf_counter is CLOCK_MONOTONIC,
+#: one clock for every process
+EXIT_WRAPPER = """
+import time
+started = time.perf_counter()
+import atexit, runpy, sys
+print(f"started_at {started!r}", file=sys.stderr)
+atexit.register(lambda: print(f"atexit_at {time.perf_counter()!r}", file=sys.stderr, flush=True))
+flag, target, *args = sys.argv[1:]
+if flag == "-m":
+    sys.argv = [target, *args]
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    sys.argv = ["-c", *args]
+    exec(compile(target, "<string>", "exec"), {"__name__": "__main__"})
+"""
+
+#: label -> the command's arguments to ``python3``, run from the checkout root
 STARTUP = {
     "import traitsim.oracle": ["-c", "import traitsim.oracle"],
     "traitsim predict scenarios/gaussian_ratio.ini":
@@ -149,8 +177,10 @@ STARTUP = {
     "traitsim run tests/data/tiny.ini": ["-m", "traitsim", "run", "tests/data/tiny.ini", "--quiet"],
 }
 
-#: an ``-X importtime`` line of a module imported at the top level (not by another module)
-TOP_IMPORT = re.compile(r"^import time:\s+\d+ \|\s+(\d+) \| (traitsim\S*)$", re.MULTILINE)
+#: an ``-X importtime`` line of a traitsim module imported at the top level (not by
+#: another module), or of numpy at any depth
+TOP_IMPORT = re.compile(r"^import time:\s+\d+ \|\s+(\d+) \| (traitsim\S*| *numpy)$",
+                        re.MULTILINE)
 
 
 def _env() -> dict:
@@ -226,28 +256,37 @@ def probe(source: str, path: Path, *extra: str) -> dict:
 
 
 def startup(cal_ref_s: float) -> dict:
-    """Median cumulative import microseconds of each top-level traitsim module, per command."""
+    """Per command: median import microseconds (traitsim's top-level modules, numpy), boot, exit."""
     doc: dict = {"dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
                  "repeats": REPEATS, "unit": "us"}
     with tempfile.TemporaryDirectory() as out:
         env = {**_env(), "TRAITSIM_OUT": out}
         for label, args in STARTUP.items():
             runs: dict[str, list[int]] = {}
-            walls, cals = [], []
+            walls, boots, exits, cals = [], [], [], []
             for k in range(REPEATS):
                 if k % 2 == 0:
                     cals.append(calibration())
-                wall, proc = timed([sys.executable, "-X", "importtime", *args], cwd=ROOT,
-                                   env=env, capture_output=True, text=True, check=True)
+                argv = [sys.executable, "-X", "importtime", "-c", EXIT_WRAPPER, *args]
+                wall, proc = timed(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                                   check=True)
+                ended = time.perf_counter()
                 walls.append(wall)
+                marks = dict(re.findall(r"^(started_at|atexit_at) (\S+)$", proc.stderr,
+                                        re.MULTILINE))
+                boots.append(float(marks["started_at"]) - (ended - wall))
+                exits.append(ended - float(marks["atexit_at"]))
                 if k % 2 == 1:
                     cals.append(calibration())
                 for us, name in TOP_IMPORT.findall(proc.stderr):
-                    runs.setdefault(name, []).append(int(us))
+                    runs.setdefault(name.strip(), []).append(int(us))
             import_us = {name: statistics.median(v) for name, v in runs.items()}
             scale = cal_ref_s / statistics.median(cals)
+            boot_us, exit_us = statistics.median(boots) * 1e6, statistics.median(exits) * 1e6
             doc[label] = {"import_us": import_us,
                           "import_ref_us": {name: us * scale for name, us in import_us.items()},
+                          "boot_us": boot_us, "boot_ref_us": boot_us * scale,
+                          "exit_us": exit_us, "exit_ref_us": exit_us * scale,
                           "wall_s_median": statistics.median(walls),
                           **calibrated(walls, cals, cal_ref_s)}
     return doc

@@ -1,6 +1,7 @@
 """The process entry: ``python -m traitsim`` and the ``traitsim`` console script."""
 
 import gc
+import os
 import sys
 
 from .cli import main
@@ -15,9 +16,18 @@ def entry() -> int:
     exit included, which is most of a short command's exit time.  Objects
     the command makes are collected as usual.  ``main`` itself does not
     freeze, so callers that run it in-process keep their heap collectable.
+
+    A stdout whose reader has gone ends the process silently with 141, as for
+    a writer killed by SIGPIPE; fd 1 then points at the null device for the exit.
     """
     gc.freeze()
-    return main()
+    try:
+        status = main()
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -31,7 +31,8 @@ trajectory.csv, snapshot_<t>.csv, summary.json and plot.gp), ``verify``
 ``sweep`` (convergence study over dt or n_cells).
 
 Exit codes: 0 success, 1 verify found a failing invariant, 2 input error,
-3 runtime error (overflow or NaN; partial outputs are flushed).
+3 runtime error (overflow or NaN; partial outputs are flushed), and from the
+process entry (:mod:`traitsim.__main__`) 141 when stdout's reader has gone.
 
 All numbers in output files are serialized with 17 significant digits so
 they round-trip exactly; identical inputs produce byte-identical outputs (on grids
@@ -51,9 +52,8 @@ import sys
 import warnings
 from collections.abc import Iterable
 from dataclasses import MISSING, fields, replace
-from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
@@ -143,7 +143,13 @@ def load_scenario(path: str | Path) -> Scenario:
             cp.read_file(fh)
     except OSError as err:
         raise ScenarioFileError(f"cannot read scenario file: {err}") from None
-    except configparser.Error as err:
+    except configparser.MissingSectionHeaderError as err:
+        raise ScenarioFileError(
+            f"malformed scenario file: line {err.lineno} comes before any [section]") from None
+    except configparser.ParsingError as err:  # one entry per line that has no '='
+        raise ScenarioFileError(
+            f"malformed scenario file: line {err.errors[0][0]} is not 'key = value'") from None
+    except configparser.Error as err:  # a repeated section or key: one line already
         raise ScenarioFileError(f"malformed scenario file: {err}") from None
 
     for section in cp.sections():
@@ -232,12 +238,6 @@ def _json_dump(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _prediction_dict(pred) -> dict:
-    doc = {f.name: getattr(pred, f.name) for f in fields(pred)}
-    doc["notes"] = list(pred.notes)
-    return doc
-
-
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     """Write newline-terminated lines (or blocks of them) to ``path`` as they come."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -247,13 +247,12 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 def _write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
     from .diagnostics import DiagnosticsRecord
 
-    columns = fields(DiagnosticsRecord)
     # integer fields print as integers, every other field as _fmt does
     # (``%.17g`` and ``format(x, ".17g")`` give the same text)
-    row = ",".join("%s" if f.type in (int, "int") else "%.17g" for f in columns) + "\n"
-    values = attrgetter(*(f.name for f in columns))
-    header = ",".join(f.name for f in columns) + "\n"
-    rows = map(row.__mod__, map(values, trajectory.records))  # formatted as they are written
+    row = ",".join("%s" if kind is int else "%.17g"
+                   for kind in get_type_hints(DiagnosticsRecord).values()) + "\n"
+    header = ",".join(DiagnosticsRecord._fields) + "\n"
+    rows = map(row.__mod__, trajectory.records)  # formatted as they are written
     _write_lines(path, itertools.chain((header,), rows))
 
 
@@ -280,9 +279,9 @@ def _write_summary(trajectory: Trajectory, path: Path, error: str | None = None)
     doc = {
         "fingerprint": trajectory.fingerprint,
         "scenario": dict(scenario_items(trajectory.scenario)),
-        "prediction": _prediction_dict(trajectory.prediction),
-        "initial": vars(trajectory.records[0]),  # a record's fields in declaration order
-        "final": vars(trajectory.records[-1]),
+        "prediction": trajectory.prediction._asdict(),
+        "initial": trajectory.records[0]._asdict(),
+        "final": trajectory.records[-1]._asdict(),
         "record_count": len(trajectory.records),
         "early_stop_t": trajectory.early_stop_t,
         "breaches": list(trajectory.breaches),
@@ -300,12 +299,12 @@ set terminal pngcairo size 1280,960
 set output "trajectory.png"
 set multiplot layout 2,2
 set xlabel "t"
-plot "trajectory.csv" using 1:2 with lines lw 2 title "rho(t)"
-plot "trajectory.csv" using 1:3 with lines lw 2 title "V(t)"
+plot "trajectory.csv" using {t}:{rho} with lines lw 2 title "rho(t)"
+plot "trajectory.csv" using {t}:{V} with lines lw 2 title "V(t)"
 set logscale y
-plot "trajectory.csv" using 1:($5 > 0 ? $5 : NaN) with lines lw 2 title "W(t)"
+plot "trajectory.csv" using {t}:(${W} > 0 ? ${W} : NaN) with lines lw 2 title "W(t)"
 unset logscale y
-plot "trajectory.csv" using 1:8 with lines lw 2 title "mass near x_bar"
+plot "trajectory.csv" using {t}:{mass_near_xbar} with lines lw 2 title "mass near x_bar"
 unset multiplot
 """
 
@@ -318,8 +317,11 @@ plot {plots}
 
 
 def _write_plot_script(trajectory: Trajectory, out_dir: Path, snapshot_names: list[str]) -> None:
+    from .diagnostics import DiagnosticsRecord
+
     note = " and snapshot csvs" if snapshot_names else ""
-    blocks = [_PLOT_SCRIPT.format(version=__version__, snapshot_note=note)]
+    columns = {name: i for i, name in enumerate(DiagnosticsRecord._fields, 1)}  # in trajectory.csv
+    blocks = [_PLOT_SCRIPT.format(version=__version__, snapshot_note=note, **columns)]
     if snapshot_names:
         plots = ", \\\n     ".join(
             f'"{name}" using 1:2 with lines title "{name[:-4]}"'
@@ -476,7 +478,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for name, value in rows:
             print(f"{name:<{width}}  {value}")
         print()
-    print(_json_dump(_prediction_dict(pred)))
+    print(_json_dump(pred._asdict()))
     return 0
 
 

@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -501,8 +501,7 @@ def bound_on_grid(e: Expr, grid) -> tuple[float, float]:
     return float(values.min()), float(values.max())
 
 
-@dataclass(frozen=True)
-class TraitFunction:
+class TraitFunction(NamedTuple):
     """A scalar function of the trait, kept together with its source text."""
 
     source: str

@@ -33,6 +33,7 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +98,7 @@ class ExponentOverflow(IntegrationError):
         self.exponent = exponent
 
 
-@dataclass(frozen=True)
-class PopulationState:
+class PopulationState(NamedTuple):
     """Solver state at time t.
 
     ``log_u`` holds per-node log densities with -inf marking empty cells;
@@ -117,8 +117,7 @@ class PopulationState:
     undershoot_clamps: int = 0
 
 
-@dataclass(frozen=True)
-class DensitySnapshot:
+class DensitySnapshot(NamedTuple):
     requested_t: float
     t: float
     log_u: np.ndarray
@@ -273,9 +272,7 @@ def _exponential_state(
         values, log_u = log_u, np.full(tables.n_nodes, -np.inf)
         log_u[tables.support] = values
     log_u.setflags(write=False)
-    state = object.__new__(PopulationState)  # skips the frozen __init__'s per-field set-up
-    state.__dict__.update(t=t, A=A, B=B, log_u=log_u, rho=rho, undershoot_clamps=0)
-    return state
+    return PopulationState(t, A, B, log_u, rho)
 
 
 def _exponential_advance(scenario: Scenario, dt: float) -> _Advance:

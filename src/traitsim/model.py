@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +120,7 @@ class Grid:
         return slice(int(dist.searchsorted(-c)), int(dist.searchsorted(c, "right")))
 
 
-@dataclass(frozen=True)
-class SupportTables:
+class SupportTables(NamedTuple):
     """b, d, log u0 and trapezoid weights on the support of u0, and their ranges.
 
     ``support`` is a slice when it is one run of nodes, and then ``b_s``, ``w_s``
@@ -141,8 +141,7 @@ class SupportTables:
     log_u0_hi: float
 
 
-@dataclass(frozen=True)
-class RecordTables:
+class RecordTables(NamedTuple):
     """What every diagnostics record of one scenario reads unchanged.
 
     ``d`` is a float when d is constant on the grid (a scalar gives the same
@@ -369,8 +368,7 @@ def scenario_items(scenario: Scenario) -> list[tuple[str, object]]:
     return items
 
 
-@dataclass(frozen=True)
-class EquilibriumPrediction:
+class EquilibriumPrediction(NamedTuple):
     """Closed-form limit prediction plus the certified corridor constants.
 
     ``x_bar`` maximizes b/d over the support nodes, ``rho_bar`` solves
@@ -394,7 +392,7 @@ class EquilibriumPrediction:
     rho_M: float
     x_bar_on_boundary: bool
     alpha_R: float | None = None
-    notes: tuple[str, ...] = field(default=(), compare=False)
+    notes: tuple[str, ...] = ()
 
 
 def positive_root(kappa: float) -> float:
@@ -501,7 +499,7 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
         notes=tuple(notes),
     )
     rho_m, rho_M = apriori_corridor(pred, scenario.rho0)
-    pred = replace(pred, rho_m=rho_m, rho_M=rho_M)
+    pred = pred._replace(rho_m=rho_m, rho_M=rho_M)
     if scenario.tail_R is not None:
         alpha = check_tail_condition(scenario, pred, scenario.tail_R)
         extra: list[str] = list(notes)
@@ -512,7 +510,7 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
             )
             extra.append(note)
             warnings.warn(note, AssumptionWarning, stacklevel=2)
-        pred = replace(pred, alpha_R=alpha, notes=tuple(extra))
+        pred = pred._replace(alpha_R=alpha, notes=tuple(extra))
     return pred
 
 

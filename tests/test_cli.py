@@ -4,11 +4,13 @@ import gc
 import importlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -143,6 +145,7 @@ class TestLoadScenario:
             ("scheme = exponential", "scheme = exponential\nsnapshot_times = -5, 1e9",
              "snapshot_times"),
             ("b = 2 - (x - 0.3)^2", "b = 1 + 0*(exp(1000*x) - exp(1000*x))", "b"),
+            ("u0 = ind(0, 1)", "u0 = exp(1000)", "u0"),  # inf on every node
             # 1e11 cells would need 745 GiB of nodes: rejected before any allocation
             ("n_cells = 10", "n_cells = 100000000000", "n_cells"),
         ],
@@ -152,6 +155,15 @@ class TestLoadScenario:
         assert main(["run", path, "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must")
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[domain]", "c0 = 1.0\n[domain]", "line 1 comes before any [section]"),
+        ("c0 = 1.0", "c0 = 1.0\nc1\nc2", "line 8 is not 'key = value'"),  # the first of two
+    ], ids=["key-before-any-section", "lines-without-equals"])
+    def test_malformed_file_exits_2_in_one_line(self, tmp_path, capsys, old, new, message):
+        path = write_scenario(tmp_path, GOOD_BODY.replace(old, new))
+        assert main(["predict", path]) == 2
+        assert capsys.readouterr().err == f"error: malformed scenario file: {message}\n"
 
     def test_each_expression_sampled_once(self, monkeypatch, tmp_path):
         # validate and predict read the cached node arrays instead of
@@ -328,6 +340,19 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert summary["scenario"]["b"] == "1 +\n0.5*x"
 
+    def test_plot_columns_are_the_csv_columns_their_titles_name(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", TINY, "--out", str(out), "--quiet"]) == 0
+        header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
+        named = {"rho(t)": "rho", "V(t)": "V", "W(t)": "W", "mass near x_bar": "mass_near_xbar"}
+        plots = re.findall(r'^plot "trajectory.csv" using (\d+):(\S+) .* title "([^"]+)"$',
+                           (out / "plot.gp").read_text(), re.MULTILINE)
+        assert sorted(title for _, _, title in plots) == sorted(named)
+        for x, y, title in plots:  # y is a column, or an expression of $column like "($5 > 0 ...)"
+            columns = {int(c) for c in re.findall(r"\$(\d+)", y)} or {int(y)}
+            assert header[int(x) - 1] == "t"
+            assert [header[c - 1] for c in columns] == [named[title]]
+
     def test_snapshot_at_zero_equals_u0(self, tmp_path):
         out = tmp_path / "out"
         main(["run", TINY, "--out", str(out), "--quiet"])
@@ -464,8 +489,8 @@ class TestOutputRows:
         return Trajectory(scenario=s, prediction=pred, fingerprint="0", records=[])
 
     def test_trajectory_rows_match_fmt(self, tmp_path):
-        names = [f.name for f in fields(DiagnosticsRecord)]
-        integer = {f.name for f in fields(DiagnosticsRecord) if f.type in (int, "int")}
+        names = list(DiagnosticsRecord._fields)
+        integer = {name for name, kind in get_type_hints(DiagnosticsRecord).items() if kind is int}
         assert integer == {"undershoot_clamps"}
         trajectory = self._trajectory()
         n = len(SPECIAL_FLOATS)
@@ -478,7 +503,7 @@ class TestOutputRows:
         path = tmp_path / "trajectory.csv"
         _write_trajectory_csv(trajectory, path)
         want = [",".join(names)] + [
-            ",".join(str(v) if n in integer else _fmt(v) for n, v in zip(names, vars(r).values()))
+            ",".join(str(v) if n in integer else _fmt(v) for n, v in zip(names, r))
             for r in trajectory.records
         ]
         assert path.read_text().splitlines() == want
@@ -515,7 +540,7 @@ class TestOutputMemory:
     def test_trajectory_csv_streams_rows(self, tmp_path):
         s = load_scenario(TINY)
         record = DiagnosticsRecord(0.1, 1.0, -0.5, 0.25, 1e-3, 2.0, 0.5, 0.75, 0.0, 0)
-        records = [replace(record, t=k * 1e-3) for k in range(20_000)]
+        records = [record._replace(t=k * 1e-3) for k in range(20_000)]
         trajectory = Trajectory(scenario=s, prediction=None, fingerprint="0", records=records)
         path = tmp_path / "trajectory.csv"
         peak = traced_peak(lambda: _write_trajectory_csv(trajectory, path))
@@ -625,7 +650,7 @@ class TestEvaluateInvariants:
     @pytest.mark.parametrize("W0, WT", [(math.inf, math.inf), (math.inf, 1.0), (1.0, math.inf)])
     def test_residual_decay_fails_on_non_finite_W(self, W0, WT):
         t = run(load_scenario(TINY))
-        t.records[0], t.records[-1] = replace(t.records[0], W=W0), replace(t.records[-1], W=WT)
+        t.records[0], t.records[-1] = t.records[0]._replace(W=W0), t.records[-1]._replace(W=WT)
         status = {name: ok for name, ok, _ in evaluate_invariants(t)}
         assert status["residual_decay"] is False
 
@@ -635,7 +660,7 @@ class TestEvaluateInvariants:
     @pytest.mark.parametrize("t_end", [0.0, 0.01])  # one record: no increment to check
     def test_non_finite_V_or_D_fails(self, value, field, check, t_end):
         t = run(load_scenario(TINY).with_controls(t_end=t_end, snapshot_times=()))
-        t.records[-1] = replace(t.records[-1], **{field: value})
+        t.records[-1] = t.records[-1]._replace(**{field: value})
         status = {name: ok for name, ok, _ in evaluate_invariants(t)}
         assert status[check] is False
 
@@ -728,6 +753,21 @@ scheme = exponential
 
 
 class TestModuleEntryPoint:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["predict", "run", "verify"])
+    def test_closed_stdout_exits_141_in_silence(self, tmp_path, command, unbuffered):
+        # as in `traitsim predict ... | true`: the reader is gone before the first write
+        read, write = os.pipe()
+        os.close(read)
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        try:
+            proc = subprocess.run([sys.executable, "-m", "traitsim", command, TINY, *out],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                                  env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     def test_python_dash_m_invocation(self):
         import subprocess
         import sys

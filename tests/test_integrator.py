@@ -1,6 +1,5 @@
 """Time integration: exactness, invariants, cross-scheme and failure paths."""
 
-import dataclasses
 import hashlib
 import math
 import struct
@@ -17,7 +16,6 @@ from traitsim.integrator import (
     DensitySnapshot,
     ExponentOverflow,
     IntegrationError,
-    PopulationState,
     _exponential_advance,
     _exponential_state,
     _mass_kernel,
@@ -269,8 +267,8 @@ def _gathered(t):
     def copy(v):
         return v if v is None or isinstance(v, float) else v.copy()
 
-    return dataclasses.replace(
-        t, support=np.arange(t.n_nodes)[t.support], b_s=t.b_s.copy(), w_s=t.w_s.copy(),
+    return t._replace(
+        support=np.arange(t.n_nodes)[t.support], b_s=t.b_s.copy(), w_s=t.w_s.copy(),
         d=copy(t.d), log_u0=copy(t.log_u0),
     )
 
@@ -552,18 +550,6 @@ class TestRun:
             assert len(run(s).records) == 1 + -(-60 // every)
         assert len(built) == (3 if scheme == "exponential" else 0)
 
-    def test_fast_state_constructor_matches_the_dataclass(self):
-        s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=50)
-        fast = step_exponential(init_state(s), s.dt, s)
-        public = PopulationState(fast.t, fast.A, fast.B, fast.log_u, fast.rho)
-        assert type(fast) is PopulationState and fast == public
-        assert _bits(fast) == _bits(public)  # astuple, with each float's repr and the array's bytes
-        names = [f.name for f in dataclasses.fields(public)]
-        assert list(vars(fast)) == list(vars(public)) == names
-        assert dataclasses.replace(fast) == fast
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            fast.rho = 0.0
-
     def test_nan_mass_mid_run_raises_with_exact_partial(self, monkeypatch):
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=50, t_end=0.1, sample_every=4)
         records, _, final = _stepped(s, 23)
@@ -740,7 +726,7 @@ def _bits(obj):
     """Every field of a record, snapshot or state, float bits included."""
     return [
         v.tobytes() if isinstance(v, np.ndarray) else repr(v)
-        for v in dataclasses.astuple(obj)
+        for v in obj
     ]
 
 

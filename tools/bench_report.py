@@ -30,6 +30,12 @@ It records, in this order:
   and the rebuilt ``log_u``), ``us_per_record``, one ``make_record`` of
   that state, and ``us_per_row``, one trajectory.csv row, written by the
   CLI's writer to a file;
+* ``records``: what a run keeps per record, in one fresh process:
+  ``traitsim.integrator.run`` on :data:`OBSERVED` with ``sample_every = 1``
+  to t = :data:`RECORDS_T_END` (50,001 records), traced by ``tracemalloc``
+  from just before the run; ``held_bytes`` is the traced memory still held
+  when it returns, with the trajectory alive, and ``bytes_per_record`` that
+  divided by the record count (the records are nearly all of it);
 * ``reporter_peak_rss_mb``: this script's own ``ru_maxrss`` at the end.  A
   child's ``ru_maxrss`` cannot read below its parent's peak at the time it
   was started, so the scenarios' peaks are their own only while this stays
@@ -150,6 +156,22 @@ print(json.dumps({"us_per_observed_step": step_us, "us_per_record": record_us,
                   "us_per_row": row_us}))
 """
 
+#: the end of the run that the ``records`` block traces
+RECORDS_T_END = 50.0
+
+#: the ``records`` probe, run as ``python3 -c RECORDS_PROBE SCENARIO T_END``
+RECORDS_PROBE = """
+import json, sys, tracemalloc
+from traitsim.cli import load_scenario
+from traitsim.integrator import run
+scenario = load_scenario(sys.argv[1]).with_controls(sample_every=1, t_end=float(sys.argv[2]))
+tracemalloc.start()
+trajectory = run(scenario)
+held = tracemalloc.get_traced_memory()[0]
+count = len(trajectory.records)
+print(json.dumps({"records": count, "held_bytes": held, "bytes_per_record": held / count}))
+"""
+
 #: runs ``-c CODE`` or ``-m MODULE ARGS...`` as ``python3`` would, and prints
 #: ``time.perf_counter()`` to stderr as it starts (``started_at``) and from the last
 #: atexit handler to run (``atexit_at``); on Linux perf_counter is CLOCK_MONOTONIC,
@@ -255,6 +277,13 @@ def probe(source: str, path: Path, *extra: str) -> dict:
     return doc
 
 
+def records_held(path: Path) -> dict:
+    """What ``RECORDS_PROBE`` prints for a scenario: the bytes its records hold."""
+    argv = [sys.executable, "-c", RECORDS_PROBE, str(path), repr(RECORDS_T_END)]
+    proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def startup(cal_ref_s: float) -> dict:
     """Per command: median import microseconds (traitsim's top-level modules, numpy), boot, exit."""
     doc: dict = {"dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
@@ -326,10 +355,12 @@ def main() -> int:
     scenarios = sorted((ROOT / "scenarios").glob("*.ini"))
     doc["scenarios"] = {path.stem: scenario_wall(path, CAL_REF_S) for path in scenarios}
     doc["kernel"] = {path.stem: probe(KERNEL_PROBE, path) for path in scenarios}
+    observed = ROOT / "scenarios" / f"{OBSERVED}.ini"
     with tempfile.TemporaryDirectory() as out:
-        observed = ROOT / "scenarios" / f"{OBSERVED}.ini"
         doc["observation"] = {"scenario": OBSERVED, "sample_every": 1,
                               **probe(OBSERVATION_PROBE, observed, str(Path(out) / "t.csv"))}
+    doc["records"] = {"scenario": OBSERVED, "sample_every": 1, "t_end": RECORDS_T_END,
+                      **records_held(observed)}
     doc["startup"] = startup(CAL_REF_S)
     doc["tier1"] = tier1(CAL_REF_S)
     doc["cal_ref_s"] = CAL_REF_S

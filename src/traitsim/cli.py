@@ -436,9 +436,13 @@ def evaluate_invariants(trajectory: Trajectory) -> list[tuple[str, bool | None, 
 # Commands
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = getattr(args, "out", None) or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, made if missing; one that cannot be made is an input error."""
+    source = "--out" if args.out else f"${OUT_DIR_ENV}"
+    path = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"{source} {path}: cannot make the output directory ({err.strerror})") from None
     return path
 
 
@@ -580,6 +584,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
         steps = [(g.x_max - g.x_min) / v for v in values]
 
+    out = _out_dir(args)  # before the workers: a bad directory costs no sweep
     from concurrent.futures import ProcessPoolExecutor  # only sweep needs worker processes
 
     workers = min(len(scenarios), os.cpu_count() or 1)
@@ -602,7 +607,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             xs, ys = zip(*pts)
             order = least_squares_slope(xs, ys)
 
-    out = _out_dir(args)
     lines = [f"{parameter},rho_final,abs_err_vs_prediction,status\n"]
     for value, (final_rho, err, status) in zip(values, results):
         value_text = str(value) if parameter == "n_cells" else _fmt(value)

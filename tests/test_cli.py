@@ -422,6 +422,29 @@ class TestRunCommand:
         assert main(["run", TINY, "--quiet"]) == 0
         assert (target / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("where", ["under_a_file", "a_file"])
+    @pytest.mark.parametrize("source", ["--out", "$TRAITSIM_OUT"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unmakeable_out_dir_exits_2_in_one_line(
+        self, tmp_path, capsys, monkeypatch, command, source, where
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "sub" if where == "under_a_file" else blocker
+        argv = [command, TINY, "--quiet"]
+        if command == "sweep":
+            argv += ["--param", "dt", "--values", "1e-3,2e-3"]
+        if source == "--out":
+            argv += ["--out", str(target)]
+        else:
+            monkeypatch.setenv("TRAITSIM_OUT", str(target))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {source} {target}: cannot make the output directory (")
+        assert "Traceback" not in captured.err
+
     def test_runtime_error_flushes_partial_exit_3(self, tmp_path, capsys, monkeypatch):
         # a dt large enough to overflow the mass is refused by the stability
         # bound (exit 2), so the overflow is raised by the kernel itself

@@ -19,7 +19,6 @@ from traitsim.integrator import (
     _exponential_advance,
     _exponential_state,
     _mass_kernel,
-    _sha256,
     init_state,
     rho_from_exponents,
     run,
@@ -27,7 +26,7 @@ from traitsim.integrator import (
     step_direct,
     step_exponential,
 )
-from traitsim.model import predict_equilibrium, quadrature
+from traitsim.model import predict_equilibrium, quadrature, scenario_items
 from traitsim.oracle import Atom, AtomSystem, integrate_atoms
 
 TWO_PEAK_B = "1 + exp(-200*(x - 0.25)^2) + 0.8*exp(-200*(x - 0.7)^2)"
@@ -693,13 +692,17 @@ class TestRun:
         )
         assert scenario_fingerprint(s) == "127a9864032cce54"
 
-    def test_sha256_matches_hashlib(self):
-        # every length to 200 bytes crosses the padding boundaries (55/56,
-        # 63/64, 119/120): random bytes, all zeros and all ones
-        rng = np.random.default_rng(20261019)
-        for size in [*range(201), 1000, 4096]:
-            for text in (rng.bytes(size), bytes(size), b"\xff" * size):
-                assert _sha256(text) == hashlib.sha256(text).hexdigest(), (size, text)
+    def test_fingerprint_is_the_sha256_of_its_payload(self):
+        # the payload built as scenario_fingerprint builds it, hashed by hashlib
+        paths = [*sorted(SCENARIO_DIR.glob("*.ini")), DATA_DIR / "tiny.ini"]
+        assert len(paths) == 6
+        for path in paths:
+            s = load_scenario(path)
+            payload = "\n".join(
+                f"{name}={value}" if isinstance(value, str) else f"{name}={value!r}"
+                for name, value in scenario_items(s)
+            ).encode()
+            assert scenario_fingerprint(s) == hashlib.sha256(payload).hexdigest()[:16], path
 
     def test_only_the_exponential_scheme_builds_support_tables(self):
         direct = make_scenario(t_end=0.01, scheme="direct")

@@ -67,10 +67,25 @@ def test_cli_loads_no_process_pool():
     assert loaded is False
 
 
+def test_sweep_refuses_a_bad_output_directory_before_its_workers(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = fresh(
+        "import contextlib, io, json, sys\n"
+        "from traitsim import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = cli.main(['sweep', {str(TINY)!r}, '--param', 'dt', '--values', '1e-3,2e-3',\n"
+        f"                     '--out', {str(blocker / 'sub')!r}])\n"
+        "print(json.dumps([code, 'concurrent.futures.process' in sys.modules]))\n"
+    )
+    assert result == [2, False]
+
+
 #: what only running the dynamics needs: ``predict`` loads none of them
 RUN_ONLY = ("traitsim.integrator", "traitsim.diagnostics")
 
-#: what no command loads: OpenSSL, through ``hashlib`` (the fingerprint is pure Python)
+#: what no command loads: OpenSSL, through ``hashlib`` (the fingerprint takes the
+#: interpreter's own SHA-256 module)
 NEVER = ("_hashlib",)
 
 

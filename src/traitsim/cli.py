@@ -27,8 +27,8 @@ Scenario files are sectioned key-value text (INI syntax)::
 
 Commands: ``predict`` (closed-form limit and corridor), ``run`` (writes
 trajectory.csv, snapshot_<t>.csv, summary.json and plot.gp), ``verify``
-(machine-checks the theory's invariants, one PASS/FAIL line each) and
-``sweep`` (convergence study over dt or n_cells).
+(prints :func:`diagnostics.evaluate_invariants`, one PASS/FAIL line each)
+and ``sweep`` (convergence study over dt or n_cells).
 
 Exit codes: 0 success, 1 verify found a failing invariant, 2 input error,
 3 runtime error (overflow or NaN; partial outputs are flushed), and from the
@@ -70,20 +70,11 @@ __all__ = [
     "SCENARIO_SECTIONS",
     "ScenarioFileError",
     "load_scenario",
-    "evaluate_invariants",
     "build_parser",
     "main",
 ]
 
 OUT_DIR_ENV = "TRAITSIM_OUT"
-
-#: verification tolerances, pinned to the acceptance criteria (with CORRIDOR_TOL)
-LYAPUNOV_SLACK = 1e-8
-RESIDUAL_DECAY_FACTOR = 1e-2
-RHO_LIMIT_TOL_INTERIOR = 1e-3
-RHO_LIMIT_TOL_BOUNDARY = 1e-2
-CONCENTRATION_INTERIOR = 0.99
-CONCENTRATION_BOUNDARY = 0.95
 
 
 class ScenarioFileError(ValueError):
@@ -239,9 +230,12 @@ def _json_dump(value, indent: int = 0) -> str:
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write newline-terminated lines (or blocks of them) to ``path`` as they come."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    """Write newline-terminated lines to ``path`` as they come; a failed write is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as err:
+        raise ValueError(f"{path}: cannot write the file ({err.strerror or err})") from None
 
 
 def _write_trajectory_csv(trajectory: Trajectory, path: Path) -> None:
@@ -284,7 +278,7 @@ def _write_summary(trajectory: Trajectory, path: Path, error: str | None = None)
         "final": trajectory.records[-1]._asdict(),
         "record_count": len(trajectory.records),
         "early_stop_t": trajectory.early_stop_t,
-        "breaches": list(trajectory.breaches),
+        "breaches": trajectory.breaches,
     }
     if error is not None:
         doc["error"] = error
@@ -329,107 +323,6 @@ def _write_plot_script(trajectory: Trajectory, out_dir: Path, snapshot_names: li
         )
         blocks.append(_PLOT_SNAPSHOTS.format(plots=plots))
     _write_lines(out_dir / "plot.gp", blocks)
-
-
-# --------------------------------------------------------------------------
-# Invariant verification
-
-def evaluate_invariants(trajectory: Trajectory) -> list[tuple[str, bool | None, str]]:
-    """Check every theory invariant on a finished run.
-
-    Returns (name, ok, detail) triples; ok None means not applicable.
-    Tolerances match the acceptance criteria exactly.
-    """
-    from .integrator import CORRIDOR_TOL
-
-    pred = trajectory.prediction
-    records = trajectory.records
-    rhos = np.array([r.rho for r in records])
-    Vs = np.array([r.V for r in records])
-    Ds = np.array([r.D for r in records])
-    checks: list[tuple[str, bool | None, str]] = []
-
-    lo, hi = pred.rho_m - CORRIDOR_TOL, pred.rho_M + CORRIDOR_TOL
-    ok = bool(np.all((rhos >= lo) & (rhos <= hi)))
-    checks.append(
-        (
-            "corridor",
-            ok,
-            f"rho in [{rhos.min():.9g}, {rhos.max():.9g}], "
-            f"allowed [{pred.rho_m:.9g} - {CORRIDOR_TOL:g}, {pred.rho_M:.9g} + {CORRIDOR_TOL:g}]",
-        )
-    )
-
-    if not np.isfinite(Vs).all():
-        checks.append(("lyapunov_monotone", False, f"V in [{Vs.min()}, {Vs.max()}]: not finite"))
-    else:
-        drops = Vs[1:] - (Vs[:-1] - LYAPUNOV_SLACK * (1.0 + np.abs(Vs[:-1])))
-        ok = bool(np.all(drops >= 0.0))
-        worst = float(drops.min()) if drops.size else 0.0
-        checks.append(
-            ("lyapunov_monotone", ok, f"worst tolerated increment {worst:.3e} (>= 0 required)")
-        )
-
-    if not np.isfinite(Ds).all():
-        checks.append(("dissipation_nonneg", False, f"D in [{Ds.min()}, {Ds.max()}]: not finite"))
-    else:
-        checks.append(("dissipation_nonneg", bool(np.all(Ds >= 0.0)), f"min D = {Ds.min():.3e}"))
-
-    W0, WT = records[0].W, records[-1].W
-    if not (math.isfinite(W0) and math.isfinite(WT)):
-        checks.append(("residual_decay", False, f"W(0) = {W0!r}, W(T) = {WT!r}: not finite"))
-    elif W0 <= 1e-300:
-        checks.append(("residual_decay", True, "W(0) = 0: already concentrated"))
-    else:
-        ok = WT <= RESIDUAL_DECAY_FACTOR * W0
-        checks.append(
-            (
-                "residual_decay",
-                ok,
-                f"W(T)/W(0) = {WT / W0:.3e} (<= {RESIDUAL_DECAY_FACTOR:g} required)",
-            )
-        )
-
-    tol = RHO_LIMIT_TOL_BOUNDARY if pred.x_bar_on_boundary else RHO_LIMIT_TOL_INTERIOR
-    err = abs(records[-1].rho - pred.rho_bar)
-    checks.append(
-        (
-            "rho_limit",
-            err < tol,
-            f"|rho(T) - rho_bar| = {err:.3e} (< {tol:g} required, "
-            f"{'boundary' if pred.x_bar_on_boundary else 'interior'} maximizer)",
-        )
-    )
-
-    if trajectory.scenario.scheme == "exponential" and trajectory.final_state is not None:
-        initial = trajectory.scenario.support_mask
-        final = trajectory.final_state.log_u > -np.inf
-        ok = bool(np.array_equal(initial, final))
-        checks.append(
-            (
-                "support_conserved",
-                ok,
-                f"{int(initial.sum())} initial vs {int(final.sum())} final positive nodes",
-            )
-        )
-    else:
-        checks.append(
-            ("support_conserved", None, "exact only for the exponential scheme; skipped")
-        )
-
-    thr = CONCENTRATION_BOUNDARY if pred.x_bar_on_boundary else CONCENTRATION_INTERIOR
-    final = records[-1]
-    mode_ok = final.x_mode == pred.x_bar
-    mass_ok = final.mass_near_xbar >= thr
-    checks.append(
-        (
-            "concentration",
-            bool(mode_ok and mass_ok),
-            f"mass within epsilon of x_bar = {final.mass_near_xbar:.6f} (>= {thr:g}), "
-            f"mode at {final.x_mode!r} vs predicted {pred.x_bar!r}",
-        )
-    )
-    return checks
 
 
 # --------------------------------------------------------------------------
@@ -529,9 +422,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     trajectory = _warned(integrator.run, scenario)
-    checks = evaluate_invariants(trajectory)
     failed = 0
-    for name, ok, detail in checks:
+    for name, ok, detail in diagnostics.evaluate_invariants(trajectory):
         if ok is None:
             status = "SKIP"
         elif ok:

@@ -39,10 +39,21 @@ __all__ = [
     "least_squares_slope",
     "blow_up_report",
     "make_record",
+    "corridor_breaches",
+    "evaluate_invariants",
 ]
 
 #: log-density above which integrands are computed under a max shift
 _RESCALE_THRESHOLD = 700.0
+
+#: verification tolerances, pinned to the acceptance criteria (CORRIDOR_TOL: the corridor's slack)
+CORRIDOR_TOL = 1e-6
+LYAPUNOV_SLACK = 1e-8
+RESIDUAL_DECAY_FACTOR = 1e-2
+RHO_LIMIT_TOL_INTERIOR = 1e-3
+RHO_LIMIT_TOL_BOUNDARY = 1e-2
+CONCENTRATION_INTERIOR = 0.99
+CONCENTRATION_BOUNDARY = 0.95
 
 
 class DiagnosticsRecord(NamedTuple):
@@ -183,3 +194,106 @@ def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
         mass += 0.5 * dx * (u[i] + u[i + 1])
     mass = _unscale(mass, shift)
     return BlowUpReport(monotone, slope, mass)
+
+
+def corridor_breaches(trajectory: "Trajectory") -> list[str]:
+    """One line per record whose rho lies outside the a priori corridor, with CORRIDOR_TOL slack."""
+    pred = trajectory.prediction
+    lo, hi = pred.rho_m - CORRIDOR_TOL, pred.rho_M + CORRIDOR_TOL
+    return [f"corridor breach at t = {r.t:.6g}: rho = {r.rho!r} "
+            f"outside [{pred.rho_m!r}, {pred.rho_M!r}]"
+            for r in trajectory.records if not (lo <= r.rho <= hi)]
+
+
+def evaluate_invariants(trajectory: "Trajectory") -> list[tuple[str, bool | None, str]]:
+    """Check every theory invariant on a finished run.
+
+    Returns (name, ok, detail) triples; ok None means not applicable.
+    Tolerances match the acceptance criteria exactly.
+    """
+    pred = trajectory.prediction
+    records = trajectory.records
+    rhos = np.array([r.rho for r in records])
+    Vs = np.array([r.V for r in records])
+    Ds = np.array([r.D for r in records])
+    checks: list[tuple[str, bool | None, str]] = []
+
+    checks.append(
+        (
+            "corridor",
+            not corridor_breaches(trajectory),
+            f"rho in [{rhos.min():.9g}, {rhos.max():.9g}], "
+            f"allowed [{pred.rho_m:.9g} - {CORRIDOR_TOL:g}, {pred.rho_M:.9g} + {CORRIDOR_TOL:g}]",
+        )
+    )
+
+    if not np.isfinite(Vs).all():
+        checks.append(("lyapunov_monotone", False, f"V in [{Vs.min()}, {Vs.max()}]: not finite"))
+    else:
+        drops = Vs[1:] - (Vs[:-1] - LYAPUNOV_SLACK * (1.0 + np.abs(Vs[:-1])))
+        ok = bool(np.all(drops >= 0.0))
+        worst = float(drops.min()) if drops.size else 0.0
+        checks.append(
+            ("lyapunov_monotone", ok, f"worst tolerated increment {worst:.3e} (>= 0 required)")
+        )
+
+    if not np.isfinite(Ds).all():
+        checks.append(("dissipation_nonneg", False, f"D in [{Ds.min()}, {Ds.max()}]: not finite"))
+    else:
+        checks.append(("dissipation_nonneg", bool(np.all(Ds >= 0.0)), f"min D = {Ds.min():.3e}"))
+
+    W0, WT = records[0].W, records[-1].W
+    if not (math.isfinite(W0) and math.isfinite(WT)):
+        checks.append(("residual_decay", False, f"W(0) = {W0!r}, W(T) = {WT!r}: not finite"))
+    elif W0 <= 1e-300:
+        checks.append(("residual_decay", True, "W(0) = 0: already concentrated"))
+    else:
+        ok = WT <= RESIDUAL_DECAY_FACTOR * W0
+        checks.append(
+            (
+                "residual_decay",
+                ok,
+                f"W(T)/W(0) = {WT / W0:.3e} (<= {RESIDUAL_DECAY_FACTOR:g} required)",
+            )
+        )
+
+    tol = RHO_LIMIT_TOL_BOUNDARY if pred.x_bar_on_boundary else RHO_LIMIT_TOL_INTERIOR
+    err = abs(records[-1].rho - pred.rho_bar)
+    checks.append(
+        (
+            "rho_limit",
+            err < tol,
+            f"|rho(T) - rho_bar| = {err:.3e} (< {tol:g} required, "
+            f"{'boundary' if pred.x_bar_on_boundary else 'interior'} maximizer)",
+        )
+    )
+
+    if trajectory.scenario.scheme == "exponential" and trajectory.final_state is not None:
+        initial = trajectory.scenario.support_mask
+        final = trajectory.final_state.log_u > -np.inf
+        ok = bool(np.array_equal(initial, final))
+        checks.append(
+            (
+                "support_conserved",
+                ok,
+                f"{int(initial.sum())} initial vs {int(final.sum())} final positive nodes",
+            )
+        )
+    else:
+        checks.append(
+            ("support_conserved", None, "exact only for the exponential scheme; skipped")
+        )
+
+    thr = CONCENTRATION_BOUNDARY if pred.x_bar_on_boundary else CONCENTRATION_INTERIOR
+    final = records[-1]
+    mode_ok = final.x_mode == pred.x_bar
+    mass_ok = final.mass_near_xbar >= thr
+    checks.append(
+        (
+            "concentration",
+            bool(mode_ok and mass_ok),
+            f"mass within epsilon of x_bar = {final.mass_near_xbar:.6f} (>= {thr:g}), "
+            f"mode at {final.x_mode!r} vs predicted {pred.x_bar!r}",
+        )
+    )
+    return checks

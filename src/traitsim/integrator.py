@@ -61,7 +61,6 @@ __all__ = [
     "PopulationState",
     "DensitySnapshot",
     "Trajectory",
-    "CORRIDOR_TOL",
     "STOP_WINDOW",
     "RK4_STABILITY",
     "init_state",
@@ -71,9 +70,6 @@ __all__ = [
     "run",
     "scenario_fingerprint",
 ]
-
-#: slack used when flagging corridor breaches in sampled records
-CORRIDOR_TOL = 1e-6
 
 #: consecutive samples inside stop_tol required before stopping early
 STOP_WINDOW = 100
@@ -140,9 +136,13 @@ class Trajectory:
     fingerprint: str
     records: list[diagnostics.DiagnosticsRecord]
     snapshots: list[DensitySnapshot] = field(default_factory=list)
-    breaches: list[str] = field(default_factory=list)
     final_state: PopulationState | None = None
     early_stop_t: float | None = None
+
+    @property
+    def breaches(self) -> list[str]:
+        """The records outside the a priori corridor, by :func:`diagnostics.corridor_breaches`."""
+        return diagnostics.corridor_breaches(self)
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
@@ -401,9 +401,9 @@ def run(scenario: Scenario) -> Trajectory:
     The run is observed at step 0, every ``sample_every`` steps, at each
     snapshot step (the nearest to each snapshot time) and at the last step;
     a diagnostics record is taken at every observed step except a snapshot
-    step off the sampling grid.  Sampled masses after step 0 outside the a
-    priori corridor (with :data:`CORRIDOR_TOL` slack) are recorded as
-    breaches, not errors.  With ``stop_tol`` set, the run stops once
+    step off the sampling grid.  The run does not judge its records: masses
+    outside the a priori corridor are not errors, and the trajectory's
+    ``breaches`` lists them.  With ``stop_tol`` set, the run stops once
     |rho - rho_bar| and W stay below it for :data:`STOP_WINDOW` consecutive
     samples after step 0.  A step failure raises :class:`IntegrationError`
     with the trajectory so far attached; its ``final_state`` is the last
@@ -445,7 +445,6 @@ def run(scenario: Scenario) -> Trajectory:
         records=[],
     )
     records, snapshots = trajectory.records, trajectory.snapshots
-    rho_lo, rho_hi = pred.rho_m - CORRIDOR_TOL, pred.rho_M + CORRIDOR_TOL
     rho_bar, stop_tol = pred.rho_bar, scenario.stop_tol
     state, done, stop_streak = init_state(scenario), 0, 0
     for k, _ in itertools.groupby(observed):
@@ -460,14 +459,7 @@ def run(scenario: Scenario) -> Trajectory:
             continue
         rec = diagnostics.make_record(state, scenario, pred)
         records.append(rec)
-        if not k:
-            continue
-        if not (rho_lo <= rec.rho <= rho_hi):
-            trajectory.breaches.append(
-                f"corridor breach at t = {rec.t:.6g}: rho = {rec.rho!r} "
-                f"outside [{pred.rho_m!r}, {pred.rho_M!r}]"
-            )
-        if stop_tol is not None:
+        if k and stop_tol is not None:
             near = abs(rec.rho - rho_bar) < stop_tol and rec.W < stop_tol
             stop_streak = stop_streak + 1 if near else 0
             if stop_streak >= STOP_WINDOW:

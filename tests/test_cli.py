@@ -25,11 +25,10 @@ from traitsim.cli import (
     _write_snapshots,
     _write_trajectory_csv,
     build_parser,
-    evaluate_invariants,
     load_scenario,
     main,
 )
-from traitsim.diagnostics import DiagnosticsRecord
+from traitsim.diagnostics import DiagnosticsRecord, evaluate_invariants
 from traitsim.integrator import DensitySnapshot, Trajectory, run, scenario_fingerprint
 from traitsim.model import Grid, Scenario, predict_equilibrium, scenario_items
 
@@ -53,6 +52,42 @@ def python_m_traitsim(*args):
     """``python -m traitsim ARGS`` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "traitsim", *args],
                           capture_output=True, text=True, timeout=60)
+
+
+#: verify's complete stdout, pinned: (argv, exit code, stdout)
+VERIFY_OUTPUTS = {
+    "tiny_exponential": (
+        ["verify", TINY], 1,
+        "PASS corridor             rho in [0.999380004, 1], allowed [0.826649916 - 1e-06, 1 + 1e-06]\n"
+        "PASS lyapunov_monotone    worst tolerated increment 8.738e-05 (>= 0 required)\n"
+        "PASS dissipation_nonneg   min D = 1.741e-02\n"
+        "FAIL residual_decay       W(T)/W(0) = 9.852e-01 (<= 0.01 required)\n"
+        "PASS rho_limit            |rho(T) - rho_bar| = 6.200e-04 (< 0.001 required, interior maximizer)\n"
+        "PASS support_conserved    11 initial vs 11 final positive nodes\n"
+        "FAIL concentration        mass within epsilon of x_bar = 0.500262 (>= 0.99), mode at 0.3 vs predicted 0.3\n"
+    ),
+    "tiny_direct": (
+        ["verify", TINY, "--scheme", "direct"], 1,
+        "PASS corridor             rho in [0.999380004, 1], allowed [0.826649916 - 1e-06, 1 + 1e-06]\n"
+        "PASS lyapunov_monotone    worst tolerated increment 8.738e-05 (>= 0 required)\n"
+        "PASS dissipation_nonneg   min D = 1.741e-02\n"
+        "FAIL residual_decay       W(T)/W(0) = 9.852e-01 (<= 0.01 required)\n"
+        "PASS rho_limit            |rho(T) - rho_bar| = 6.200e-04 (< 0.001 required, interior maximizer)\n"
+        "SKIP support_conserved    exact only for the exponential scheme; skipped\n"
+        "FAIL concentration        mass within epsilon of x_bar = 0.500262 (>= 0.99), mode at 0.3 vs predicted 0.3\n"
+    ),
+    "boundary_blowup": (
+        ["verify", str(SCENARIO_DIR / "boundary_blowup.ini"), "--t-end", "20"], 1,
+        "PASS corridor             rho in [0.856793124, 1], allowed [0.618033989 - 1e-06, 1 + 1e-06]\n"
+        "PASS lyapunov_monotone    worst tolerated increment 4.560e-04 (>= 0 required)\n"
+        "PASS dissipation_nonneg   min D = 4.538e-03\n"
+        "FAIL residual_decay       W(T)/W(0) = 2.677e-02 (<= 0.01 required)\n"
+        "FAIL rho_limit            |rho(T) - rho_bar| = 3.359e-02 (< 0.01 required, boundary maximizer)\n"
+        "PASS support_conserved    2001 initial vs 2001 final positive nodes\n"
+        "FAIL concentration        mass within epsilon of x_bar = 0.028191 (>= 0.95), mode at 1.0 vs predicted 1.0\n"
+        "info blow_up             monotone_growth=True, log-density slope 6.953e-02, boundary cell mass 0.005011\n"
+    ),
+}
 
 
 GOOD_BODY = """\
@@ -445,6 +480,22 @@ class TestRunCommand:
         assert line.startswith(f"error: {source} {target}: cannot make the output directory (")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, name", [
+        ("run", "trajectory.csv"), ("run", "snapshot_0.csv"), ("run", "summary.json"),
+        ("run", "plot.gp"), ("sweep", "sweep.csv"),
+    ])
+    def test_unwritable_output_file_exits_2_in_one_line(self, tmp_path, capsys, command, name):
+        (tmp_path / name).mkdir()  # a directory where the file goes
+        argv = [command, TINY, "--quiet", "--out", str(tmp_path)]
+        if command == "sweep":
+            argv += ["--param", "dt", "--values", "1e-3,2e-3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {tmp_path / name}: cannot write the file (")
+        assert "Traceback" not in captured.err
+
     def test_runtime_error_flushes_partial_exit_3(self, tmp_path, capsys, monkeypatch):
         # a dt large enough to overflow the mass is refused by the stability
         # bound (exit 2), so the overflow is raised by the kernel itself
@@ -647,6 +698,14 @@ scheme = exponential
         assert "FAIL residual_decay       W(0) = inf, W(T) = inf: not finite" in out
         # D = inf once passed as inf >= 0
         assert "FAIL dissipation_nonneg   D in [inf, inf]: not finite" in out
+
+    @pytest.mark.parametrize("case", sorted(VERIFY_OUTPUTS))
+    def test_whole_output_is_pinned(self, capsys, case):
+        argv, code, stdout = VERIFY_OUTPUTS[case]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err == ""
 
     def test_unconverged_run_reports_failures(self, capsys):
         # tiny horizon: the mass cannot concentrate yet

@@ -11,16 +11,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import DATA_DIR, make_scenario
 from traitsim import diagnostics
+from traitsim.cli import load_scenario
 from traitsim.diagnostics import (
     DiagnosticsRecord,
     blow_up_report,
+    corridor_breaches,
     crowding_P,
     crowding_Q,
+    evaluate_invariants,
     make_record,
 )
-from traitsim.integrator import PopulationState, init_state, run
+from traitsim.integrator import PopulationState, Trajectory, init_state, run
 from traitsim.model import (
     AssumptionWarning,
     fitness_on_nodes,
@@ -200,6 +203,25 @@ class TestConcentration:
         explicit = replace(s, epsilon=5 * 0.01)
         rep_default = make_record(init_state(s), s, pred)
         assert rep_default == make_record(init_state(explicit), explicit, pred)
+
+
+class TestCorridorBreaches:
+    def test_one_judgement_read_by_breaches_and_the_check(self):
+        t = run(load_scenario(DATA_DIR / "tiny.ini"))
+        assert t.breaches == corridor_breaches(t) == []
+        assert {name: ok for name, ok, _ in evaluate_invariants(t)}["corridor"] is True
+        # a mass pushed out of the corridor after the run is judged when read
+        t.records[1] = t.records[1]._replace(rho=t.prediction.rho_M + 1.0)
+        [breach] = t.breaches
+        assert breach.startswith(f"corridor breach at t = {t.records[1].t:.6g}: rho = ")
+        assert {name: ok for name, ok, _ in evaluate_invariants(t)}["corridor"] is False
+
+    def test_breaches_is_derived_not_stored(self):
+        t = run(make_scenario(t_end=0.01))
+        with pytest.raises(AttributeError):
+            t.breaches = ["stale"]
+        with pytest.raises(TypeError):
+            Trajectory(t.scenario, t.prediction, "", t.records, breaches=[])
 
 
 class TestBlowUpReport:

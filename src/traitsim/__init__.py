@@ -13,8 +13,13 @@ loads neither numpy nor the dataclass machinery.
 """
 
 import importlib
+import warnings
 
 __version__ = "0.1.0"
+
+#: step budget: a dt giving more fixed steps than this to t_end is rejected, by
+#: the grid scenario and the atom oracle alike (kept here, where no numpy loads)
+MAX_STEPS = 10**8
 
 #: public name -> the submodule that defines it
 _HOMES = {
@@ -55,6 +60,18 @@ _HOMES = {
 }
 
 __all__ = ["__version__", *_HOMES]
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """The fixed steps from 0 to t_end, with a warning when dt does not divide t_end."""
+    n = int(round(t_end / dt))
+    if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        warnings.warn(
+            f"t_end = {t_end!r} is not an integer multiple of dt = {dt!r}; "
+            f"integrating {n} steps to t = {n * dt!r}",
+            stacklevel=3,
+        )
+    return n
 
 
 def __getattr__(name: str):

@@ -269,7 +269,9 @@ def _write_snapshots(trajectory: Trajectory, out_dir: Path) -> list[str]:
     return names
 
 
-def _write_summary(trajectory: Trajectory, path: Path, error: str | None = None) -> None:
+def _write_summary(
+    trajectory: Trajectory, path: Path, breaches: list[str], error: str | None = None
+) -> None:
     doc = {
         "fingerprint": trajectory.fingerprint,
         "scenario": dict(scenario_items(trajectory.scenario)),
@@ -278,7 +280,7 @@ def _write_summary(trajectory: Trajectory, path: Path, error: str | None = None)
         "final": trajectory.records[-1]._asdict(),
         "record_count": len(trajectory.records),
         "early_stop_t": trajectory.early_stop_t,
-        "breaches": trajectory.breaches,
+        "breaches": breaches,
     }
     if error is not None:
         doc["error"] = error
@@ -391,9 +393,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise
         trajectory, error = err.partial, str(err)
 
+    breaches = trajectory.breaches
     _write_trajectory_csv(trajectory, out / "trajectory.csv")
     snapshot_names = _write_snapshots(trajectory, out)
-    _write_summary(trajectory, out / "summary.json", error=error)
+    _write_summary(trajectory, out / "summary.json", breaches, error=error)
     _write_plot_script(trajectory, out, snapshot_names)
 
     if error is not None:
@@ -412,7 +415,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"mass near x_bar = {final.mass_near_xbar:.6f}"
         + (f", early stop at t = {trajectory.early_stop_t:g}" if trajectory.early_stop_t else ""),
     )
-    for breach in trajectory.breaches[:5]:
+    for breach in breaches[:5]:
         _print(args, f"breach: {breach}")
     return 0
 
@@ -422,8 +425,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     trajectory = _warned(integrator.run, scenario)
+    breaches = trajectory.breaches
     failed = 0
-    for name, ok, detail in diagnostics.evaluate_invariants(trajectory):
+    for name, ok, detail in diagnostics.evaluate_invariants(trajectory, breaches):
         if ok is None:
             status = "SKIP"
         elif ok:
@@ -442,7 +446,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         except ValueError:
             pass
-    for breach in trajectory.breaches[:5]:
+    for breach in breaches[:5]:
         print(f"info breach              {breach}")
     return 1 if failed else 0
 

@@ -205,12 +205,17 @@ def corridor_breaches(trajectory: "Trajectory") -> list[str]:
             for r in trajectory.records if not (lo <= r.rho <= hi)]
 
 
-def evaluate_invariants(trajectory: "Trajectory") -> list[tuple[str, bool | None, str]]:
+def evaluate_invariants(
+    trajectory: "Trajectory", breaches: list[str] | None = None
+) -> list[tuple[str, bool | None, str]]:
     """Check every theory invariant on a finished run.
 
     Returns (name, ok, detail) triples; ok None means not applicable.
-    Tolerances match the acceptance criteria exactly.
+    Tolerances match the acceptance criteria exactly.  ``breaches`` is the
+    run's :func:`corridor_breaches`, for a caller that already holds them.
     """
+    if breaches is None:
+        breaches = corridor_breaches(trajectory)
     pred = trajectory.prediction
     records = trajectory.records
     rhos = np.array([r.rho for r in records])
@@ -221,7 +226,7 @@ def evaluate_invariants(trajectory: "Trajectory") -> list[tuple[str, bool | None
     checks.append(
         (
             "corridor",
-            not corridor_breaches(trajectory),
+            not breaches,
             f"rho in [{rhos.min():.9g}, {rhos.max():.9g}], "
             f"allowed [{pred.rho_m:.9g} - {CORRIDOR_TOL:g}, {pred.rho_M:.9g} + {CORRIDOR_TOL:g}]",
         )

@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,7 +44,7 @@ except ImportError:  # before 3.12
 
 import numpy as np
 
-from . import diagnostics
+from . import _step_count, diagnostics
 from .model import (
     EquilibriumPrediction,
     Scenario,
@@ -382,17 +381,6 @@ def _direct_advance(scenario: Scenario, dt: float) -> _Advance:
         return state, None
 
     return advance
-
-
-def _step_count(t_end: float, dt: float) -> int:
-    n = int(round(t_end / dt))
-    if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        warnings.warn(
-            f"t_end = {t_end!r} is not an integer multiple of dt = {dt!r}; "
-            f"integrating {n} steps to t = {n * dt!r}",
-            stacklevel=3,
-        )
-    return n
 
 
 def run(scenario: Scenario) -> Trajectory:

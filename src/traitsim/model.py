@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import MAX_STEPS
 from .exprlang import TraitFunction
 
 __all__ = [
@@ -49,9 +50,6 @@ SCHEMES = ("exponential", "direct")
 
 #: the run controls: the only fields :meth:`Scenario.with_controls` changes
 RUN_CONTROLS = ("t_end", "dt", "sample_every", "scheme", "stop_tol", "snapshot_times")
-
-#: step budget: a dt giving more fixed steps than this to t_end is rejected
-MAX_STEPS = 10**8
 
 #: grid budget: larger grids are rejected before any node array is allocated
 MAX_CELLS = 10**7

@@ -23,6 +23,8 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import MAX_STEPS, _step_count
+
 if TYPE_CHECKING:  # annotations only: the atom oracle runs without numpy
     from .integrator import Trajectory
     from .model import Scenario
@@ -79,9 +81,9 @@ class AtomSystem(_AtomSystemFields):
         return sum(a.m for a in self.atoms)
 
 
-@lru_cache(maxsize=None)
-def _rk4_loop(n: int):
-    """The fixed-step RK4 loop for ``n`` atoms, generated as straight-line code.
+@lru_cache(maxsize=64)
+def _rk4_loop(unit_d: tuple[bool, ...], unit_c0: bool):
+    """The fixed-step RK4 loop for ``len(unit_d)`` atoms, generated as straight-line code.
 
     The oracle runs ~1e7 steps at its fidelity, and indexing arrays from the
     interpreter costs about ten times the arithmetic, so the loop body holds
@@ -89,16 +91,23 @@ def _rk4_loop(n: int):
     indexed reference loop in ``tests/test_oracle.py`` (rho summed left to
     right; ``0.5 * dt``, ``dt / 6.0`` and ``1.0 + c0 * rho`` are computed
     once instead of per use, which changes no rounding), so both give the
-    same bits.  Built at the first call for each ``n``, not at import.
+    same bits.  A factor that is exactly 1.0 is folded: ``rho`` stands for
+    ``d_i * rho`` where ``unit_d[i]``, and ``1.0 + rho`` for ``1.0 + c0 * rho``
+    where ``unit_c0``.  IEEE multiplication by 1.0 returns its operand
+    unchanged (±0, ±inf, subnormals and NaN included), so folding changes no
+    bit either.  Built at the first call for each atom count and fold
+    pattern, not at import.
     """
-    atoms = range(n)
+    atoms = range(len(unit_d))
+    death = ["rho" if unit else f"d{i} * rho" for i, unit in enumerate(unit_d)]
 
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in atoms)
 
     def stage(k: str, x: str, step: str | None) -> list[str]:
-        lines = [f"rho = {' + '.join(f'{x}{i}' for i in atoms)}", "s = 1.0 + c0 * rho"]
-        lines += [f"{k}{i} = (b{i} / s - d{i} * rho) * {x}{i}" for i in atoms]
+        lines = [f"rho = {' + '.join(f'{x}{i}' for i in atoms)}",
+                 "s = 1.0 + rho" if unit_c0 else "s = 1.0 + c0 * rho"]
+        lines += [f"{k}{i} = (b{i} / s - {death[i]}) * {x}{i}" for i in atoms]
         if step is not None:
             lines += [f"t{i} = m{i} + {step} * {k}{i}" for i in atoms]
         return lines
@@ -121,7 +130,7 @@ def _rk4_loop(n: int):
         ]
     )
     namespace: dict = {}
-    exec(compile(source, f"<rk4 loop for {n} atoms>", "exec"), namespace)
+    exec(compile(source, f"<rk4 loop for {len(unit_d)} atoms>", "exec"), namespace)
     return namespace["rk4"]
 
 
@@ -130,23 +139,27 @@ def integrate_atoms(system: AtomSystem, t_end: float, dt: float) -> AtomSystem:
 
     ``dt`` must not exceed :data:`ORACLE_MAX_DT`; the whole point of this
     oracle is that its time-stepping error is negligible against every
-    tolerance it certifies.  Deterministic: same inputs, same bits.  Raises
-    :class:`~traitsim.integrator.IntegrationError` if the masses diverge.
+    tolerance it certifies.  More than :data:`~traitsim.MAX_STEPS` steps are
+    refused, and a ``t_end`` that ``dt`` does not divide warns, as in
+    :func:`~traitsim.integrator.run`.  Deterministic: same inputs, same bits.
+    Raises :class:`~traitsim.integrator.IntegrationError` if the masses diverge.
     """
     if not (0.0 <= t_end < math.inf):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
-    if not (0.0 < dt <= ORACLE_MAX_DT and t_end / dt < math.inf):
+    if not (0.0 < dt <= ORACLE_MAX_DT and t_end / dt <= MAX_STEPS):
         raise ValueError(
-            f"oracle requires 0 < dt <= {ORACLE_MAX_DT} and a finite t_end / dt, got dt = {dt}"
+            f"oracle requires 0 < dt <= {ORACLE_MAX_DT} and t_end / dt <= {MAX_STEPS:.0e}, "
+            f"got t_end = {t_end!r}, dt = {dt!r}"
         )
-    atoms = system.atoms
-    masses = _rk4_loop(len(atoms))(
+    atoms, c0 = system.atoms, float(system.c0)
+    d = [float(a.d) for a in atoms]
+    masses = _rk4_loop(tuple(x == 1.0 for x in d), c0 == 1.0)(
         *(float(a.b) for a in atoms),
-        *(float(a.d) for a in atoms),
+        *d,
         *(float(a.m) for a in atoms),
-        float(system.c0),
+        c0,
         float(dt),
-        round(t_end / dt),
+        _step_count(t_end, dt),
     )
     try:
         return AtomSystem(tuple(Atom(a.b, a.d, m) for a, m in zip(atoms, masses)), system.c0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, GOLDEN_DIR, NESTED_SHAPES, REPO_ROOT, SCENARIO_DIR, make_scenario
-from traitsim import cli, exprlang, integrator
+from traitsim import cli, diagnostics, exprlang, integrator
 from traitsim.cli import (
     SCENARIO_SECTIONS,
     ScenarioFileError,
@@ -679,6 +679,17 @@ scheme = exponential
         assert code == 1
         assert "FAIL corridor" in out
         assert "corridor breach" in out
+
+    @pytest.mark.parametrize("command", [["verify"], ["run"], ["run", "--quiet"]])
+    def test_breaches_are_found_once_per_command(self, tmp_path, capsys, monkeypatch, command):
+        found, calls = diagnostics.corridor_breaches, []
+        monkeypatch.setattr(diagnostics, "corridor_breaches", lambda t: calls.append(t) or found(t))
+        monkeypatch.setattr(integrator, "RK4_STABILITY", math.inf)
+        path = write_scenario(tmp_path, GOOD_BODY)
+        argv = [*command, path, "--scheme", "direct", "--dt", "10", "--t-end", "30"]
+        main(argv + ["--out", str(tmp_path / "out")] if command[0] == "run" else argv)
+        assert len(calls) == 1
+        assert ("corridor breach" in capsys.readouterr().out) is ("--quiet" not in command)
 
     def test_two_atom_passes_on_the_support_lattice(self, capsys):
         # the predicted x_bar is the winning spike's node, where the mode sits

@@ -9,6 +9,7 @@ import pytest
 from conftest import make_scenario
 from traitsim.model import positive_root
 from traitsim.integrator import IntegrationError, run
+from traitsim import oracle
 from traitsim.oracle import Atom, AtomSystem, integrate_atoms, reference_grid_run
 
 
@@ -111,6 +112,22 @@ class TestIntegrateAtoms:
         with pytest.raises(ValueError, match=field):
             integrate_atoms(sys_, t_end, dt)
 
+    def test_rejects_more_steps_than_the_budget(self, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("the loop was generated")
+
+        monkeypatch.setattr(oracle, "_rk4_loop", no_loop)
+        with pytest.raises(ValueError) as info:
+            integrate_atoms(AtomSystem((Atom(2, 1, 0.5),)), 1e5, 1e-4)  # 1e9 steps
+        assert str(info.value) == (
+            "oracle requires 0 < dt <= 0.0001 and t_end / dt <= 1e+08, "
+            "got t_end = 100000.0, dt = 0.0001"
+        )
+
+    def test_warns_when_dt_does_not_divide_t_end(self):
+        with pytest.warns(UserWarning, match="integrating 33333 steps to t = 0.99999$"):
+            integrate_atoms(AtomSystem((Atom(2, 1, 0.5),)), 1.0, 3e-5)
+
     def test_single_atom_stationary(self):
         # m = 1 solves rho(1+rho) = b/d = 2: stays put forever
         out = integrate_atoms(AtomSystem((Atom(2, 1, 1.0),)), 5.0, 1e-4)
@@ -166,6 +183,18 @@ class TestIntegrateAtoms:
         with pytest.raises(IntegrationError, match="too coarse"):
             integrate_atoms(AtomSystem(atoms), 1e-3, 1e-4)
 
+    @pytest.mark.parametrize(
+        "atoms, got",
+        [((Atom(1e300, 1, 1.0),), "-inf"), ((Atom(2, 1e9, 1.0), Atom(1, 1, 1.0)), "nan")],
+    )
+    def test_divergence_message(self, atoms, got):
+        with pytest.raises(IntegrationError) as info:
+            integrate_atoms(AtomSystem(atoms), 1e-3, 1e-4)
+        assert str(info.value) == (
+            f"dt = 0.0001 is too coarse for these rates: atom mass m must be finite and >= 0, "
+            f"got {got}"
+        )
+
     def test_deterministic(self):
         sys_ = AtomSystem((Atom(2, 1, 0.5), Atom(1, 1, 0.5)))
         a = integrate_atoms(sys_, 3.0, 1e-4)
@@ -207,7 +236,9 @@ def indexed_rk4(b, d, m, c0, dt, n_steps):
     return [float(x) for x in m]
 
 
-def random_system(n_atoms, seed, zero_mass=False):
+def random_system(n_atoms, seed, zero_mass=False, unit_d=(), c0=None):
+    """Random rates and masses; the atoms indexed by ``unit_d`` get d = 1.0, and
+    ``c0`` replaces the random c0 when given."""
     rng = random.Random(seed)
     atoms = [
         Atom(rng.uniform(0.5, 4.0), rng.uniform(0.2, 2.0), rng.uniform(0.05, 2.0))
@@ -215,7 +246,10 @@ def random_system(n_atoms, seed, zero_mass=False):
     ]
     if zero_mass:
         atoms[1] = Atom(atoms[1].b, atoms[1].d, 0.0)
-    return AtomSystem(tuple(atoms), c0=rng.uniform(0.0, 2.0))
+    for i in unit_d:
+        atoms[i] = Atom(atoms[i].b, 1.0, atoms[i].m)
+    drawn = rng.uniform(0.0, 2.0)
+    return AtomSystem(tuple(atoms), c0=drawn if c0 is None else c0)
 
 
 class TestBitIdentity:
@@ -231,8 +265,17 @@ class TestBitIdentity:
             (random_system(3, seed=5, zero_mass=True), 7e-5),
             (random_system(12, seed=12), 7e-5),
             (AtomSystem((Atom(2, 1, 0.5), Atom(1, 1, 0.5))), 1e-5),
+            # factors of exactly 1.0 are folded out of the generated loop
+            (random_system(1, seed=21, unit_d=range(1), c0=1.0), 7e-5),
+            (random_system(3, seed=23, unit_d=range(3), c0=1.0), 7e-5),
+            (random_system(13, seed=33, unit_d=range(13), c0=1.0), 7e-5),
+            (random_system(3, seed=6, unit_d=range(3)), 7e-5),
+            (random_system(3, seed=7, c0=1.0), 7e-5),
+            (random_system(4, seed=8, unit_d=(0, 2)), 7e-5),
+            (AtomSystem((Atom(2, 1, 0.5), Atom(1, 1, 0.0), Atom(1.5, 1, 0.3))), 7e-5),
         ],
-        ids=["1", "2", "3", "4", "zero_mass", "12", "c09"],
+        ids=["1", "2", "3", "4", "zero_mass", "12", "c09", "unit_1", "unit_3", "unit_13",
+             "unit_d", "unit_c0", "mixed_d", "zero_mass_unit"],
     )
     def test_matches_indexed_loop(self, system, dt):
         t_end = 2000 * dt

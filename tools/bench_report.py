@@ -36,6 +36,13 @@ It records, in this order:
   from just before the run; ``held_bytes`` is the traced memory still held
   when it returns, with the trajectory alive, and ``bytes_per_record`` that
   divided by the record count (the records are nearly all of it);
+* ``oracle``: what the atom oracle pays per RK4 step, in one fresh process:
+  ``integrate_atoms`` over :data:`ORACLE_STEPS` steps of dt = :data:`ORACLE_DT`
+  with c0 = 1, for each atom count in :data:`ORACLE_ATOMS` and each case in
+  :data:`ORACLE_CASES` (every d = 1, one shared d != 1, distinct d), after one
+  untimed call that builds each system's loop; ``us_per_step`` over
+  :data:`REPEATS` rounds that time every system once each (min and median,
+  raw microseconds) and ``steps_per_s``, one million over that median;
 * ``reporter_peak_rss_mb``: this script's own ``ru_maxrss`` at the end.  A
   child's ``ru_maxrss`` cannot read below its parent's peak at the time it
   was started, so the scenarios' peaks are their own only while this stays
@@ -172,6 +179,36 @@ count = len(trajectory.records)
 print(json.dumps({"records": count, "held_bytes": held, "bytes_per_record": held / count}))
 """
 
+#: the ``oracle`` block: atom counts, steps per timed call and the step
+ORACLE_ATOMS = (2, 7, 13)
+ORACLE_STEPS = 20000
+ORACLE_DT = 1e-5
+
+#: case -> the d of atom i of n, as an expression the probe evaluates;
+#: b = 1 + i / n, m = 1 / n and c0 = 1 throughout
+ORACLE_CASES = {"unit_d": "1.0", "shared_d": "0.75", "distinct_d": "0.5 + i / n"}
+
+#: the ``oracle`` probe, run as ``python3 -c ORACLE_PROBE CASES ATOMS STEPS DT REPEATS``
+ORACLE_PROBE = """
+import json, sys, time
+from traitsim.oracle import Atom, AtomSystem, integrate_atoms
+cases, counts = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+steps, dt, repeats = int(sys.argv[3]), float(sys.argv[4]), int(sys.argv[5])
+systems = {(case, n): AtomSystem(tuple(Atom(1.0 + i / n, eval(d), 1.0 / n)
+                                        for i in range(n)), 1.0)
+           for case, d in cases.items() for n in counts}
+for system in systems.values():
+    integrate_atoms(system, dt, dt)
+runs = {}
+for _ in range(repeats):  # round robin, so the host's drift reaches every case alike
+    for (case, n), system in systems.items():
+        t0 = time.perf_counter()
+        integrate_atoms(system, steps * dt, dt)
+        runs.setdefault(case, {}).setdefault(str(n), []).append(
+            (time.perf_counter() - t0) / steps * 1e6)
+print(json.dumps(runs))
+"""
+
 #: runs ``-c CODE`` or ``-m MODULE ARGS...`` as ``python3`` would, and prints
 #: ``time.perf_counter()`` to stderr as it starts (``started_at``) and from the last
 #: atexit handler to run (``atexit_at``); on Linux perf_counter is CLOCK_MONOTONIC,
@@ -277,6 +314,19 @@ def probe(source: str, path: Path, *extra: str) -> dict:
     return doc
 
 
+def oracle_steps() -> dict:
+    """``ORACLE_PROBE``'s microseconds per atom step, per case and atom count."""
+    argv = [sys.executable, "-c", ORACLE_PROBE, json.dumps(ORACLE_CASES),
+            json.dumps(ORACLE_ATOMS), str(ORACLE_STEPS), repr(ORACLE_DT), str(REPEATS)]
+    proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, check=True)
+    doc: dict = {"steps": ORACLE_STEPS, "dt": ORACLE_DT, "c0": 1.0, "repeats": REPEATS,
+                 "unit": "us", "d": ORACLE_CASES}
+    for case, counts in json.loads(proc.stdout).items():
+        doc[case] = {n: {"us_per_step_min": min(us), "us_per_step_median": statistics.median(us),
+                         "steps_per_s": 1e6 / statistics.median(us)} for n, us in counts.items()}
+    return doc
+
+
 def records_held(path: Path) -> dict:
     """What ``RECORDS_PROBE`` prints for a scenario: the bytes its records hold."""
     argv = [sys.executable, "-c", RECORDS_PROBE, str(path), repr(RECORDS_T_END)]
@@ -361,6 +411,7 @@ def main() -> int:
                               **probe(OBSERVATION_PROBE, observed, str(Path(out) / "t.csv"))}
     doc["records"] = {"scenario": OBSERVED, "sample_every": 1, "t_end": RECORDS_T_END,
                       **records_held(observed)}
+    doc["oracle"] = oracle_steps()
     doc["startup"] = startup(CAL_REF_S)
     doc["tier1"] = tier1(CAL_REF_S)
     doc["cal_ref_s"] = CAL_REF_S

@@ -28,55 +28,34 @@ Builtins: ``exp``, ``sin``, ``cos``, ``sqrt``, ``abs`` (one argument),
 out the support of the initial density cell-exactly on the grid.
 
 Expression values are immutable after parsing and safe to share between
-threads.  Each is compiled once, at its first evaluation, into straight-line
-Python over an array of nodes, with a scalar tree walk's bits and errors:
-exp, sin, cos and ``^`` call libm per element, since numpy's kernels round
-differently.
+threads.  Sampling, printing, ``==``, ``hash`` and pickling fold over one
+loop-driven post-order walk, so no parsed tree is too deep for them.
+Sampling has a scalar tree walk's bits and errors on arrays of nodes: exp,
+sin, cos and ``^`` call libm per element, since numpy's kernels round differently.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Union
 
 import numpy as np
 
 __all__ = [
-    "ExprError",
-    "ParseError",
-    "EvalError",
-    "Num",
-    "Var",
-    "Const",
-    "Neg",
-    "Bin",
-    "Call",
-    "Expr",
-    "FUNCTIONS",
-    "CONSTANTS",
-    "parse",
-    "unparse",
-    "bound_on_grid",
-    "TraitFunction",
+    "ExprError", "ParseError", "EvalError", "Num", "Var", "Const", "Neg", "Bin", "Call", "Expr",
+    "FUNCTIONS", "CONSTANTS", "parse", "unparse", "bound_on_grid", "TraitFunction",
 ]
 
 Span = tuple[int, int]
 
 #: builtin call names mapped to their arity
 FUNCTIONS: dict[str, int] = {
-    "exp": 1,
-    "sin": 1,
-    "cos": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
-    "clamp": 3,
-    "ind": 2,
+    "exp": 1, "sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "min": 2, "max": 2, "clamp": 3, "ind": 2,
 }
 
 #: named constants
@@ -107,58 +86,108 @@ class EvalError(ExprError):
 # to the original.
 
 class _Node:
-    """Base of the node classes: the compiled evaluator, built at first use."""
+    """Base of the node classes: ``==``, ``hash`` and pickling by flat post-order."""
 
-    @cached_property
-    def _fn(self):
-        return _compile(self)
+    def __eq__(self, other):
+        return _key(self) == _key(other) if isinstance(other, _Node) else NotImplemented
 
-    def __getstate__(self):
-        # an exec-built function does not pickle; the copy compiles its own
-        state = self.__dict__.copy()
-        state.pop("_fn", None)
-        return state
+    def __hash__(self):
+        return hash(_key(self))
+
+    def __reduce__(self):
+        # flat, spans included, and rebuilt by a fold: pickle would recurse once per level
+        return _fold, (tuple((n, type(e), own, e.span) for n, e, own in _postorder(self)), _join)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num(_Node):
     value: float
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(_Node):
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(_Node):
     name: str
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(_Node):
     operand: "Expr"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bin(_Node):
     op: str
     lhs: "Expr"
     rhs: "Expr"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(_Node):
     name: str
     args: tuple["Expr", ...]
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = field(default=(0, 0), repr=False)
 
 
 Expr = Union[Num, Var, Const, Neg, Bin, Call]
+
+
+# --------------------------------------------------------------------------
+# The walk: a tree is walked in one place, ``_postorder``, with an explicit
+# stack, and every operation on a whole tree folds over its steps (``_fold``),
+# so a parsed sum of any length is as safe as a short one.
+
+#: node class -> (its fields but span and children, in constructor order; its children)
+_PARTS = {
+    Num: lambda e: ((e.value,), ()),
+    Var: lambda e: ((), ()),
+    Const: lambda e: ((e.name,), ()),
+    Neg: lambda e: ((), (e.operand,)),
+    Bin: lambda e: ((e.op,), (e.lhs, e.rhs)),
+    Call: lambda e: ((e.name,), e.args),
+}
+
+
+def _postorder(root: Expr) -> list[tuple[int, Expr, tuple]]:
+    """``(child count, node, own fields)`` per node of ``root``, children first, left to right."""
+    steps, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if type(node) not in _PARTS:
+            raise TypeError(f"not an expression node: {node!r}")
+        own, children = _PARTS[type(node)](node)
+        steps.append((len(children), node, own))
+        stack.extend(children)
+    steps.reverse()
+    return steps
+
+
+def _fold(steps, visit):
+    """The root's value, where a step's value is ``visit(step, its children's values)``."""
+    stack = []
+    for step in steps:
+        k = len(stack) - step[0]
+        stack[k:] = [visit(step, stack[k:])]
+    return stack[0]
+
+
+def _key(e: Expr) -> tuple:
+    """``e`` flat: two trees are equal, spans aside, exactly where their keys are."""
+    return tuple((n, type(node), own) for n, node, own in _postorder(e))
+
+
+def _join(step, children) -> Expr:
+    """The node of a flat step ``(child count, class, own fields, span)``, given its children."""
+    _, cls, own, span = step
+    return cls(*own, tuple(children), span) if cls is Call else cls(*own, *children, span)
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +232,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 # Parser
 
 #: most parentheses open at once (a call's included), and most minus signs and
-#: ^ exponents enclosing one operand: parsing, sampling and unparse recurse per
-#: level, and this bound keeps each of them well inside Python's recursion limit
+#: ^ exponents enclosing one operand: the parser recurses per level, and this
+#: bound keeps it well inside Python's recursion limit
 MAX_NESTING = 100
 
 
@@ -218,9 +247,7 @@ class _Parser:
     def nest(depth: int, offset: int) -> int:
         """``depth + 1``, the levels open once the token at ``offset`` opens one more."""
         if depth >= MAX_NESTING:
-            raise ParseError(
-                f"nesting deeper than {MAX_NESTING} levels at offset {offset}", offset
-            )
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels at offset {offset}", offset)
         return depth + 1
 
     def peek(self) -> tuple[str, str, int]:
@@ -234,28 +261,20 @@ class _Parser:
     def error(self, expected: str) -> ParseError:
         kind, text, offset = self.peek()
         found = "end of input" if kind == "eof" else repr(text)
-        return ParseError(
-            f"syntax error at offset {offset}: expected {expected}, found {found}", offset
-        )
+        message = f"syntax error at offset {offset}: expected {expected}, found {found}"
+        return ParseError(message, offset)
 
     def expect(self, kind: str, expected: str) -> tuple[str, str, int]:
         if self.peek()[0] != kind:
             raise self.error(expected)
         return self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[0] in "+-":
+    def parse_expr(self, ops: str = "+-") -> Expr:
+        # a left-associative chain: a sum of terms, or (ops "*/") a term of unaries
+        node = self.parse_expr("*/") if ops == "+-" else self.parse_unary()
+        while self.peek()[0] in ops:
             op = self.advance()[0]
-            rhs = self.parse_term()
-            node = Bin(op, node, rhs, (node.span[0], rhs.span[1]))
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek()[0] in "*/":
-            op = self.advance()[0]
-            rhs = self.parse_unary()
+            rhs = self.parse_expr("*/") if ops == "+-" else self.parse_unary()
             node = Bin(op, node, rhs, (node.span[0], rhs.span[1]))
         return node
 
@@ -317,9 +336,7 @@ class _Parser:
         arity = FUNCTIONS[name]
         if len(args) != arity:
             raise ParseError(
-                f"{name} expects {arity} argument(s), got {len(args)} at offset {start}",
-                start,
-            )
+                f"{name} expects {arity} argument(s), got {len(args)} at offset {start}", start)
         return Call(name, tuple(args), (start, rp + 1))
 
 
@@ -335,11 +352,12 @@ def parse(source: str) -> Expr:
 # --------------------------------------------------------------------------
 # Evaluation
 #
-# numpy runs, in the walk's order, only what IEEE rounding makes exact per
-# element.  (Where two different NaNs meet in + or *, numpy may keep the
-# other's sign and payload; validation rejects any NaN in b, d or u0.)  A
-# check that fires sends the chunk through again node by node, so the error
-# is the first failing node's, as in a scalar walk.
+# A fold over the post-order evaluates a chunk of nodes, with numpy running,
+# in the walk's order, only what IEEE rounding makes exact per element.
+# (Where two different NaNs meet in + or *, numpy may keep the other's sign
+# and payload; validation rejects any NaN in b, d or u0.)  A check that fires
+# sends the chunk through again node by node, so the error is the first
+# failing node's, as in a scalar walk.
 
 #: nodes per array: libm calls map over lists of at most this many floats
 _CHUNK = 4096
@@ -359,11 +377,10 @@ def _power(base: float, exponent: float, span: Span) -> float:
         negative = base < 0 and exponent == int(exponent) and int(exponent) % 2 == 1
         return -math.inf if negative else math.inf
     except ValueError:
+        at = span[0]
         if base == 0.0:
-            raise EvalError(f"division by zero at offset {span[0]}", span[0]) from None
-        raise EvalError(
-            f"fractional power of negative base at offset {span[0]}", span[0]
-        ) from None
+            raise EvalError(f"division by zero at offset {at}", at) from None
+        raise EvalError(f"fractional power of negative base at offset {at}", at) from None
 
 
 def _libm(f, exact, *args):
@@ -376,80 +393,59 @@ def _libm(f, exact, *args):
         return np.fromiter(map(exact, *values), float, n)
 
 
-#: builtin calls as code over their evaluated arguments (min and max as Python's)
-_CALL_CODE = {
-    "exp": "libm(exp, _exp, {0})",
-    "sin": "libm(sin, sin, {0})",
-    "cos": "libm(cos, cos, {0})",
-    "sqrt": "sqrt({0})",
-    "abs": "fabs({0})",
-    "min": "where({1} < {0}, {1}, {0})",
-    "max": "where({1} > {0}, {1}, {0})",
-    "clamp": "where({2} < (m := where({1} > {0}, {1}, {0})), {2}, m)",
-    "ind": "where(({0} <= x) & (x <= {1}), 1.0, 0.0)",
+#: builtin calls over the points x and their evaluated arguments (min and max as Python's)
+_CALLS = {
+    "exp": lambda x, v: _libm(math.exp, _exp, v),
+    "sin": lambda x, v: _libm(math.sin, math.sin, v),
+    "cos": lambda x, v: _libm(math.cos, math.cos, v),
+    "sqrt": lambda x, v: np.sqrt(v),
+    "abs": lambda x, v: np.abs(v),
+    "min": lambda x, a, b: np.where(b < a, b, a),
+    "max": lambda x, a, b: np.where(b > a, b, a),
+    "clamp": lambda x, v, lo, hi: np.where(hi < (m := np.where(lo > v, lo, v)), hi, m),
+    "ind": lambda x, lo, hi: np.where((lo <= x) & (x <= hi), 1.0, 0.0),
 }
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-def _compile(root: Expr):
-    """Generate, compile and return the array evaluator of ``root``."""
-    env = {"isfinite": np.isfinite, "where": np.where, "sqrt": np.sqrt, "fabs": np.abs,
-           "libm": _libm, "exp": math.exp, "_exp": _exp, "sin": math.sin, "cos": math.cos,
-           "pow": math.pow, "partial": partial, "_power": _power, "EvalError": EvalError}
-    body = ["if not isfinite(x).all(): raise EvalError('evaluation point must be finite', 0)"]
 
-    def check(condition: str, message: str, at: int) -> None:
-        body.append(f"if ({condition}).any(): raise EvalError('{message} at offset {at}', {at})")
+def _evaluate(steps, x: np.ndarray) -> np.ndarray:
+    """The tree of post-order ``steps`` at the points ``x``."""
+    if not np.isfinite(x).all():
+        raise EvalError("evaluation point must be finite", 0)
 
-    def assign(code: str) -> str:
-        name = f"t{len(body)}"
-        body.append(f"{name} = {code}")
-        return name
-
-    def value(e: Expr) -> str:
-        """Emit the statements computing ``e``; return the local holding it."""
-        spine = []  # binary operators down the left, looped: a long sum needs no recursion
-        while isinstance(e, Bin):
-            spine.append(e)
-            e = e.lhs
+    def value(step, args):
+        e = step[1]
         if isinstance(e, Var):
-            name = "x"
-        elif isinstance(e, (Num, Const)):  # a one-element array, broadcast over the nodes
-            v = e.value if isinstance(e, Num) else CONSTANTS[e.name]
-            env[name := f"k{len(env)}"] = np.array([v])
-        elif isinstance(e, Neg):
-            name = assign(f"-{value(e.operand)}")
-        elif isinstance(e, Call):
-            args = [value(a) for a in e.args]
-            if e.name == "sqrt":
-                check(f"{args[0]} < 0.0", "square root of negative", e.span[0])
-            name = assign(_CALL_CODE[e.name].format(*args))
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        for b in reversed(spine):
-            rhs = value(b.rhs)
-            if b.op == "/":
-                check(f"{rhs} == 0.0", "division by zero", b.span[0])
-            power = f"libm(pow, partial(_power, span={b.span!r}), {name}, {rhs})"
-            name = assign(power if b.op == "^" else f"{name} {b.op} {rhs}")
-        return name
+            return x
+        if isinstance(e, (Num, Const)):  # a one-element array, broadcast over the nodes
+            return np.array([e.value if isinstance(e, Num) else CONSTANTS[e.name]])
+        if isinstance(e, Neg):
+            return -args[0]
+        if isinstance(e, Call):
+            if e.name == "sqrt" and (args[0] < 0.0).any():
+                raise EvalError(f"square root of negative at offset {e.span[0]}", e.span[0])
+            return _CALLS[e.name](x, *args)
+        if e.op == "^":
+            return _libm(math.pow, partial(_power, span=e.span), *args)
+        if e.op == "/" and (args[1] == 0.0).any():
+            raise EvalError(f"division by zero at offset {e.span[0]}", e.span[0])
+        return _ARITHMETIC[e.op](*args)
 
-    body.append(f"return {value(root)}")
-    source = "def evaluate(x):\n" + "".join(f"    {line}\n" for line in body)
-    exec(compile(source, "<expression>", "exec"), env)
-    return env["evaluate"]
+    return _fold(steps, value)
 
 
 def _sample(e: Expr, nodes) -> np.ndarray:
     """``e`` at every node as a float64 array, one chunk of nodes at a time."""
     nodes = np.asarray(nodes, dtype=float)
-    fn, n, out = e._fn, nodes.size, np.empty(nodes.size)
+    steps, n, out = _postorder(e), nodes.size, np.empty(nodes.size)
     with np.errstate(all="ignore"):
         for i in range(0, n, _CHUNK):
             try:
-                out[i:i + _CHUNK] = fn(nodes[i:i + _CHUNK])
+                out[i:i + _CHUNK] = _evaluate(steps, nodes[i:i + _CHUNK])
             except ValueError:  # node by node: the first failing node raises
                 for j in range(i, min(i + _CHUNK, n)):
-                    out[j:j + 1] = fn(nodes[j:j + 1])
+                    out[j:j + 1] = _evaluate(steps, nodes[j:j + 1])
     return out
 
 
@@ -462,25 +458,27 @@ def unparse(e: Expr) -> str:
     Each operator gets parentheses of its own, so the printed form nests
     deeper than the source, and past :data:`MAX_NESTING` it does not parse.
     """
-    if isinstance(e, Num):
-        return _format_number(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{unparse(e.operand)})"
-    if isinstance(e, Bin):
-        return f"({unparse(e.lhs)} {e.op} {unparse(e.rhs)})"
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(unparse(a) for a in e.args)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    def text(step, parts):  # nested tuples of strings, joined once below
+        e = step[1]
+        if isinstance(e, Num):
+            v = e.value
+            return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+        if isinstance(e, Neg):
+            return "(-", parts[0], ")"
+        if isinstance(e, Bin):
+            return "(", parts[0], f" {e.op} ", parts[1], ")"
+        if isinstance(e, Call):
+            return f"{e.name}(", parts[:1], [(", ", p) for p in parts[1:]], ")"
+        return "x" if isinstance(e, Var) else e.name
 
-
-def _format_number(v: float) -> str:
-    if v.is_integer() and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    pending, out = [_fold(_postorder(e), text)], []
+    while pending:
+        part = pending.pop()
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            pending.extend(reversed(part))
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------

@@ -834,6 +834,19 @@ scheme = exponential
         want = np.polyfit(np.log(dts[:-1]), np.log(errs), 1)[0]
         assert order == pytest.approx(want, rel=1e-12)
 
+    def test_deep_expression_sweeps(self, tmp_path):
+        # the workers receive the scenario pickled: a 2,000-term b must not
+        # need a recursion per term on the way
+        b = "b = 2 - (x - 0.3)^2"
+        path = tiny_with(tmp_path, b, b + " + 0*x" * 2000)
+        argv = ["sweep", "--param", "dt", "--values", "1e-3,5e-4,2.5e-4", "--quiet", "--out"]
+        proc = python_m_traitsim(*argv, str(tmp_path / "deep"), path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # adding 0*x changes no bit of b, so no bit of the sweep
+        assert main([*argv, str(tmp_path / "tiny"), TINY]) == 0
+        assert ((tmp_path / "deep" / "sweep.csv").read_bytes()
+                == (tmp_path / "tiny" / "sweep.csv").read_bytes())
+
     def test_child_failures_recorded(self, tmp_path):
         out = tmp_path / "out"
         # dt = -1 fails validation in its child; the other value completes

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import pickle
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -175,6 +177,71 @@ class TestNesting:
         assert TraitFunction("", e).sample(np.array([0.5])).tolist() == [50.0]
 
 
+#: terms of the long sum that TestDeepTrees walks
+LONG_SUM_TERMS = 100_000
+
+
+@pytest.fixture(scope="module")
+def deep_trees():
+    """name -> (source, tree): a long parsed sum and every nesting shape at the limit."""
+    sources = {shape: source(MAX_NESTING) for shape, (source, _) in NESTED_SHAPES.items()}
+    sources["long_sum"] = " + ".join(["x"] * LONG_SUM_TERMS)
+    return {name: (source, parse(source)) for name, source in sources.items()}
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def preorder(e):
+    """Every node of ``e``, parents first, by an explicit stack."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Bin):
+            stack += [node.rhs, node.lhs]
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, Call):
+            stack += reversed(node.args)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+@pytest.mark.parametrize("name", ["long_sum", *sorted(NESTED_SHAPES)])
+class TestDeepTrees:
+    """No tree operation recurses: each works on any tree the parser accepts."""
+
+    def test_equality_and_hash(self, deep_trees, name):
+        source, e = deep_trees[name]
+        again = parse(source)
+        assert again is not e and again == e and hash(again) == hash(e)
+        # a tree that differs in its deepest leaf alone is told apart
+        deepest = source.replace("x", "2", 1) if "x" in source else source[:-3] + "2.0"
+        assert parse(deepest) != e
+
+    def test_unparse(self, deep_trees, name):
+        _, e = deep_trees[name]
+        text = unparse(e)
+        if name == "long_sum":
+            assert text == "(" * (LONG_SUM_TERMS - 1) + "x" + " + x)" * (LONG_SUM_TERMS - 1)
+        else:
+            assert parse(text) == e
+
+    def test_pickle_round_trip(self, deep_trees, name):
+        _, e = deep_trees[name]
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy is not e and copy == e and hash(copy) == hash(e)
+        assert [(type(n), n.span) for n in preorder(copy)] == [(type(n), n.span) for n in preorder(e)]
+        nodes = np.array([-0.5, 0.0, 0.25, 1.0])
+        assert (TraitFunction("", copy).sample(nodes).tobytes()
+                == TraitFunction("", e).sample(nodes).tobytes())
+
+
 class TestRoundTrip:
     def test_random_round_trips(self):
         rng = random.Random(20260809)
@@ -262,8 +329,8 @@ class TestTraitFunction:
 
 
 # --------------------------------------------------------------------------
-# The recursive tree-walking interpreter the compiled evaluator replaced,
-# kept as its reference: same math calls, same checks, same order.
+# A recursive scalar tree-walking interpreter, kept as the array evaluator's
+# reference: same math calls, same checks, same order.
 
 def walk_eval(e, x):
     if not math.isfinite(x):
@@ -423,7 +490,7 @@ class TestCompiledEvaluator:
         assert math.copysign(1.0, eval_at(Num(0.0), 1.0)) == 1.0
 
     def test_deep_left_nested_sum(self):
-        # long sums nest deeply on the left; straight-line code has no nesting limit
+        # long sums nest deeply on the left; the evaluator's walk loops, so depth is free
         e = parse(" + ".join(["x"] * 400))
         assert eval_at(e, 0.5) == 200.0
 

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import DATA_DIR, make_scenario
+from traitsim.cli import load_scenario
 from traitsim.model import positive_root
 from traitsim.integrator import IntegrationError, run
 from traitsim import oracle
@@ -339,3 +340,20 @@ class TestReferenceGridRun:
         )
         assert grid_run.records[0].rho == pytest.approx(1.0, rel=1e-12)
         assert grid_run.records[-1].rho == pytest.approx(atoms.rho, abs=1e-8)
+
+
+class TestLatticeReferee:
+    """On its lattice a grid run is the atom system with one atom (b_i, d_i, w_i u0_i) per node."""
+
+    @pytest.mark.parametrize("name", ["varying_d", "c0_zero", "two_interval"])
+    def test_direct_scheme_masses_equal_the_atom_oracle(self, name):
+        s = load_scenario(DATA_DIR / f"{name}.ini").with_controls(scheme="direct")
+        assert (s.grid.n_cells, s.dt, s.t_end) == (10, 1e-4, 1.0)
+        w = s.grid.weights
+        system = AtomSystem(tuple(map(Atom, s.b_nodes.tolist(), s.d_nodes.tolist(),
+                                      (w * s.u0_nodes).tolist())), s.c0)
+        n_steps = round(s.t_end / s.dt)
+        masses = [a.m for a in integrate_atoms(system, s.t_end, s.dt).atoms]
+        # RK4 commutes with m = w u, so only the mass sums' rounding differs
+        np.testing.assert_allclose(w * np.exp(run(s).final_state.log_u), masses,
+                                   rtol=n_steps * len(masses) * 2.0**-52, atol=0.0)

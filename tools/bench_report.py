@@ -43,6 +43,12 @@ It records, in this order:
   untimed call that builds each system's loop; ``us_per_step`` over
   :data:`REPEATS` rounds that time every system once each (min and median,
   raw microseconds) and ``steps_per_s``, one million over that median;
+* ``expressions``: what sampling an expression costs, in one fresh process:
+  ``TraitFunction.sample`` of fine_grid's b (``b`` of :data:`EXPRESSION_SCENARIO`,
+  the benchmark's seed-0 fine_grid b), freshly parsed before each call, on
+  the nodes of [0, 1] for each count in :data:`EXPRESSION_NODES`; min and
+  median over :data:`REPEATS` rounds that time each count once (raw
+  milliseconds);
 * ``reporter_peak_rss_mb``: this script's own ``ru_maxrss`` at the end.  A
   child's ``ru_maxrss`` cannot read below its parent's peak at the time it
   was started, so the scenarios' peaks are their own only while this stays
@@ -209,6 +215,29 @@ for _ in range(repeats):  # round robin, so the host's drift reaches every case 
 print(json.dumps(runs))
 """
 
+#: the ``expressions`` block: the scenario whose b is sampled, and the node counts
+EXPRESSION_SCENARIO = "two_peak"
+EXPRESSION_NODES = (2001, 50001)
+
+#: the ``expressions`` probe, run as ``python3 -c EXPRESSIONS_PROBE SCENARIO NODES REPEATS``
+EXPRESSIONS_PROBE = """
+import json, sys, time
+from traitsim.cli import load_scenario
+from traitsim.exprlang import TraitFunction
+from traitsim.model import Grid
+source = load_scenario(sys.argv[1]).b.source
+counts, repeats = json.loads(sys.argv[2]), int(sys.argv[3])
+grids = {n: Grid(0.0, 1.0, n - 1).nodes for n in counts}
+runs = {}
+for _ in range(repeats):  # round robin, so the host's drift reaches every count alike
+    for n, nodes in grids.items():
+        f = TraitFunction.from_source(source)
+        t0 = time.perf_counter()
+        f.sample(nodes)
+        runs.setdefault(str(n), []).append((time.perf_counter() - t0) * 1e3)
+print(json.dumps(runs))
+"""
+
 #: runs ``-c CODE`` or ``-m MODULE ARGS...`` as ``python3`` would, and prints
 #: ``time.perf_counter()`` to stderr as it starts (``started_at``) and from the last
 #: atexit handler to run (``atexit_at``); on Linux perf_counter is CLOCK_MONOTONIC,
@@ -327,6 +356,18 @@ def oracle_steps() -> dict:
     return doc
 
 
+def expression_samples() -> dict:
+    """``EXPRESSIONS_PROBE``'s milliseconds per ``sample`` call, per node count."""
+    path = ROOT / "scenarios" / f"{EXPRESSION_SCENARIO}.ini"
+    argv = [sys.executable, "-c", EXPRESSIONS_PROBE, str(path), json.dumps(EXPRESSION_NODES),
+            str(REPEATS)]
+    proc = subprocess.run(argv, env=_env(), capture_output=True, text=True, check=True)
+    doc: dict = {"scenario": EXPRESSION_SCENARIO, "repeats": REPEATS, "unit": "ms"}
+    for n, ms in json.loads(proc.stdout).items():
+        doc[n] = {"sample_ms_min": min(ms), "sample_ms_median": statistics.median(ms)}
+    return doc
+
+
 def records_held(path: Path) -> dict:
     """What ``RECORDS_PROBE`` prints for a scenario: the bytes its records hold."""
     argv = [sys.executable, "-c", RECORDS_PROBE, str(path), repr(RECORDS_T_END)]
@@ -412,6 +453,7 @@ def main() -> int:
     doc["records"] = {"scenario": OBSERVED, "sample_every": 1, "t_end": RECORDS_T_END,
                       **records_held(observed)}
     doc["oracle"] = oracle_steps()
+    doc["expressions"] = expression_samples()
     doc["startup"] = startup(CAL_REF_S)
     doc["tier1"] = tier1(CAL_REF_S)
     doc["cal_ref_s"] = CAL_REF_S

@@ -196,6 +196,13 @@ def _fmt_short(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, with quotes doubled, if it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 #: the string escapes of json.dumps(s, ensure_ascii=False): backslash, quote and control characters
 _JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)} | {
     ord(c): "\\" + e for c, e in zip('\\"\b\f\n\r\t', '\\"bfnrt')}
@@ -506,7 +513,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [f"{parameter},rho_final,abs_err_vs_prediction,status\n"]
     for value, (final_rho, err, status) in zip(values, results):
         value_text = str(value) if parameter == "n_cells" else _fmt(value)
-        lines.append(f"{value_text},{_fmt(final_rho)},{_fmt(err)},{status}\n")
+        lines.append(f"{value_text},{_fmt(final_rho)},{_fmt(err)},{_csv_field(status)}\n")
     lines.append(f"# fitted_order {_fmt(order)}\n")
     _write_lines(out / "sweep.csv", lines)
     _print(args, f"wrote {out / 'sweep.csv'}; fitted order {order:.3f}")

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import EquilibriumPrediction, Scenario
+from .model import Scenario
 
 if TYPE_CHECKING:  # runtime import would be circular; only types are needed
     from .integrator import PopulationState, Trajectory
@@ -114,38 +114,33 @@ def _unscale(raw: float, shift: float) -> float:
 
 
 @np.errstate(under="ignore", over="ignore")  # dying tails flush to 0; G^2 may saturate
-def make_record(
-    state: "PopulationState", scenario: Scenario, pred: EquilibriumPrediction
-) -> DiagnosticsRecord:
+def make_record(state: "PopulationState", scenario: Scenario) -> DiagnosticsRecord:
     """Assemble the full diagnostics row for one sampled state from one density."""
-    t = scenario.record_tables
-    window = t.window if pred.x_bar == t.x_bar else scenario.grid.window(
-        pred.x_bar, scenario.concentration_epsilon
-    )
     u, shift, mode, max_log_u = _density(state)
-    rho, c0, d, dot = state.rho, t.c0, t.d, t.w.dot
-    work = np.subtract(t.ratio, crowding_P(rho, c0))
+    rho, c0, d, tail = state.rho, scenario.c0, scenario.d_on_grid, scenario.tail_nodes
+    dot, window, ratio = scenario.grid.weights.dot, scenario.concentration_window, scenario.ratio
+    work = np.subtract(ratio, crowding_P(rho, c0))
     work *= u
     V = float(dot(work))
-    np.divide(t.b, 1.0 + c0 * rho, out=work)  # G(x, rho), as fitness_on_nodes computes it
+    np.divide(scenario.b_nodes, 1.0 + c0 * rho, out=work)  # G(x, rho), as fitness_on_nodes does
     work -= d * rho
     work *= work
     if not (isinstance(d, float) and d == 1.0):  # x / 1.0 is x for every double
         work /= d
     work *= u
     D = (1.0 + c0 * rho) * float(dot(work))
-    np.subtract(t.ratio, crowding_Q(rho, c0), out=work)
+    np.subtract(ratio, crowding_Q(rho, c0), out=work)
     work *= work
     work *= u
     W = float(dot(work))
     total = float(dot(u))
-    near = float(t.w[window].dot(u[window])) / total if total > 0.0 else 0.0
-    tail = 0.0 if t.tail is None else float(t.w_tail.dot(u[t.tail]))  # an empty tail sums to 0.0
+    near = float(scenario.grid.weights[window].dot(u[window])) / total if total > 0.0 else 0.0
+    tail_mass = 0.0 if tail is None else float(tail[1].dot(u[tail[0]]))  # empty: 0.0
     if shift:
-        V, D, W, tail = (_unscale(x, shift) for x in (V, D, W, tail))
+        V, D, W, tail_mass = (_unscale(x, shift) for x in (V, D, W, tail_mass))
     # every field, in order: positional arguments are the cheaper call
-    return DiagnosticsRecord(state.t, rho, V, D, W, max_log_u, t.nodes.item(mode), near, tail,
-                             state.undershoot_clamps)
+    return DiagnosticsRecord(state.t, rho, V, D, W, max_log_u, scenario.grid.nodes.item(mode),
+                             near, tail_mass, state.undershoot_clamps)
 
 
 def least_squares_slope(xs, ys) -> float:

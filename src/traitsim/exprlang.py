@@ -28,7 +28,7 @@ Builtins: ``exp``, ``sin``, ``cos``, ``sqrt``, ``abs`` (one argument),
 out the support of the initial density cell-exactly on the grid.
 
 Expression values are immutable after parsing and safe to share between
-threads.  Sampling, printing, ``==``, ``hash`` and pickling fold over one
+threads.  Sampling, printing, ``repr``, ``==``, ``hash`` and pickling fold over one
 loop-driven post-order walk, so no parsed tree is too deep for them.
 Sampling has a scalar tree walk's bits and errors on arrays of nodes: exp,
 sin, cos and ``^`` call libm per element, since numpy's kernels round differently.
@@ -86,7 +86,7 @@ class EvalError(ExprError):
 # to the original.
 
 class _Node:
-    """Base of the node classes: ``==``, ``hash`` and pickling by flat post-order."""
+    """Base of the node classes: ``==``, ``hash``, ``repr`` and pickling by flat post-order."""
 
     def __eq__(self, other):
         return _key(self) == _key(other) if isinstance(other, _Node) else NotImplemented
@@ -98,31 +98,49 @@ class _Node:
         # flat, spans included, and rebuilt by a fold: pickle would recurse once per level
         return _fold, (tuple((n, type(e), own, e.span) for n, e, own in _postorder(self)), _join)
 
+    def __repr__(self):
+        """The dataclass form, e.g. ``Call(name='exp', args=(Var(),))``; spans are left out."""
+        def text(step, parts):  # nested tuples of strings, joined once below
+            _, e, own = step
+            if isinstance(e, Call):  # the children make up one field, a tuple
+                parts = [("(", parts[:1], [(", ", p) for p in parts[1:]],
+                          ",)" if len(parts) == 1 else ")")]
+            values = [*map(repr, own), *parts]
+            items = [(f"{name}=", v) for name, v in zip(_PARTS[type(e)][0], values)]
+            return f"{type(e).__qualname__}(", items[:1], [(", ", i) for i in items[1:]], ")"
 
-@dataclass(frozen=True, eq=False)
+        try:
+            steps = _postorder(self)
+        except TypeError:  # a hand-built node with a child that is no node: one level at a time
+            items = (f"{name}={getattr(self, name)!r}" for name in _PARTS[type(self)][0])
+            return f"{type(self).__qualname__}({', '.join(items)})"
+        return _joined(_fold(steps, text))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(_Node):
     value: float
     span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(_Node):
     name: str
     span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     operand: "Expr"
     span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bin(_Node):
     op: str
     lhs: "Expr"
@@ -130,7 +148,7 @@ class Bin(_Node):
     span: Span = field(default=(0, 0), repr=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     name: str
     args: tuple["Expr", ...]
@@ -145,14 +163,15 @@ Expr = Union[Num, Var, Const, Neg, Bin, Call]
 # stack, and every operation on a whole tree folds over its steps (``_fold``),
 # so a parsed sum of any length is as safe as a short one.
 
-#: node class -> (its fields but span and children, in constructor order; its children)
+#: node class -> (the names of its fields but span, in constructor order;
+#: a function giving its fields but span and children, and its children)
 _PARTS = {
-    Num: lambda e: ((e.value,), ()),
-    Var: lambda e: ((), ()),
-    Const: lambda e: ((e.name,), ()),
-    Neg: lambda e: ((), (e.operand,)),
-    Bin: lambda e: ((e.op,), (e.lhs, e.rhs)),
-    Call: lambda e: ((e.name,), e.args),
+    Num: (("value",), lambda e: ((e.value,), ())),
+    Var: ((), lambda e: ((), ())),
+    Const: (("name",), lambda e: ((e.name,), ())),
+    Neg: (("operand",), lambda e: ((), (e.operand,))),
+    Bin: (("op", "lhs", "rhs"), lambda e: ((e.op,), (e.lhs, e.rhs))),
+    Call: (("name", "args"), lambda e: ((e.name,), e.args)),
 }
 
 
@@ -163,7 +182,7 @@ def _postorder(root: Expr) -> list[tuple[int, Expr, tuple]]:
         node = stack.pop()
         if type(node) not in _PARTS:
             raise TypeError(f"not an expression node: {node!r}")
-        own, children = _PARTS[type(node)](node)
+        own, children = _PARTS[type(node)][1](node)
         steps.append((len(children), node, own))
         stack.extend(children)
     steps.reverse()
@@ -471,7 +490,12 @@ def unparse(e: Expr) -> str:
             return f"{e.name}(", parts[:1], [(", ", p) for p in parts[1:]], ")"
         return "x" if isinstance(e, Var) else e.name
 
-    pending, out = [_fold(_postorder(e), text)], []
+    return _joined(_fold(_postorder(e), text))
+
+
+def _joined(parts) -> str:
+    """The strings in nested tuples and lists ``parts``, in order, joined by an explicit stack."""
+    pending, out = [parts], []
     while pending:
         part = pending.pop()
         if isinstance(part, str):

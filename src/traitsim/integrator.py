@@ -445,7 +445,7 @@ def run(scenario: Scenario) -> Trajectory:
             snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
         if k % every and k != n_steps:
             continue
-        rec = diagnostics.make_record(state, scenario, pred)
+        rec = diagnostics.make_record(state, scenario)
         records.append(rec)
         if k and stop_tol is not None:
             near = abs(rec.rho - rho_bar) < stop_tol and rec.W < stop_tol

@@ -139,27 +139,6 @@ class SupportTables(NamedTuple):
     log_u0_hi: float
 
 
-class RecordTables(NamedTuple):
-    """What every diagnostics record of one scenario reads unchanged.
-
-    ``d`` is a float when d is constant on the grid (a scalar gives the same
-    IEEE results as an array of equal values), ``tail`` indexes the nodes
-    |x| >= tail_R (None without a radius) and ``window`` is the default
-    concentration window around ``x_bar``.  Read-only.
-    """
-
-    c0: float
-    b: np.ndarray
-    d: float | np.ndarray
-    ratio: np.ndarray
-    w: np.ndarray
-    nodes: np.ndarray
-    tail: np.ndarray | None
-    w_tail: np.ndarray | None
-    x_bar: float
-    window: slice
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Full problem description: domain, coefficients and integration controls.
@@ -171,8 +150,9 @@ class Scenario:
     [0, t_end], at most :data:`MAX_STEPS` steps) and a known scheme.
 
     Every value derived from the scenario (the sampled b, d and u0, the
-    initial mass once the grid checks pass, b/d, its maximizers, the
-    support and record tables) is built once, on first use, and cached
+    initial mass once the grid checks pass, b/d, its maximizers, the support
+    tables, d as a float when constant, the tail nodes with their weights and
+    the concentration window) is built once, on first use, and cached
     read-only.  None of them reads a run control.
     """
 
@@ -255,22 +235,27 @@ class Scenario:
         return m
 
     @cached_property
-    def record_tables(self) -> RecordTables:
-        d, nodes, w = self.d_nodes, self.grid.nodes, self.grid.weights
-        tail = None if self.tail_R is None else np.flatnonzero(np.abs(nodes) >= self.tail_R)
-        x_bar = float(nodes[self.maximizers[0]])
-        return RecordTables(
-            c0=self.c0,
-            b=self.b_nodes,
-            d=float(d[0]) if d.min() == d.max() else d,
-            ratio=self.ratio,
-            w=w,
-            nodes=nodes,
-            tail=tail,
-            w_tail=None if tail is None else w[tail],
-            x_bar=x_bar,
-            window=self.grid.window(x_bar, self.concentration_epsilon),
-        )
+    def d_on_grid(self) -> float | np.ndarray:
+        """d on every node, as a float when constant (a scalar gives the same IEEE results)."""
+        d = self.d_nodes
+        return float(d[0]) if d.min() == d.max() else d
+
+    @cached_property
+    def tail_nodes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The indices of the nodes |x| >= tail_R and their weights, or None without a radius."""
+        if self.tail_R is None:
+            return None
+        idx = np.flatnonzero(np.abs(self.grid.nodes) >= self.tail_R)
+        w = self.grid.weights[idx]
+        for v in (idx, w):
+            v.setflags(write=False)
+        return idx, w
+
+    @cached_property
+    def concentration_window(self) -> slice:
+        """The nodes within :attr:`concentration_epsilon` of x_bar, the first maximizer of b/d."""
+        x_bar = float(self.grid.nodes[self.maximizers[0]])
+        return self.grid.window(x_bar, self.concentration_epsilon)
 
     @property
     def concentration_epsilon(self) -> float:

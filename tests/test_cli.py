@@ -1,5 +1,6 @@
 """CLI: scenario files, output schema, golden bytes, exit codes."""
 
+import csv
 import gc
 import importlib
 import json
@@ -199,6 +200,17 @@ class TestLoadScenario:
         path = write_scenario(tmp_path, GOOD_BODY.replace(old, new))
         assert main(["predict", path]) == 2
         assert capsys.readouterr().err == f"error: malformed scenario file: {message}\n"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("tail_R = 0.9", "tail_R = 0.9\n[run]", "[line 24]: section 'run' already exists"),
+        ("dt = 1e-3", "dt = 1e-3\ndt = 2e-3", "[line 17]: option 'dt' in section 'run' already exists"),
+    ], ids=["repeated-section", "repeated-key"])
+    def test_repeated_section_or_key_exits_2_in_one_line(self, tmp_path, capsys, old, new,
+                                                         message):
+        path = tiny_with(tmp_path, old, new)
+        assert main(["predict", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed scenario file: While reading from {path!r} {message}\n")
 
     def test_each_expression_sampled_once(self, monkeypatch, tmp_path):
         # validate and predict read the cached node arrays instead of
@@ -856,6 +868,19 @@ scheme = exponential
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[1].endswith(",ok")
         assert "error" in lines[2]
+
+    def test_error_status_reads_back_as_one_field(self, tmp_path):
+        # the stability message holds commas: the status field is quoted
+        out = tmp_path / "out"
+        code = main(["sweep", TINY, "--param", "dt", "--values", "1e-3,5e-4,2.5e-4,5",
+                     "--t-end", "10", "--out", str(out), "--quiet"])
+        assert code == 0
+        with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+        assert [len(row) for row in rows] == [4] * 5
+        assert [row[3] for row in rows[1:4]] == ["ok"] * 3
+        assert rows[4][3] == ("error: dt must be <= 1.74127 for a stable exponential step "
+                              "(RK4 bound 2.785 / lambda*, lambda* = 1.5994), got 5.0")
 
 
 class TestModuleEntryPoint:

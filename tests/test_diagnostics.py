@@ -43,8 +43,8 @@ def state_with(scenario, rho, log_u=None, t=0.0):
 def tied_record(state, scenario):
     """make_record's row for ``state``, where b/d is constant on a run of nodes."""
     with pytest.warns(AssumptionWarning, match="attains its maximum"):
-        pred = predict_equilibrium(scenario)
-    return make_record(state, scenario, pred)
+        predict_equilibrium(scenario)
+    return make_record(state, scenario)
 
 
 class TestPolynomials:
@@ -115,7 +115,7 @@ class TestIntegralFunctionals:
         for i in range(g.n_nodes):
             w = g.dx * (0.5 if i in (0, g.n_cells) else 1.0)
             expected += w * (s.b_nodes[i] / s.d_nodes[i] - p) * s.u0_nodes[i]
-        assert make_record(st_, s, predict_equilibrium(s)).V == pytest.approx(expected, rel=1e-12)
+        assert make_record(st_, s).V == pytest.approx(expected, rel=1e-12)
 
     def test_D_zero_at_stationary_configuration(self):
         s = make_scenario(b="2", d="1", u0="ind(0, 1)")
@@ -138,11 +138,10 @@ class TestIntegralFunctionals:
     def test_D_and_W_nonnegative_on_random_states(self):
         rng = np.random.default_rng(5)
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", n_cells=30)
-        pred = predict_equilibrium(s)
         for _ in range(50):
             log_u = rng.uniform(-3.0, 2.0, s.grid.n_nodes)
             st_ = state_with(s, rho=float(rng.uniform(0.01, 3.0)), log_u=log_u)
-            rec = make_record(st_, s, pred)
+            rec = make_record(st_, s)
             assert rec.D >= 0.0
             assert rec.W >= 0.0
 
@@ -183,7 +182,7 @@ class TestIntegralFunctionals:
 class TestConcentration:
     def test_uniform_density_window_fraction(self):
         s = make_scenario(b="2 - (x-0.3)^2", d="1", n_cells=2000, epsilon=0.05)
-        rep = make_record(init_state(s), s, predict_equilibrium(s))
+        rep = make_record(init_state(s), s)
         assert rep.mass_near_xbar == pytest.approx(0.1, abs=2e-3)
         assert rep.x_mode == 0.0  # uniform density: the mode ties to the first node
         assert rep.max_log_u == 0.0
@@ -193,16 +192,15 @@ class TestConcentration:
         pred = predict_equilibrium(s)
         log_u = np.full(s.grid.n_nodes, -np.inf)
         log_u[pred.x_bar_index] = 3.0
-        rep = make_record(state_with(s, rho=1.0, log_u=log_u), s, pred)
+        rep = make_record(state_with(s, rho=1.0, log_u=log_u), s)
         assert rep.mass_near_xbar == 1.0
         assert rep.x_mode == pred.x_bar
 
     def test_default_epsilon_from_scenario(self):
         s = make_scenario(b="2 - (x-0.3)^2", d="1", n_cells=100)
-        pred = predict_equilibrium(s)
         explicit = replace(s, epsilon=5 * 0.01)
-        rep_default = make_record(init_state(s), s, pred)
-        assert rep_default == make_record(init_state(explicit), explicit, pred)
+        rep_default = make_record(init_state(s), s)
+        assert rep_default == make_record(init_state(explicit), explicit)
 
 
 class TestCorridorBreaches:
@@ -222,6 +220,20 @@ class TestCorridorBreaches:
             t.breaches = ["stale"]
         with pytest.raises(TypeError):
             Trajectory(t.scenario, t.prediction, "", t.records, breaches=[])
+
+
+class TestResidualDecay:
+    def test_start_at_equilibrium_is_already_concentrated(self, tmp_path):
+        # b = 2 and d = 1 make b/d flat, and u0 = 1 starts at rho = rho_bar = 1: W(0) is 0
+        body = (DATA_DIR / "tiny.ini").read_text().replace("b = 2 - (x - 0.3)^2", "b = 2")
+        (tmp_path / "flat.ini").write_text(body, encoding="utf-8")
+        with pytest.warns(AssumptionWarning) as caught:
+            t = run(load_scenario(tmp_path / "flat.ini"))
+        assert [str(w.message)[:24] for w in caught] == [
+            "b/d attains its maximum ", "tail certificate failed:"]
+        assert t.records[0].W == 0.0
+        checks = {name: (ok, detail) for name, ok, detail in evaluate_invariants(t)}
+        assert checks["residual_decay"] == (True, "W(0) = 0: already concentrated")
 
 
 class TestBlowUpReport:
@@ -393,7 +405,7 @@ class TestOneMaterialization:
         states = [init_state(s), *_states(s, rng, (0.0, 699.0, 705.0, 760.0, 5000.0))]
         rescaled = saturated = 0
         for st_ in states:
-            got, want = make_record(st_, s, pred), _ref_record(st_, s, pred)
+            got, want = make_record(st_, s), _ref_record(st_, s, pred)
             assert list(map(_bits, got)) == list(map(_bits, want))
             rescaled += bool(np.max(st_.log_u) > 700.0)
             saturated += math.isinf(got.V)
@@ -419,12 +431,11 @@ class TestOneMaterialization:
         st_ = state_with(s, rho=1.0, log_u=log_u)
         pred = predict_equilibrium(s)
         with np.errstate(under="raise"):
-            rec = make_record(st_, s, pred)
+            rec = make_record(st_, s)
         assert list(map(_bits, rec)) == list(map(_bits, _ref_record(st_, s, pred)))
 
     def test_one_exponentiation_per_record(self, monkeypatch):
         s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", tail_R=0.5)
-        pred = predict_equilibrium(s)
         st_ = init_state(s)
         calls = {"density": 0, "exp": 0}
         density, exp = diagnostics._density, np.exp
@@ -439,7 +450,7 @@ class TestOneMaterialization:
 
         monkeypatch.setattr(diagnostics, "_density", counted_density)
         monkeypatch.setattr(np, "exp", counted_exp)
-        make_record(st_, s, pred)
+        make_record(st_, s)
         assert calls == {"density": 1, "exp": 1}
 
     @pytest.mark.parametrize("name", sorted(RECORD_SCENARIOS))
@@ -455,7 +466,7 @@ class TestOneMaterialization:
         states.append(state_with(s, rho=1.0, log_u=base))
         want = [_ref_record(st_, s, pred) for st_ in states]
         with np.errstate(under="raise"):
-            got = [make_record(st_, s, pred) for st_ in states]
+            got = [make_record(st_, s) for st_ in states]
         assert [list(map(_bits, r)) for r in got] == [list(map(_bits, r)) for r in want]
 
 
@@ -463,26 +474,30 @@ class TestRecordTables:
     def test_cached_read_only_and_in_the_constant_forms(self):
         s = make_scenario(**RECORD_SCENARIOS["d_const"])
         pred = predict_equilibrium(s)
-        make_record(init_state(s), s, pred)
-        t = s.record_tables
-        assert s.record_tables is t and t.ratio is s.ratio
-        assert type(t.d) is float and t.d == 2.5
-        assert not t.ratio.flags.writeable
-        assert np.array_equal(t.tail, np.arange(180, 201))  # x >= 0.9 on 200 cells
+        make_record(init_state(s), s)
+        tail, window = s.tail_nodes, s.concentration_window
+        assert {"d_on_grid", "tail_nodes", "concentration_window"} <= vars(s).keys()
+        assert s.tail_nodes is tail and s.concentration_window is window
+        assert type(s.d_on_grid) is float and s.d_on_grid == 2.5
+        assert s.ratio is s.ratio and not s.ratio.flags.writeable
+        idx, w_tail = tail
+        assert not idx.flags.writeable and not w_tail.flags.writeable
+        assert np.array_equal(idx, np.arange(180, 201))  # x >= 0.9 on 200 cells
+        assert np.array_equal(w_tail, s.grid.weights[idx])
         eps = s.concentration_epsilon * (1.0 + 1e-9)
-        window = np.flatnonzero(np.abs(s.grid.nodes - pred.x_bar) <= eps)
-        assert (t.x_bar, t.window) == (pred.x_bar, slice(window[0], window[-1] + 1))
+        near = np.flatnonzero(np.abs(s.grid.nodes - pred.x_bar) <= eps)
+        assert window == slice(near[0], near[-1] + 1)
 
     def test_two_sided_tail_and_controls_rebuild(self):
         s = make_scenario(**RECORD_SCENARIOS["tail_R"])
-        t = s.record_tables
-        assert t.d is s.d_nodes
-        assert np.array_equal(t.tail, np.flatnonzero(np.abs(s.grid.nodes) >= 0.7))
-        assert t.tail[0] == 0 and t.tail[-1] == s.grid.n_nodes - 1 and t.tail.size < s.grid.n_nodes
-        # a copy with another radius builds its own tables; run controls share them
-        other = replace(s, tail_R=None).record_tables
-        assert other.tail is None and s.record_tables is t
-        assert s.with_controls(t_end=2.0).record_tables is t
+        tail = s.tail_nodes
+        idx = tail[0]
+        assert s.d_on_grid is s.d_nodes
+        assert np.array_equal(idx, np.flatnonzero(np.abs(s.grid.nodes) >= 0.7))
+        assert idx[0] == 0 and idx[-1] == s.grid.n_nodes - 1 and idx.size < s.grid.n_nodes
+        # a copy with another radius builds its own tail; run controls share it
+        assert replace(s, tail_R=None).tail_nodes is None and s.tail_nodes is tail
+        assert s.with_controls(t_end=2.0).tail_nodes is tail
 
     def test_explicit_epsilon_leaves_the_default_window_correct(self):
         s = make_scenario(**RECORD_SCENARIOS["epsilon"])
@@ -490,18 +505,15 @@ class TestRecordTables:
         st_ = init_state(s)
         for eps in (0.2, s.concentration_epsilon, 0.01):
             other = replace(s, epsilon=eps)
-            got = make_record(st_, other, pred)
+            got = make_record(st_, other)
             assert list(map(_bits, [got.mass_near_xbar, got.x_mode, got.max_log_u])) == list(
                 map(_bits, _ref_concentration(st_, other, pred))
             )
-            assert _bits(make_record(st_, s, pred).mass_near_xbar) == _bits(
+            assert _bits(make_record(st_, s).mass_near_xbar) == _bits(
                 _ref_concentration(st_, s, pred)[0]
             )
-        # the default window is built once; another x_bar's is not kept
-        t = s.record_tables
-        assert t.x_bar == pred.x_bar
-        moved = pred._replace(x_bar=pred.x_bar + 0.1)
-        assert _bits(make_record(st_, s, moved).mass_near_xbar) == _bits(
-            _ref_concentration(st_, s, moved)[0]
-        )
-        assert s.record_tables is t and t.x_bar == pred.x_bar
+        # the default window is built once, around the predicted x_bar
+        window = s.concentration_window
+        assert s.grid.nodes[window.start] <= pred.x_bar <= s.grid.nodes[window.stop - 1]
+        make_record(st_, s)
+        assert s.concentration_window is window

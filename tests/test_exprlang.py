@@ -93,6 +93,47 @@ class TestGrammar:
         assert eval_at(parse("10^400"), 0.0) == math.inf
 
 
+#: source -> repr of its tree, as the dataclass-generated repr printed it
+REPRS = {
+    "x": "Var()",
+    "2 - (x-0.3)^2": "Bin(op='-', lhs=Num(value=2.0), rhs=Bin(op='^', lhs=Bin(op='-', lhs=Var(), "
+                     "rhs=Num(value=0.3)), rhs=Num(value=2.0)))",
+    "exp(-50*(x-0.4)^2) + pi*e": "Bin(op='+', lhs=Call(name='exp', args=(Bin(op='*', "
+                                 "lhs=Neg(operand=Num(value=50.0)), rhs=Bin(op='^', "
+                                 "lhs=Bin(op='-', lhs=Var(), rhs=Num(value=0.4)), "
+                                 "rhs=Num(value=2.0))),)), rhs=Bin(op='*', lhs=Const(name='pi'), "
+                                 "rhs=Const(name='e')))",
+    "clamp(x, 0.1, 1e-3) / min(x, 2)": "Bin(op='/', lhs=Call(name='clamp', args=(Var(), "
+                                       "Num(value=0.1), Num(value=0.001))), rhs=Call(name='min', "
+                                       "args=(Var(), Num(value=2.0))))",
+    "-ind(0, 1) + abs(-x)^-2.5": "Bin(op='+', lhs=Neg(operand=Call(name='ind', "
+                                 "args=(Num(value=0.0), Num(value=1.0)))), rhs=Bin(op='^', "
+                                 "lhs=Call(name='abs', args=(Neg(operand=Var()),)), "
+                                 "rhs=Neg(operand=Num(value=2.5))))",
+    "sqrt(1e300) * 1.5e-310": "Bin(op='*', lhs=Call(name='sqrt', args=(Num(value=1e+300),)), "
+                              "rhs=Num(value=1.5e-310))",
+}
+
+
+class TestRepr:
+    @pytest.mark.parametrize("source", sorted(REPRS))
+    def test_parsed_tree_prints_as_the_dataclass_did(self, source):
+        assert repr(parse(source)) == REPRS[source]
+
+    def test_hand_built_nodes(self):
+        assert repr(Call("exp", (Var(),))) == "Call(name='exp', args=(Var(),))"
+        assert repr(Call("max", ())) == "Call(name='max', args=())"
+        assert repr(Num(math.nan)) == "Num(value=nan)"
+        assert repr(Const("pi", (3, 5))) == "Const(name='pi')"  # the span is left out
+
+    def test_malformed_hand_built_nodes(self):
+        # a child that is no node prints as its own repr, as the dataclass repr did
+        assert repr(Bin("+", Var(), 3)) == "Bin(op='+', lhs=Var(), rhs=3)"
+        assert repr(Call("exp", (Var(), 3))) == "Call(name='exp', args=(Var(), 3))"
+        assert repr(Neg(Bin("*", Num(1.0), "x"))) == (
+            "Neg(operand=Bin(op='*', lhs=Num(value=1.0), rhs='x'))")
+
+
 class TestErrors:
     def test_incomplete_expression_offset(self):
         with pytest.raises(ParseError) as exc:
@@ -119,6 +160,11 @@ class TestErrors:
             parse("1 2")
         assert "expected end of input" in str(exc.value)
         assert exc.value.offset == 2
+
+    def test_malformed_number(self):
+        with pytest.raises(ParseError, match="syntax error at offset 4: malformed number") as exc:
+            parse("2 + .")
+        assert exc.value.offset == 4
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError) as exc:
@@ -231,6 +277,22 @@ class TestDeepTrees:
             assert text == "(" * (LONG_SUM_TERMS - 1) + "x" + " + x)" * (LONG_SUM_TERMS - 1)
         else:
             assert parse(text) == e
+
+    def test_repr(self, deep_trees, name):
+        _, e = deep_trees[name]
+        n = LONG_SUM_TERMS - 1 if name == "long_sum" else MAX_NESTING
+        want = {
+            "long_sum": "Bin(op='+', lhs=" * n + "Var()" + ", rhs=Var())" * n,
+            "parentheses": "Bin(op='+', lhs=Var(), rhs=Num(value=1.0))",
+            "unary_minus": "Neg(operand=" * n + "Var()" + ")" * n,
+            "power_chain": "Bin(op='^', lhs=Num(value=1.0), rhs=" * n + "Num(value=1.0)" + ")" * n,
+            "calls": "Call(name='abs', args=(" * n + "Var()" + ",))" * n,
+        }
+        try:
+            text = repr(e)
+        except RecursionError:  # pytest's report would compare the tree in every frame
+            pytest.fail("repr recursed")
+        assert text == want[name]
 
     def test_pickle_round_trip(self, deep_trees, name):
         _, e = deep_trees[name]

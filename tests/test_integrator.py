@@ -735,17 +735,16 @@ def _bits(obj):
 
 def _stepped(s, n_steps, step=step_exponential):
     """run's records, snapshots and final state, rebuilt from repeated steps."""
-    pred = predict_equilibrium(s)
     st = init_state(s)
     snap_steps = {round(tau / s.dt): tau for tau in s.snapshot_times}
-    records = [make_record(st, s, pred)]
+    records = [make_record(st, s)]
     snapshots = [DensitySnapshot(snap_steps[0], st.t, st.log_u)] if 0 in snap_steps else []
     for k in range(1, n_steps + 1):
         st = step(st, s.dt, s)
         if k in snap_steps:
             snapshots.append(DensitySnapshot(snap_steps[k], st.t, st.log_u))
         if k % s.sample_every == 0 or k == n_steps:
-            records.append(make_record(st, s, pred))
+            records.append(make_record(st, s))
     return records, snapshots, st
 
 

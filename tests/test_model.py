@@ -472,7 +472,8 @@ class TestScenarioValidation:
     def test_with_controls_shares_every_cache(self):
         s = make_scenario(b="2 - (x-0.3)^2", u0="ind(0.2, 0.6)", tail_R=0.5).validate()
         cached = [n for n, v in vars(Scenario).items() if isinstance(v, cached_property)]
-        assert {"ratio", "maximizers", "support_tables", "record_tables"} <= set(cached)
+        assert {"ratio", "maximizers", "support_tables", "d_on_grid", "tail_nodes",
+                "concentration_window"} <= set(cached)
         values = {name: getattr(s, name) for name in cached}
         t = s.with_controls(t_end=2.0, dt=1e-2, sample_every=3, scheme="direct", stop_tol=1e-6,
                             snapshot_times=(1.0,))

@@ -168,3 +168,39 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         traitsim.no_such_name
     assert not hasattr(traitsim, "no_such_name")
+
+
+def test_perfbench_spans_wrap_every_target(tmp_path):
+    # the benchmark's span recorder wraps public names from outside the
+    # package: each must still exist, and run and make_record must still take
+    # the arguments its probes read
+    spans_py = SRC_DIR.parent / "perfbench" / "spans.py"
+    result = fresh(
+        "import importlib, importlib.util, json\n"
+        f"spec = importlib.util.spec_from_file_location('spans', {str(spans_py)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "from traitsim import cli\n"
+        "def binding(module, cls, name):\n"
+        "    owner = importlib.import_module(module)\n"
+        "    return getattr(getattr(owner, cls) if cls else owner, name)\n"
+        "originals = [binding(*t[1:4]) for t in spans.TARGETS]\n"
+        "recorder = spans.Recorder()\n"
+        "spans.install(recorder)\n"
+        "unresolved = [t[3] for t, o in zip(spans.TARGETS, originals)\n"
+        "              if getattr(binding(*t[1:4]), '__wrapped__', None) is not o]\n"
+        f"code = cli.main(['run', {str(TINY)!r}, '--quiet', '--out', {str(tmp_path)!r}])\n"
+        "attrs = {}\n"
+        "for name, _layer, _start, _end, _parent, a in recorder.spans:\n"
+        "    attrs.setdefault(name, []).append(a)\n"
+        "print(json.dumps([code, unresolved, attrs]))\n"
+    )
+    code, unresolved, attrs = result
+    assert (code, unresolved) == (0, [])
+    # tiny.ini: 10 steps of 1e-3, a record every 5 steps and at t = 0
+    assert attrs["run"] == [{"steps": 10}]
+    assert [sorted(a) for a in attrs["make_record"]] == [["A", "B"]] * 3
+    assert attrs["make_record"][0] == {"A": 0.0, "B": 0.0}
+    # a run bounds no expression on a grid and integrates no atoms
+    assert set(attrs) == {"parse", "TraitFunction.sample", "Scenario.validate",
+                          "predict_equilibrium", "run", "make_record", "load_scenario", "main"}

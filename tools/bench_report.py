@@ -158,7 +158,7 @@ for _ in range(repeats):
         t0 = clock()
         state, err = advance(state, 1)
         t1 = clock()
-        records.append(make_record(state, scenario, pred))
+        records.append(make_record(state, scenario))
         step_s, record_s = step_s + (t1 - t0), record_s + (clock() - t1)
     t0 = clock()
     _write_trajectory_csv(Trajectory(scenario, pred, "", records), csv)

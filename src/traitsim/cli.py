@@ -395,9 +395,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     try:
         trajectory, error = _warned(integrator.run, scenario), None
-    except integrator.IntegrationError as err:
-        if err.partial is None:
-            raise
+    except integrator.IntegrationError as err:  # run attaches the partial trajectory
         trajectory, error = err.partial, str(err)
 
     breaches = trajectory.breaches
@@ -494,16 +492,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_sweep_child, scenarios))
 
-    # fitted order: errors against the most resolved successful run
+    # fitted order: errors against the most resolved successful run that lie above its
+    # roundoff, a random walk of one rounding per time step: sqrt(n) * 2^-52 * |rho|
     ok_idx = [i for i, (_, _, status) in enumerate(results) if status == "ok"]
     order = math.nan
     if len(ok_idx) >= 3:
         ref = min(ok_idx, key=lambda i: steps[i])
-        pts = [
-            (math.log(steps[i]), math.log(abs(results[i][0] - results[ref][0])))
-            for i in ok_idx
-            if i != ref and abs(results[i][0] - results[ref][0]) > 0.0
-        ]
+        rho_ref, s = results[ref][0], scenarios[ref]
+        floor = math.sqrt(round(s.t_end / s.dt)) * 2.0**-52 * abs(rho_ref)
+        errs = [(steps[i], abs(results[i][0] - rho_ref)) for i in ok_idx if i != ref]
+        pts = [(math.log(h), math.log(e)) for h, e in errs if e > floor]
         if len(pts) >= 2:
             from .diagnostics import least_squares_slope  # predict loads no diagnostics
 

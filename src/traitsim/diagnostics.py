@@ -14,9 +14,9 @@ Here P and Q are the polynomials P(rho) = c0*rho^2/3 + rho/2 and
 Q(rho) = c0*rho^2 + rho, linked by rho*P' + P = Q (:func:`crowding_P`,
 :func:`crowding_Q`; the reference case is c0 = 1).
 
-All integrals reuse the solver's trapezoid rule so the discrete dV/dt = D
-identity mirrors the continuous one up to time-stepping error; mixing
-quadratures would break it beyond that.  Each record takes one exp(log_u).
+Every integral takes the solver's node weights, ``Scenario.weights``, so the discrete
+dV/dt = D identity mirrors the continuous one up to time-stepping error; only rho0 and
+the blow-up report's per-cell mass sum their own trapezoids.  One exp(log_u) per record.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def make_record(state: "PopulationState", scenario: Scenario) -> DiagnosticsReco
     """Assemble the full diagnostics row for one sampled state from one density."""
     u, shift, mode, max_log_u = _density(state)
     rho, c0, d, tail = state.rho, scenario.c0, scenario.d_on_grid, scenario.tail_nodes
-    dot, window, ratio = scenario.grid.weights.dot, scenario.concentration_window, scenario.ratio
+    dot, window, ratio = scenario.weights.dot, scenario.concentration_window, scenario.ratio
     work = np.subtract(ratio, crowding_P(rho, c0))
     work *= u
     V = float(dot(work))
@@ -134,7 +134,7 @@ def make_record(state: "PopulationState", scenario: Scenario) -> DiagnosticsReco
     work *= u
     W = float(dot(work))
     total = float(dot(u))
-    near = float(scenario.grid.weights[window].dot(u[window])) / total if total > 0.0 else 0.0
+    near = float(scenario.weights[window].dot(u[window])) / total if total > 0.0 else 0.0
     tail_mass = 0.0 if tail is None else float(tail[1].dot(u[tail[0]]))  # empty: 0.0
     if shift:
         V, D, W, tail_mass = (_unscale(x, shift) for x in (V, D, W, tail_mass))
@@ -155,11 +155,11 @@ def least_squares_slope(xs, ys) -> float:
 def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
     """Growth statistics over the second half of a run.
 
-    ``monotone_growth`` is True when max_log_u never decreases over the
-    post-transient window (t >= t_end/2), ``growth_rate_estimate`` is the
-    least-squares slope of max_log_u against t there, and
-    ``boundary_cell_mass`` is the final-time mass in the cells adjacent to
-    the predicted x_bar.  Log-density is used throughout so the detector
+    ``monotone_growth`` is True when max_log_u never decreases over the post-transient
+    window (t >= t_end/2), ``growth_rate_estimate`` is the least-squares slope of max_log_u
+    against t there, and ``boundary_cell_mass`` is the final-time mass in the cells adjacent
+    to the predicted x_bar, summed per cell: node weights cannot say which cells touch x_bar
+    when a neighbour is a domain end.  Log-density is used throughout so the detector
     survives overflow of the raw density.
     """
     records = trajectory.records
@@ -181,7 +181,6 @@ def blow_up_report(trajectory: "Trajectory") -> BlowUpReport:
     u, shift, _, _ = _density(state)
     i = trajectory.prediction.x_bar_index
     dx = scenario.grid.dx
-    # trapezoid mass of the one or two cells touching x_bar
     mass = 0.0
     if i > 0:
         mass += 0.5 * dx * (u[i - 1] + u[i])

@@ -315,7 +315,7 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    w = scenario.grid.weights
+    w = scenario.weights
     max_log = float(np.max(state.log_u))
     if max_log > _LOG_MAX:
         raise ExponentOverflow(

@@ -40,7 +40,6 @@ __all__ = [
     "equilibrium_mass",
     "fitness_on_nodes",
     "quadrature",
-    "trapezoid_weights",
     "predict_equilibrium",
     "apriori_corridor",
     "check_tail_condition",
@@ -103,13 +102,6 @@ class Grid:
         x.setflags(write=False)
         return x
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only trapezoid weights, one array per grid shared by all users."""
-        w = trapezoid_weights(self)
-        w.setflags(write=False)
-        return w
-
     def window(self, center: float, eps: float) -> slice:
         """The nodes within eps of center as a slice (1e-9 slack keeps nodes eps away in)."""
         if not (eps > 0.0):
@@ -149,11 +141,11 @@ class Scenario:
     initial mass, every number finite and in range (snapshot times within
     [0, t_end], at most :data:`MAX_STEPS` steps) and a known scheme.
 
-    Every value derived from the scenario (the sampled b, d and u0, the
-    initial mass once the grid checks pass, b/d, its maximizers, the support
-    tables, d as a float when constant, the tail nodes with their weights and
-    the concentration window) is built once, on first use, and cached
-    read-only.  None of them reads a run control.
+    Every value derived from the scenario (the sampled b, d and u0, the node
+    weights, the initial mass once the grid checks pass, b/d, its maximizers,
+    the support tables, d as a float when constant, the tail nodes with their
+    weights and the concentration window) is built once, on first use, and
+    cached read-only.  None of them reads a run control.
     """
 
     grid: Grid
@@ -169,6 +161,15 @@ class Scenario:
     snapshot_times: tuple[float, ...] = ()
     epsilon: float | None = None
     tail_R: float | None = None
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The trapezoid weight of every node: every mass but rho0 (see :func:`quadrature`)."""
+        w = np.full(self.grid.n_nodes, self.grid.dx)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        w.setflags(write=False)
+        return w
 
     @cached_property
     def b_nodes(self) -> np.ndarray:
@@ -209,7 +210,7 @@ class Scenario:
             n_nodes=self.grid.n_nodes,
             support=support,
             b_s=b_s,
-            w_s=self.grid.weights[support],
+            w_s=self.weights[support],
             d=d_lo if d_lo == d_hi else d_s,
             log_u0=log_u0,
             b_lo=float(b_s.min()),
@@ -246,7 +247,7 @@ class Scenario:
         if self.tail_R is None:
             return None
         idx = np.flatnonzero(np.abs(self.grid.nodes) >= self.tail_R)
-        w = self.grid.weights[idx]
+        w = self.weights[idx]
         for v in (idx, w):
             v.setflags(write=False)
         return idx, w
@@ -409,15 +410,12 @@ def fitness_on_nodes(rho: float, scenario: Scenario) -> np.ndarray:
     return g
 
 
-def trapezoid_weights(grid: Grid) -> np.ndarray:
-    w = np.full(grid.n_nodes, grid.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def quadrature(values: np.ndarray, grid: Grid) -> float:
-    """Trapezoid rule over the grid nodes; exact for node-wise linear data."""
+    """Trapezoid rule over the grid nodes; exact for node-wise linear data.
+
+    This is rho0's rule, kept apart from :attr:`Scenario.weights` because its
+    ``dx*(sum - ends/2)`` rounds differently (1-3 ulps) and record 0 prints it.
+    """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n_nodes,):
         raise ValueError(f"expected {grid.n_nodes} node values, got shape {v.shape}")
@@ -438,8 +436,6 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
     """
     scenario.validate()  # the support is not empty
     grid = scenario.grid
-    if not np.all(np.isfinite(scenario.ratio)):
-        raise ValueError("b/d is not finite on the grid")
     maximizers = scenario.maximizers
     x_bar_index = int(maximizers[0])
     kappa = float(scenario.ratio[x_bar_index])
@@ -484,7 +480,7 @@ def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
     rho_m, rho_M = apriori_corridor(pred, scenario.rho0)
     pred = pred._replace(rho_m=rho_m, rho_M=rho_M)
     if scenario.tail_R is not None:
-        alpha = check_tail_condition(scenario, pred, scenario.tail_R)
+        alpha = check_tail_condition(scenario, pred)
         extra: list[str] = list(notes)
         if alpha is not None and alpha >= 0.0:
             note = (
@@ -504,18 +500,14 @@ def apriori_corridor(pred: EquilibriumPrediction, rho0: float) -> tuple[float, f
     return min(pred.r_m, rho0), max(pred.r_M, rho0)
 
 
-def check_tail_condition(
-    scenario: Scenario, pred: EquilibriumPrediction, R: float
-) -> float | None:
-    """Tail certificate alpha_R = max over nodes |x| >= R of G(x, rho_bar).
+def check_tail_condition(scenario: Scenario, pred: EquilibriumPrediction) -> float | None:
+    """Tail certificate alpha_R = max of G(x, rho_bar) over the :attr:`Scenario.tail_nodes`.
 
-    Returns None when no grid nodes lie at |x| >= R (the condition is vacuous
-    for supports inside the radius); a negative value certifies that mass
-    beyond R decays once rho is near its limit.
+    Returns None without a radius or when no grid nodes lie at |x| >= tail_R
+    (the condition is vacuous for supports inside the radius); a negative
+    value certifies that mass beyond R decays once rho is near its limit.
     """
-    nodes = scenario.grid.nodes
-    tail = np.abs(nodes) >= R
-    if not tail.any():
+    tail = scenario.tail_nodes
+    if tail is None or not tail[0].size:
         return None
-    g = fitness_on_nodes(pred.rho_bar, scenario)
-    return float(g[tail].max())
+    return float(fitness_on_nodes(pred.rho_bar, scenario)[tail[0]].max())

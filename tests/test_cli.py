@@ -882,6 +882,34 @@ scheme = exponential
         assert rows[4][3] == ("error: dt must be <= 1.74127 for a stable exponential step "
                               "(RK4 bound 2.785 / lambda*, lambda* = 1.5994), got 5.0")
 
+    def test_differences_at_roundoff_fit_no_order(self, tmp_path):
+        # every run reaches the same rho to 14 digits: the differences from the
+        # 40,000-step reference (1.6e-14, 6.6e-16) lie below sqrt(n) 2^-52 |rho| = 4.3e-14
+        out = tmp_path / "out"
+        code = main(["sweep", TINY, "--param", "dt", "--values", "1e-3,5e-4,2.5e-4,5",
+                     "--t-end", "10", "--out", str(out), "--quiet"])
+        assert code == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:4]] == [
+            "0.97868769165361846", "0.97868769165363378", "0.9786876916536178"]
+        assert lines[-1] == "# fitted_order nan"
+
+    def test_differences_above_roundoff_keep_their_fit(self, tmp_path):
+        # the smallest difference, 4.2e-13, is above the 2,000-step floor of 9.7e-15
+        out = tmp_path / "out"
+        code = main(["sweep", str(SCENARIO_DIR / "gaussian_ratio.ini"), "--param", "dt",
+                     "--values", "4e-2,2e-2,1e-2,5e-3", "--t-end", "10", "--out", str(out),
+                     "--quiet"])
+        assert code == 0
+        assert (out / "sweep.csv").read_text() == """\
+dt,rho_final,abs_err_vs_prediction,status
+0.040000000000000001,0.97877438908185443,0.021225610918145565,ok
+0.02,0.97877438919506421,0.021225610804935791,ok
+0.01,0.97877438920203808,0.021225610797961925,ok
+0.0050000000000000001,0.9787743892024604,0.021225610797539596,ok
+# fitted_order 4.0788594193054042
+"""
+
 
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

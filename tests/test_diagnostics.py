@@ -28,7 +28,6 @@ from traitsim.model import (
     AssumptionWarning,
     fitness_on_nodes,
     predict_equilibrium,
-    trapezoid_weights,
 )
 
 
@@ -310,29 +309,37 @@ def _ref_unscale(raw, shift):
         return math.copysign(math.inf, raw)
 
 
+def _ref_weights(s):
+    """The trapezoid weights, built here: dx on every node, halved at both ends."""
+    w = np.full(s.grid.n_nodes, (s.grid.x_max - s.grid.x_min) / s.grid.n_cells)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def _ref_V(state, s):
     u, shift = _ref_density(state)
     p = crowding_P(state.rho, s.c0)
-    return _ref_unscale(float(trapezoid_weights(s.grid) @ ((s.b_nodes / s.d_nodes - p) * u)), shift)
+    return _ref_unscale(float(_ref_weights(s) @ ((s.b_nodes / s.d_nodes - p) * u)), shift)
 
 
 def _ref_D(state, s):
     u, shift = _ref_density(state)
     g = fitness_on_nodes(state.rho, s)
-    raw = (1.0 + s.c0 * state.rho) * float(trapezoid_weights(s.grid) @ (g * g / s.d_nodes * u))
+    raw = (1.0 + s.c0 * state.rho) * float(_ref_weights(s) @ (g * g / s.d_nodes * u))
     return _ref_unscale(raw, shift)
 
 
 def _ref_W(state, s):
     u, shift = _ref_density(state)
     dev = s.b_nodes / s.d_nodes - crowding_Q(state.rho, s.c0)
-    return _ref_unscale(float(trapezoid_weights(s.grid) @ (dev * dev * u)), shift)
+    return _ref_unscale(float(_ref_weights(s) @ (dev * dev * u)), shift)
 
 
 def _ref_concentration(state, s, pred):
     eps = s.concentration_epsilon
     u, _ = _ref_density(state)
-    w = trapezoid_weights(s.grid)
+    w = _ref_weights(s)
     total = float(w @ u)
     near = np.abs(s.grid.nodes - pred.x_bar) <= eps * (1.0 + 1e-9)
     fraction = float(w[near] @ u[near]) / total if total > 0.0 else 0.0
@@ -347,7 +354,7 @@ def _ref_tail(state, s):
     if not tail.any():
         return 0.0
     u, shift = _ref_density(state)
-    w = trapezoid_weights(s.grid)
+    w = _ref_weights(s)
     return _ref_unscale(float(w[tail] @ u[tail]), shift)
 
 
@@ -483,7 +490,7 @@ class TestRecordTables:
         idx, w_tail = tail
         assert not idx.flags.writeable and not w_tail.flags.writeable
         assert np.array_equal(idx, np.arange(180, 201))  # x >= 0.9 on 200 cells
-        assert np.array_equal(w_tail, s.grid.weights[idx])
+        assert np.array_equal(w_tail, _ref_weights(s)[idx])
         eps = s.concentration_epsilon * (1.0 + 1e-9)
         near = np.flatnonzero(np.abs(s.grid.nodes - pred.x_bar) <= eps)
         assert window == slice(near[0], near[-1] + 1)

@@ -16,6 +16,7 @@ from traitsim.integrator import (
     DensitySnapshot,
     ExponentOverflow,
     IntegrationError,
+    PopulationState,
     _exponential_advance,
     _exponential_state,
     _mass_kernel,
@@ -284,7 +285,7 @@ class TestSupportViews:
         s = make_scenario(b="1.5 + sin(7*x)", d=d, u0=u0, n_cells=10_000)
         t = s.support_tables
         assert t.support == slice(start, start + int(s.support_mask.sum()))
-        for view, base in ((t.b_s, s.b_nodes), (t.w_s, s.grid.weights), (t.d, s.d_nodes)):
+        for view, base in ((t.b_s, s.b_nodes), (t.w_s, s.weights), (t.d, s.d_nodes)):
             assert isinstance(view, float) or (view.base is base and not view.flags.writeable)
         self._assert_same_bits(t, _gathered(t))
 
@@ -431,6 +432,16 @@ class TestStepDirect:
         t = run(s)
         assert t.records[-1].undershoot_clamps > 0
         assert all(np.isfinite(r.rho) for r in t.records)
+
+    def test_density_overflow_raises_with_the_largest_exponent(self):
+        # a hand-built state: no step reaches a density past double range
+        s = make_scenario(n_cells=10)
+        log_u = np.zeros(s.grid.n_nodes)
+        log_u[[3, 7]] = 700.0, math.nextafter(math.log(np.finfo(float).max), math.inf)
+        state = PopulationState(t=0.5, A=0.0, B=0.0, log_u=log_u, rho=1.0)
+        with pytest.raises(ExponentOverflow, match="density overflows .* at t = 0.5 ") as exc:
+            step_direct(state, 1e-3, s)
+        assert exc.value.exponent == log_u[7]
 
 
 class TestStabilityBound:

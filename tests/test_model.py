@@ -25,7 +25,6 @@ from traitsim.model import (
     positive_root,
     predict_equilibrium,
     quadrature,
-    trapezoid_weights,
 )
 
 
@@ -197,13 +196,17 @@ class TestQuadrature:
             quadrature(np.ones(4), g)
 
     def test_weights_sum_to_length(self):
-        g = Grid(0.0, 3.0, 12)
-        assert trapezoid_weights(g).sum() == pytest.approx(3.0, rel=1e-14)
+        s = make_scenario(x_max=3.0, n_cells=12)
+        assert s.weights.sum() == pytest.approx(3.0, rel=1e-14)
 
-    def test_grid_weights_cached_read_only(self):
-        g = Grid(0.0, 3.0, 12)
-        assert g.weights is g.weights and not g.weights.flags.writeable
-        assert g.weights.tobytes() == trapezoid_weights(g).tobytes()
+    def test_scenario_weights_cached_read_only(self):
+        s = make_scenario(x_min=-0.3, x_max=1.1, n_cells=7)
+        want = np.full(8, (1.1 - -0.3) / 7)
+        want[0] *= 0.5
+        want[-1] *= 0.5
+        assert s.weights is s.weights and not s.weights.flags.writeable
+        assert s.weights.tobytes() == want.tobytes()
+        assert s.with_controls(dt=1e-2).weights is s.weights
 
 
 class TestPredictEquilibrium:
@@ -324,21 +327,22 @@ class TestTailCondition:
         )
 
     def test_vacuous_when_no_tail_nodes(self):
-        s = make_scenario(n_cells=10)  # grid inside |x| < 5
-        assert check_tail_condition(s, self._pred(1.0), 5.0) is None
+        s = make_scenario(n_cells=10, tail_R=5.0)  # grid inside |x| < 5
+        assert check_tail_condition(s, self._pred(1.0)) is None
+        assert check_tail_condition(make_scenario(n_cells=10), self._pred(1.0)) is None
 
     def test_negative_certificate(self):
         s = make_scenario(
-            b="1", d="1", u0="ind(-1, 1)", x_min=-10.0, x_max=10.0, n_cells=100
+            b="1", d="1", u0="ind(-1, 1)", x_min=-10.0, x_max=10.0, n_cells=100, tail_R=5.0
         )
-        alpha = check_tail_condition(s, self._pred(1.0), 5.0)
+        alpha = check_tail_condition(s, self._pred(1.0))
         assert alpha == pytest.approx(-0.5, abs=1e-15)
 
     def test_positive_tail_detected(self):
         s = make_scenario(
-            b="2", d="1", u0="ind(-1, 1)", x_min=-10.0, x_max=10.0, n_cells=100
+            b="2", d="1", u0="ind(-1, 1)", x_min=-10.0, x_max=10.0, n_cells=100, tail_R=5.0
         )
-        alpha = check_tail_condition(s, self._pred(0.5), 5.0)
+        alpha = check_tail_condition(s, self._pred(0.5))
         assert alpha == pytest.approx(2.0 / 1.5 - 0.5, rel=1e-12)
 
     def test_failing_certificate_warns_in_prediction(self):
@@ -472,7 +476,7 @@ class TestScenarioValidation:
     def test_with_controls_shares_every_cache(self):
         s = make_scenario(b="2 - (x-0.3)^2", u0="ind(0.2, 0.6)", tail_R=0.5).validate()
         cached = [n for n, v in vars(Scenario).items() if isinstance(v, cached_property)]
-        assert {"ratio", "maximizers", "support_tables", "d_on_grid", "tail_nodes",
+        assert {"weights", "ratio", "maximizers", "support_tables", "d_on_grid", "tail_nodes",
                 "concentration_window"} <= set(cached)
         values = {name: getattr(s, name) for name in cached}
         t = s.with_controls(t_end=2.0, dt=1e-2, sample_every=3, scheme="direct", stop_tol=1e-6,

@@ -349,7 +349,7 @@ class TestLatticeReferee:
     def test_direct_scheme_masses_equal_the_atom_oracle(self, name):
         s = load_scenario(DATA_DIR / f"{name}.ini").with_controls(scheme="direct")
         assert (s.grid.n_cells, s.dt, s.t_end) == (10, 1e-4, 1.0)
-        w = s.grid.weights
+        w = s.weights
         system = AtomSystem(tuple(map(Atom, s.b_nodes.tolist(), s.d_nodes.tolist(),
                                       (w * s.u0_nodes).tolist())), s.c0)
         n_steps = round(s.t_end / s.dt)

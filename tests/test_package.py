@@ -4,6 +4,7 @@ Module loading is process-wide state, so every check that inspects
 ``sys.modules`` runs in a fresh interpreter.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -137,6 +138,21 @@ def test_exit_codes_without_the_integrator_loaded_up_front(tmp_path):
     assert codes == [
         2, [], 3, ["error: unknown key model.c1", "error: total mass overflows"]
     ]
+
+
+def test_no_module_imports_scipy():
+    # scipy is no declared dependency: probes and tests may use it, the package may not
+    found = []
+    for path in sorted((SRC_DIR / "traitsim").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_star_import_binds_each_name_from_its_home_module():

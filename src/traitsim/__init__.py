@@ -47,7 +47,6 @@ _HOMES = {
     "EquilibriumPrediction": "model",
     "Grid": "model",
     "Scenario": "model",
-    "apriori_corridor": "model",
     "check_tail_condition": "model",
     "equilibrium_mass": "model",
     "positive_root": "model",

@@ -41,7 +41,6 @@ __all__ = [
     "fitness_on_nodes",
     "quadrature",
     "predict_equilibrium",
-    "apriori_corridor",
     "check_tail_condition",
 ]
 
@@ -359,7 +358,7 @@ class EquilibriumPrediction(NamedTuple):
     rho * (1 + c0 * rho) = kappa with kappa = b(x_bar) / d(x_bar), and
     [rho_m, rho_M] traps rho(t) for all time.  ``alpha_R`` is the tail
     certificate (negative certifies the tail assumption on the grid) or
-    None when no nodes lie beyond the requested radius.
+    None without a radius or when no nodes lie beyond it.
     """
 
     x_bar: float
@@ -427,87 +426,59 @@ def quadrature(values: np.ndarray, grid: Grid) -> float:
 
 
 def predict_equilibrium(scenario: Scenario) -> EquilibriumPrediction:
-    """Predict (x_bar, rho_bar) and the corridor from the scenario alone.
+    """Predict (x_bar, rho_bar), the corridor and the tail certificate from the scenario alone.
 
-    The argmax of b/d is taken over the support nodes, the lattice the
-    solver evolves (no mass ever reaches a node outside it).  Ties are broken
-    toward the smallest x and reported with an :class:`AssumptionWarning`
-    because the theory assumes a unique maximizer.
+    Each value is computed once and the prediction is built once.  The argmax
+    of b/d is taken over the support nodes, the lattice the solver evolves (no
+    mass ever reaches a node outside it), with ties broken toward the smallest
+    x.  The corridor [rho_m, rho_M] = [min(r_m, rho0), max(r_M, rho0)] traps
+    rho(t) for all time, and ``alpha_R`` is :func:`check_tail_condition` at rho_bar.
+    The theory assumes a unique maximizer and a decaying tail, so a tie and a
+    failing certificate each add a note, warned in that order as an
+    :class:`AssumptionWarning`.
     """
-    scenario.validate()  # the support is not empty
-    grid = scenario.grid
+    rho0 = scenario.validate().rho0  # positive: validate rejects an empty support
     maximizers = scenario.maximizers
     x_bar_index = int(maximizers[0])
+    x_bar = float(scenario.grid.nodes[x_bar_index])
     kappa = float(scenario.ratio[x_bar_index])
-    x_bar = float(grid.nodes[x_bar_index])
-    notes: list[str] = []
-    if maximizers.size > 1:
-        note = (
-            f"b/d attains its maximum at {maximizers.size} support nodes; "
-            f"taking the smallest x = {x_bar!r} (unique-maximizer assumption violated)"
-        )
-        notes.append(note)
-        warnings.warn(note, AssumptionWarning, stacklevel=2)
     rho_bar = equilibrium_mass(kappa, scenario.c0)
-
     b_m, b_M = float(scenario.b_nodes.min()), float(scenario.b_nodes.max())
     d_m, d_M = float(scenario.d_nodes.min()), float(scenario.d_nodes.max())
     r_m = equilibrium_mass(b_m / d_M, scenario.c0)
     r_M = equilibrium_mass(b_M / d_m, scenario.c0)
-
+    rho_m, rho_M = min(r_m, rho0), max(r_M, rho0)
     # boundary means endpoint of a maximal run of the support: a grid
     # edge or a neighbour outside it
     i, support = x_bar_index, scenario.support_mask
-    on_boundary = i in (0, grid.n_cells) or not (support[i - 1] and support[i + 1])
-
-    pred = EquilibriumPrediction(
-        x_bar=x_bar,
-        x_bar_index=x_bar_index,
-        rho_bar=rho_bar,
-        kappa=kappa,
-        b_m=b_m,
-        b_M=b_M,
-        d_m=d_m,
-        d_M=d_M,
-        r_m=r_m,
-        r_M=r_M,
-        rho_m=r_m,  # widened by apriori_corridor below to take in rho(0)
-        rho_M=r_M,
-        x_bar_on_boundary=on_boundary,
-        alpha_R=None,
-        notes=tuple(notes),
-    )
-    rho_m, rho_M = apriori_corridor(pred, scenario.rho0)
-    pred = pred._replace(rho_m=rho_m, rho_M=rho_M)
-    if scenario.tail_R is not None:
-        alpha = check_tail_condition(scenario, pred)
-        extra: list[str] = list(notes)
-        if alpha is not None and alpha >= 0.0:
-            note = (
-                f"tail certificate failed: alpha_R = {alpha!r} >= 0 at R = "
-                f"{scenario.tail_R!r} (mass may escape to |x| >= R)"
-            )
-            extra.append(note)
-            warnings.warn(note, AssumptionWarning, stacklevel=2)
-        pred = pred._replace(alpha_R=alpha, notes=tuple(extra))
-    return pred
+    on_boundary = i in (0, scenario.grid.n_cells) or not (support[i - 1] and support[i + 1])
+    alpha_R = check_tail_condition(scenario, rho_bar)
+    notes: list[str] = []
+    if maximizers.size > 1:
+        notes.append(
+            f"b/d attains its maximum at {maximizers.size} support nodes; "
+            f"taking the smallest x = {x_bar!r} (unique-maximizer assumption violated)"
+        )
+    if alpha_R is not None and alpha_R >= 0.0:
+        notes.append(
+            f"tail certificate failed: alpha_R = {alpha_R!r} >= 0 at R = "
+            f"{scenario.tail_R!r} (mass may escape to |x| >= R)"
+        )
+    for note in notes:
+        warnings.warn(note, AssumptionWarning, stacklevel=2)
+    return EquilibriumPrediction(x_bar, x_bar_index, rho_bar, kappa, b_m, b_M, d_m, d_M, r_m, r_M,
+                                 rho_m, rho_M, on_boundary, alpha_R, tuple(notes))
 
 
-def apriori_corridor(pred: EquilibriumPrediction, rho0: float) -> tuple[float, float]:
-    """The invariant interval [min(r_m, rho0), max(r_M, rho0)] trapping rho(t)."""
-    if not (rho0 > 0.0):
-        raise ValueError(f"rho(0) must be > 0, got {rho0}")
-    return min(pred.r_m, rho0), max(pred.r_M, rho0)
-
-
-def check_tail_condition(scenario: Scenario, pred: EquilibriumPrediction) -> float | None:
+def check_tail_condition(scenario: Scenario, rho_bar: float) -> float | None:
     """Tail certificate alpha_R = max of G(x, rho_bar) over the :attr:`Scenario.tail_nodes`.
 
     Returns None without a radius or when no grid nodes lie at |x| >= tail_R
-    (the condition is vacuous for supports inside the radius); a negative
-    value certifies that mass beyond R decays once rho is near its limit.
+    (the condition is vacuous for supports inside the radius), so
+    :func:`predict_equilibrium` calls it on every scenario; a negative value
+    certifies that mass beyond R decays once rho is near its limit.
     """
     tail = scenario.tail_nodes
     if tail is None or not tail[0].size:
         return None
-    return float(fitness_on_nodes(pred.rho_bar, scenario)[tail[0]].max())
+    return float(fitness_on_nodes(rho_bar, scenario)[tail[0]].max())

@@ -343,19 +343,22 @@ class TestPredictCommand:
         assert '"x_bar_on_boundary": true' in out
 
     def test_warnings_on_stderr(self, tmp_path, capsys):
-        # b/d is flat on all 11 support nodes: a tie, warned once on stderr
-        path = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 2"))
-        for extra in ((), ("--quiet",)):
-            assert main(["predict", path, *extra]) == 0
-            captured = capsys.readouterr()
-            assert captured.err.splitlines() == [
-                "warning: b/d attains its maximum at 11 support nodes; taking the smallest "
-                "x = 0.0 (unique-maximizer assumption violated)"
-            ]
-            assert "warning" not in captured.out.split("{")[0]
-            assert json.loads(captured.out[captured.out.index("{"):])["notes"] == [
-                captured.err[len("warning: "):].rstrip("\n")
-            ]
+        # b/d is flat on all 11 support nodes: a tie, warned once on stderr; with
+        # tail_R = 0.9 also alpha_R = 2/2 - 1 = 0.0, a failing certificate warned after it
+        tie = ("warning: b/d attains its maximum at 11 support nodes; taking the smallest "
+               "x = 0.0 (unique-maximizer assumption violated)")
+        tail = ("warning: tail certificate failed: alpha_R = 0.0 >= 0 at R = 0.9 "
+                "(mass may escape to |x| >= R)")
+        flat = GOOD_BODY.replace("b = 2 - (x - 0.3)^2", "b = 2")
+        for body, want in ((flat, [tie]), (flat + "\n[diagnostics]\ntail_R = 0.9\n", [tie, tail])):
+            path = write_scenario(tmp_path, body)
+            for extra in ((), ("--quiet",)):
+                assert main(["predict", path, *extra]) == 0
+                captured = capsys.readouterr()
+                assert captured.err.splitlines() == want
+                assert "warning" not in captured.out.split("{")[0]
+                notes = json.loads(captured.out[captured.out.index("{"):])["notes"]
+                assert notes == [line[len("warning: "):] for line in want]
 
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         bad = write_scenario(tmp_path, GOOD_BODY.replace("b = 2 - (x - 0.3)^2\n", ""))

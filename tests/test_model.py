@@ -1,5 +1,6 @@
 """Static analysis: equilibrium algebra, corridor, quadrature, predictions."""
 
+import hashlib
 import math
 import pickle
 from functools import cached_property
@@ -9,16 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, make_scenario
+from conftest import DATA_DIR, SCENARIO_DIR, make_scenario
 from traitsim.cli import load_scenario
 from traitsim.model import (
     MAX_CELLS,
     MAX_STEPS,
     AssumptionWarning,
-    EquilibriumPrediction,
     Grid,
     Scenario,
-    apriori_corridor,
     check_tail_condition,
     equilibrium_mass,
     fitness_on_nodes,
@@ -280,69 +279,68 @@ class TestPredictEquilibrium:
         with pytest.raises(ValueError, match="zero initial mass"):
             predict_equilibrium(s)
 
+    #: sha256 prefix of ``repr(tuple(prediction))`` for each bundled scenario file
+    PINNED = {
+        "boundary_blowup": "688fe8fff06704b4",
+        "gaussian_ratio": "40a4529e11011e18",
+        "off_support_peak": "9d7310c4b2cc9d19",
+        "two_atom": "7d568d7d1c1bc4a4",
+        "two_peak": "92e440f89f159751",
+        "c0_zero": "d9110614a4219598",
+        "tiny": "cf7743ee289e5fe6",
+        "two_interval": "2b11cad011191c26",
+        "varying_d": "a8a545ebda3a9027",
+    }
+
+    @pytest.mark.parametrize(
+        "path",
+        [*sorted(SCENARIO_DIR.glob("*.ini")), *sorted(DATA_DIR.glob("*.ini"))],
+        ids=lambda path: path.stem,
+    )
+    def test_bundled_predictions_pinned_bit_for_bit(self, path):
+        # every field, the corridor, the d range and alpha_R included, to the last bit
+        pred = predict_equilibrium(load_scenario(path))
+        assert hashlib.sha256(repr(tuple(pred)).encode()).hexdigest()[:16] == self.PINNED[path.stem]
+
 
 class TestCorridor:
     def test_spec_examples(self):
-        pred = EquilibriumPrediction(
-            x_bar=0.0,
-            x_bar_index=0,
-            rho_bar=1.0,
-            kappa=2.0,
-            b_m=1.0,
-            b_M=2.0,
-            d_m=1.0,
-            d_M=1.0,
-            r_m=0.618,
-            r_M=1.0,
-            rho_m=0.618,
-            rho_M=1.0,
-            x_bar_on_boundary=False,
-        )
-        assert apriori_corridor(pred, 0.8) == (0.618, 1.0)
-        assert apriori_corridor(pred, 0.1) == (0.1, 1.0)
-        assert apriori_corridor(pred, 5.0) == (0.618, 5.0)
+        # b = 1 + x, d = 1: r_m = positive_root(1) and r_M = 1; u0's scale sets rho0
+        r_m = positive_root(1.0)
 
-    def test_nonpositive_rho0_rejected(self):
-        pred = predict_equilibrium(make_scenario(n_cells=4))
-        with pytest.raises(ValueError):
-            apriori_corridor(pred, 0.0)
+        def corridor(scale):
+            s = make_scenario(b="1+x", d="1", u0=f"{scale}*ind(0, 1)", n_cells=10)
+            pred = predict_equilibrium(s)
+            assert (pred.r_m, pred.r_M) == (r_m, 1.0)
+            assert s.rho0 == pytest.approx(scale, rel=1e-15)
+            return s.rho0, (pred.rho_m, pred.rho_M)
+
+        rho0, got = corridor(0.8)  # between r_m and r_M
+        assert got == (r_m, 1.0)
+        rho0, got = corridor(0.1)  # below r_m
+        assert got == (rho0, 1.0)
+        rho0, got = corridor(5.0)  # above r_M
+        assert got == (r_m, rho0)
 
 
 class TestTailCondition:
-    def _pred(self, rho_bar):
-        return EquilibriumPrediction(
-            x_bar=0.0,
-            x_bar_index=0,
-            rho_bar=rho_bar,
-            kappa=rho_bar * (1 + rho_bar),
-            b_m=1.0,
-            b_M=1.0,
-            d_m=1.0,
-            d_M=1.0,
-            r_m=rho_bar,
-            r_M=rho_bar,
-            rho_m=rho_bar,
-            rho_M=rho_bar,
-            x_bar_on_boundary=False,
-        )
-
     def test_vacuous_when_no_tail_nodes(self):
         s = make_scenario(n_cells=10, tail_R=5.0)  # grid inside |x| < 5
-        assert check_tail_condition(s, self._pred(1.0)) is None
-        assert check_tail_condition(make_scenario(n_cells=10), self._pred(1.0)) is None
+        assert check_tail_condition(s, 1.0) is None
+        assert check_tail_condition(make_scenario(n_cells=10), 1.0) is None
 
     def test_negative_certificate(self):
         s = make_scenario(
             b="1", d="1", u0="ind(-1, 1)", x_min=-10.0, x_max=10.0, n_cells=100, tail_R=5.0
         )
-        alpha = check_tail_condition(s, self._pred(1.0))
+        alpha = check_tail_condition(s, 1.0)
         assert alpha == pytest.approx(-0.5, abs=1e-15)
 
     def test_positive_tail_detected(self):
         s = make_scenario(
             b="2", d="1", u0="ind(-1, 1)", x_min=-10.0, x_max=10.0, n_cells=100, tail_R=5.0
         )
-        alpha = check_tail_condition(s, self._pred(0.5))
+        alpha = check_tail_condition(s, 0.5)
         assert alpha == pytest.approx(2.0 / 1.5 - 0.5, rel=1e-12)
 
     def test_failing_certificate_warns_in_prediction(self):
@@ -355,11 +353,15 @@ class TestTailCondition:
             n_cells=100,
             tail_R=5.0,
         )
-        # constant fitness: G(x, rho_bar) = 0 everywhere, so alpha_R = 0 fails
-        with pytest.warns(AssumptionWarning, match="tail certificate failed"):
+        # constant fitness: G(x, rho_bar) = 0 everywhere, so alpha_R = 0 fails, and
+        # b/d ties on all 11 support nodes: both notes are warned, the tie first
+        with pytest.warns(AssumptionWarning) as caught:
             pred = predict_equilibrium(s)
         assert pred.alpha_R == pytest.approx(0.0, abs=1e-15)
-        assert any("tail" in note for note in pred.notes)
+        assert [str(w.message) for w in caught] == list(pred.notes)
+        tie, tail = pred.notes
+        assert tie.startswith("b/d attains its maximum at 11 support nodes")
+        assert tail.startswith("tail certificate failed")
 
 
 class TestScenarioValidation:

@@ -168,14 +168,14 @@ def test_star_import_binds_each_name_from_its_home_module():
 
 
 def test_names_are_listed_once():
-    assert len(traitsim.__all__) == len(set(traitsim.__all__)) == 35
+    assert len(traitsim.__all__) == len(set(traitsim.__all__)) == 34
 
 
 def test_removed_names_raise_attribute_error():
-    # each was a second route to a quantity: make_record, TraitFunction.sample
-    # and fitness_on_nodes are the ones left
+    # each was a second route to a quantity: make_record, TraitFunction.sample,
+    # fitness_on_nodes and predict_equilibrium are the ones left
     for name in ("ConcentrationReport", "compute_V", "compute_D", "compute_W",
-                 "concentration_report", "eval_expr", "eval_fitness"):
+                 "concentration_report", "eval_expr", "eval_fitness", "apriori_corridor"):
         with pytest.raises(AttributeError, match=name):
             getattr(traitsim, name)
 

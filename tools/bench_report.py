@@ -88,7 +88,9 @@ One 0.35 s calibration is too short to divide a several-second run by; the
 median of several follows the host's drift with less noise of its own.
 
 The file goes to BENCH_<n>.json in the checkout root with the smallest n
-not yet taken; commit it with the change it measures.  Timings on a shared
+not yet taken; commit it with the change it measures.  The script then prints
+the file's ``src_lines`` beside those of the newest BENCH file already there,
+with the difference: the change's net ``src/`` lines.  Timings on a shared
 machine are noisy: compare files from the same session, and use
 perfbench's paired A/B runs for a gain claim.
 """
@@ -432,6 +434,16 @@ def next_path() -> Path:
     return ROOT / f"BENCH_{n}.json"
 
 
+def src_lines_change(src_lines: int) -> str:
+    """``src_lines`` beside the newest BENCH_<n>.json's (largest n), with the difference."""
+    newest = max(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem[len("BENCH_"):]),
+                 default=None)
+    if newest is None:
+        return f"src_lines {src_lines}"
+    before = json.loads(newest.read_text())["src_lines"]
+    return f"src_lines {src_lines}, {newest.stem} {before}, net {src_lines - before:+d}"
+
+
 def main() -> int:
     seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
 
@@ -461,9 +473,11 @@ def main() -> int:
     env = environment(0)
     doc["src_lines"] = env["src_lines"]
     doc["environment"] = env
+    change = src_lines_change(doc["src_lines"])
     out = next_path()
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
+    print(change)
     return 0
 
 

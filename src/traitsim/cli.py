@@ -456,15 +456,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _sweep_child(scenario: Scenario) -> tuple[float, float, str]:
+def _sweep_child(scenario: Scenario) -> tuple[float, float, str, list[str]]:
+    """One sweep run: its final rho, error against rho_bar, status and warning messages."""
     from . import integrator
 
-    try:
-        trajectory = integrator.run(scenario)
-        final_rho = trajectory.records[-1].rho
-        return final_rho, abs(final_rho - trajectory.prediction.rho_bar), "ok"
-    except Exception as err:  # recorded per child; the sweep continues
-        return math.nan, math.nan, f"error: {err}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trajectory = integrator.run(scenario)
+            final_rho = trajectory.records[-1].rho
+            result = final_rho, abs(final_rho - trajectory.prediction.rho_bar), "ok"
+        except Exception as err:  # recorded per child; the sweep continues
+            result = math.nan, math.nan, f"error: {err}"
+    return *result, [str(w.message) for w in caught]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -491,10 +495,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     workers = min(len(scenarios), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_sweep_child, scenarios))
+    for message in dict.fromkeys(m for *_, messages in results for m in messages):
+        print(f"warning: {message}", file=sys.stderr)
 
     # fitted order: errors against the most resolved successful run that lie above its
     # roundoff, a random walk of one rounding per time step: sqrt(n) * 2^-52 * |rho|
-    ok_idx = [i for i, (_, _, status) in enumerate(results) if status == "ok"]
+    ok_idx = [i for i, (_, _, status, _) in enumerate(results) if status == "ok"]
     order = math.nan
     if len(ok_idx) >= 3:
         ref = min(ok_idx, key=lambda i: steps[i])
@@ -509,12 +515,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             order = least_squares_slope(xs, ys)
 
     lines = [f"{parameter},rho_final,abs_err_vs_prediction,status\n"]
-    for value, (final_rho, err, status) in zip(values, results):
+    for value, (final_rho, err, status, _) in zip(values, results):
         value_text = str(value) if parameter == "n_cells" else _fmt(value)
         lines.append(f"{value_text},{_fmt(final_rho)},{_fmt(err)},{_csv_field(status)}\n")
     lines.append(f"# fitted_order {_fmt(order)}\n")
     _write_lines(out / "sweep.csv", lines)
     _print(args, f"wrote {out / 'sweep.csv'}; fitted order {order:.3f}")
+    if not ok_idx:
+        print(f"error: every run failed (statuses in {out / 'sweep.csv'})", file=sys.stderr)
     return 0 if ok_idx else 3
 
 

@@ -212,38 +212,26 @@ def _join(step, children) -> Expr:
 # --------------------------------------------------------------------------
 # Lexer
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_PUNCT = "+-*/^(),"
+#: one alternative per token class, tried in order; the last takes any other character
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<punct>[-+*/^(),])|(?P<other>.)",
+    re.DOTALL,
+)
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     """Return (kind, text, offset) triples; kind is the punct char, 'num', 'name' or 'eof'."""
     tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            m = _NUMBER_RE.match(source, i)
-            if m is None:
-                raise ParseError(f"syntax error at offset {i}: malformed number", i)
-            tokens.append(("num", m.group(0), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(source, i)
-        if m is not None:
-            tokens.append(("name", m.group(0), i))
-            i = m.end()
-            continue
-        raise ParseError(f"syntax error at offset {i}: unexpected character {c!r}", i)
-    tokens.append(("eof", "", n))
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, i = m.lastgroup, m.group(), m.start()
+        if kind == "other":
+            number = text.isdigit() or text == "."  # a digit \d does not take, such as ²
+            bad = "malformed number" if number else f"unexpected character {text!r}"
+            raise ParseError(f"syntax error at offset {i}: {bad}", i)
+        if kind != "space":
+            tokens.append((text if kind == "punct" else kind, text, i))
+    tokens.append(("eof", "", len(source)))
     return tokens
 
 

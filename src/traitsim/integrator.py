@@ -30,8 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
 try:  # the interpreter's own SHA-256: hashlib's would load OpenSSL (_hashlib)
@@ -82,14 +81,12 @@ _LOG_MAX = math.log(np.finfo(float).max)
 #: below this max log-density the mass is summed without shifting
 _SAFE_EXP = 600.0
 
-#: what n steps of a scheme return: the last state reached and the error that ended them early
-_Steps = tuple["PopulationState", "IntegrationError | None"]
-_Advance = Callable[["PopulationState", int], _Steps]
-
 
 class IntegrationError(RuntimeError):
-    """A step failed (overflow or NaN); from :func:`run`, ``partial`` is the trajectory so far."""
+    """A step failed (overflow or NaN): ``state`` is the last state reached and, from
+    :func:`run`, ``partial`` the trajectory so far."""
 
+    state: PopulationState | None = None
     partial: Trajectory | None = None
 
 
@@ -126,15 +123,14 @@ class DensitySnapshot(NamedTuple):
     log_u: np.ndarray
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Result of :func:`run`: sampled diagnostics plus optional snapshots."""
 
     scenario: Scenario
     prediction: EquilibriumPrediction
     fingerprint: str
     records: list[diagnostics.DiagnosticsRecord]
-    snapshots: list[DensitySnapshot] = field(default_factory=list)
+    snapshots: Sequence[DensitySnapshot] = ()
     final_state: PopulationState | None = None
     early_stop_t: float | None = None
 
@@ -253,7 +249,7 @@ def _exponential_state(
     return PopulationState(t, A, B, log_u, rho)
 
 
-def _exponential_advance(scenario: Scenario, dt: float) -> _Advance:
+def _exponential_advance(scenario: Scenario, dt: float) -> Callable[..., PopulationState]:
     """``advance(state, n)``: n RK4 steps of A' = 1/(1 + c0*rho(A, B)), B' = rho(A, B).
 
     The mass kernel, the tables, c0 and dt are bound once, so build one
@@ -265,7 +261,7 @@ def _exponential_advance(scenario: Scenario, dt: float) -> _Advance:
     tables, c0 = scenario.support_tables, scenario.c0
     mass = _mass_kernel(tables)
 
-    def advance(state: PopulationState, n: int) -> _Steps:
+    def advance(state: PopulationState, n: int) -> PopulationState:
         t, A, B, rho = state.t, state.A, state.B, state.rho
         e = np.empty(tables.b_s.size)  # the kernel's scratch: not held between calls
         try:
@@ -286,8 +282,9 @@ def _exponential_advance(scenario: Scenario, dt: float) -> _Advance:
                     )
                 t, A, B, rho = t + dt, A1, B1, rho1
         except IntegrationError as err:
-            return _exponential_state(tables, t, A, B, rho), err
-        return _exponential_state(tables, t, A, B, rho), None
+            err.state = _exponential_state(tables, t, A, B, rho)
+            raise
+        return _exponential_state(tables, t, A, B, rho)
 
     return advance
 
@@ -300,10 +297,7 @@ def step_exponential(state: PopulationState, dt: float, scenario: Scenario) -> P
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be > 0, got {dt}")
-    state, err = _exponential_advance(scenario, dt)(state, 1)
-    if err is not None:
-        raise err
-    return state
+    return _exponential_advance(scenario, dt)(state, 1)
 
 
 def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> PopulationState:
@@ -370,15 +364,16 @@ def step_direct(state: PopulationState, dt: float, scenario: Scenario) -> Popula
     )
 
 
-def _direct_advance(scenario: Scenario, dt: float) -> _Advance:
+def _direct_advance(scenario: Scenario, dt: float) -> Callable[..., PopulationState]:
     """``advance(state, n)``: n RK4 steps of the per-node system, by :func:`step_direct`."""
-    def advance(state: PopulationState, n: int) -> _Steps:
+    def advance(state: PopulationState, n: int) -> PopulationState:
         try:
             for _ in range(n):
                 state = step_direct(state, dt, scenario)
         except IntegrationError as err:
-            return state, err
-        return state, None
+            err.state = state
+            raise
+        return state
 
     return advance
 
@@ -406,7 +401,6 @@ def run(scenario: Scenario) -> Trajectory:
     eigenvalues interlacing the G_i, so it adds max(0, -G_min) to lambda*,
     with G_min = b_m / (1 + c0 rho_M) - d_M rho_M.
     """
-    scenario.validate()
     pred = predict_equilibrium(scenario)
     dt, c0 = scenario.dt, scenario.c0
     exponential = scenario.scheme == "exponential"
@@ -426,31 +420,26 @@ def run(scenario: Scenario) -> Trajectory:
         snapshot_steps.setdefault(int(round(tau / dt)), []).append(tau)
     observed = heapq.merge(range(0, n_steps + 1, every), sorted(snapshot_steps), (n_steps,))
 
-    trajectory = Trajectory(
-        scenario=scenario,
-        prediction=pred,
-        fingerprint=scenario_fingerprint(scenario),
-        records=[],
-    )
-    records, snapshots = trajectory.records, trajectory.snapshots
-    rho_bar, stop_tol = pred.rho_bar, scenario.stop_tol
+    fingerprint = scenario_fingerprint(scenario)
+    records, snapshots = [], []
+    rho_bar, stop_tol, early_stop_t = pred.rho_bar, scenario.stop_tol, None
     state, done, stop_streak = init_state(scenario), 0, 0
-    for k, _ in itertools.groupby(observed):
-        state, err = advance(state, k - done)
-        trajectory.final_state, done = state, k
-        if err is not None:
-            err.partial = trajectory
-            raise err
-        for tau in snapshot_steps.get(k, ()):
-            snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
-        if k % every and k != n_steps:
-            continue
-        rec = diagnostics.make_record(state, scenario)
-        records.append(rec)
-        if k and stop_tol is not None:
-            near = abs(rec.rho - rho_bar) < stop_tol and rec.W < stop_tol
-            stop_streak = stop_streak + 1 if near else 0
-            if stop_streak >= STOP_WINDOW:
-                trajectory.early_stop_t = rec.t
-                break
-    return trajectory
+    try:
+        for k, _ in itertools.groupby(observed):
+            state, done = advance(state, k - done), k
+            for tau in snapshot_steps.get(k, ()):
+                snapshots.append(DensitySnapshot(tau, state.t, state.log_u))
+            if k % every and k != n_steps:
+                continue
+            rec = diagnostics.make_record(state, scenario)
+            records.append(rec)
+            if k and stop_tol is not None:
+                near = abs(rec.rho - rho_bar) < stop_tol and rec.W < stop_tol
+                stop_streak = stop_streak + 1 if near else 0
+                if stop_streak >= STOP_WINDOW:
+                    early_stop_t = rec.t
+                    break
+    except IntegrationError as err:
+        err.partial = Trajectory(scenario, pred, fingerprint, records, snapshots, err.state)
+        raise
+    return Trajectory(scenario, pred, fingerprint, records, snapshots, state, early_stop_t)

@@ -575,7 +575,7 @@ class TestOutputRows:
     def _trajectory(self):
         s = load_scenario(TINY)
         pred = predict_equilibrium(s)
-        return Trajectory(scenario=s, prediction=pred, fingerprint="0", records=[])
+        return Trajectory(scenario=s, prediction=pred, fingerprint="0", records=[], snapshots=[])
 
     def test_trajectory_rows_match_fmt(self, tmp_path):
         names = list(DiagnosticsRecord._fields)
@@ -639,7 +639,9 @@ class TestOutputMemory:
     def test_snapshot_streams_chunks_of_nodes(self, tmp_path):
         s = make_scenario(n_cells=50_000)
         nodes = s.grid.nodes
-        trajectory = Trajectory(scenario=s, prediction=None, fingerprint="0", records=[])
+        trajectory = Trajectory(
+            scenario=s, prediction=None, fingerprint="0", records=[], snapshots=[]
+        )
         trajectory.snapshots.append(DensitySnapshot(0.5, 0.5, np.log1p(nodes)))
         peak = traced_peak(lambda: _write_snapshots(trajectory, tmp_path))
         lines = (tmp_path / "snapshot_0.5.csv").read_text().splitlines()
@@ -861,6 +863,38 @@ scheme = exponential
         assert main([*argv, str(tmp_path / "tiny"), TINY]) == 0
         assert ((tmp_path / "deep" / "sweep.csv").read_bytes()
                 == (tmp_path / "tiny" / "sweep.csv").read_bytes())
+
+    def test_worker_warnings_print_once_each_in_value_order(self, tmp_path):
+        # b = 2 ties b/d at every node and fails the tail certificate in every
+        # run; only dt = 3e-3 leaves t_end off its grid
+        path = tiny_with(tmp_path, "b = 2 - (x - 0.3)^2", "b = 2")
+        proc = python_m_traitsim("sweep", path, "--param", "dt", "--values", "1e-3,2e-3,3e-3",
+                                 "--t-end", "0.01", "--quiet", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines(keepends=True) == [
+            "warning: b/d attains its maximum at 11 support nodes; taking the smallest x = 0.0 "
+            "(unique-maximizer assumption violated)\n",
+            "warning: tail certificate failed: alpha_R = 0.0 >= 0 at R = 0.9 "
+            "(mass may escape to |x| >= R)\n",
+            "warning: t_end = 0.01 is not an integer multiple of dt = 0.003; "
+            "integrating 3 steps to t = 0.009000000000000001\n",
+        ]
+
+    def test_every_run_failed_exit_3_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["sweep", TINY, "--param", "dt", "--values", "5,6", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: every run failed (statuses in {out / 'sweep.csv'})\n"
+        )
+        status = ("error: dt must be <= 1.74127 for a stable exponential step "
+                  "(RK4 bound 2.785 / lambda*, lambda* = 1.5994), got {}")
+        assert (out / "sweep.csv").read_text() == (
+            "dt,rho_final,abs_err_vs_prediction,status\n"
+            f'5,nan,nan,"{status.format(5.0)}"\n'
+            f'6,nan,nan,"{status.format(6.0)}"\n'
+            "# fitted_order nan\n"
+        )
 
     def test_child_failures_recorded(self, tmp_path):
         out = tmp_path / "out"

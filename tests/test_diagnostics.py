@@ -269,15 +269,15 @@ class TestBlowUpReport:
     def test_slope_at_tiny_times(self, dt, rate):
         # the squares of these times underflow to 0 (1e-320 is itself subnormal)
         t = run(make_scenario(b="1 + x", d="1", n_cells=20, t_end=0.04, sample_every=1))
-        t.records = [r._replace(t=k * dt, max_log_u=k * dt * rate)
-                     for k, r in enumerate(t.records)]
+        t = t._replace(records=[r._replace(t=k * dt, max_log_u=k * dt * rate)
+                                for k, r in enumerate(t.records)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert blow_up_report(t).growth_rate_estimate == pytest.approx(rate, rel=1e-9)
 
     def test_requires_records(self):
         t = run(make_scenario(b="1 + x", d="1", n_cells=20, t_end=0.04, sample_every=1))
-        t.records = []
+        t = t._replace(records=[])
         with pytest.raises(ValueError, match="trajectory has no records"):
             blow_up_report(t)
 

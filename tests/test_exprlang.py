@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 import warnings
 
@@ -25,6 +26,7 @@ from traitsim.exprlang import (
     TraitFunction,
     Var,
     _CHUNK,
+    _tokenize,
     bound_on_grid,
     parse,
     unparse,
@@ -193,6 +195,72 @@ class TestErrors:
     def test_non_finite_point(self):
         with pytest.raises(EvalError):
             eval_at(parse("x"), math.inf)
+
+
+def loop_tokenize(source):
+    """The lexer as a hand-written loop over characters: the reference that the
+    one-regex lexer must match token for token, message for message."""
+    number_re = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+    name_re = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        c = source[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*/^(),":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        if c.isdigit() or c == ".":
+            m = number_re.match(source, i)
+            if m is None:
+                raise ParseError(f"syntax error at offset {i}: malformed number", i)
+            tokens.append(("num", m.group(0), i))
+            i = m.end()
+            continue
+        m = name_re.match(source, i)
+        if m is not None:
+            tokens.append(("name", m.group(0), i))
+            i = m.end()
+            continue
+        raise ParseError(f"syntax error at offset {i}: unexpected character {c!r}", i)
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+def lexed(tokenize, source):
+    """The tokens of ``source``, or the message and offset of its error."""
+    try:
+        return tokenize(source)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+class TestLexer:
+    #: ASCII and non-ASCII digits (², which \d does not take; ٣ and 𝟙, which it
+    #: does), a letter-like pair and whitespace that str.isspace takes
+    ALPHABET = [chr(i) for i in range(128)] + list("²٣𝟙éǅ\xa0\u3000\x1c\x85")
+    NUMBERISH = list("0123456789..eE+-x ²٣𝟙")
+
+    def test_matches_hand_written_loop(self):
+        rng = random.Random(20)
+        for _ in range(20_000):
+            alphabet = self.ALPHABET if rng.random() < 0.5 else self.NUMBERISH
+            source = "".join(rng.choices(alphabet, k=rng.randrange(13)))
+            assert lexed(_tokenize, source) == lexed(loop_tokenize, source), repr(source)
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [("2²", "offset 1: malformed number"), ("1 + .e5", "offset 4: malformed number"),
+         ("ǅ", "offset 0: unexpected character 'ǅ'"), ("٣ + x", None), ("1e+", None)],
+    )
+    def test_unicode_digits_and_letters(self, source, message):
+        assert lexed(_tokenize, source) == lexed(loop_tokenize, source)
+        if message is not None:
+            with pytest.raises(ParseError, match=message):
+                _tokenize(source)
 
 
 class TestNesting:

@@ -17,6 +17,7 @@ from traitsim.integrator import (
     ExponentOverflow,
     IntegrationError,
     PopulationState,
+    Trajectory,
     _exponential_advance,
     _exponential_state,
     _mass_kernel,
@@ -386,8 +387,8 @@ class TestStepExponential:
         st = init_state(s)
         for _ in range(300):
             st = step_exponential(st, s.dt, s)
-        fast, err = _exponential_advance(s, s.dt)(init_state(s), 300)
-        assert err is None and _bits(fast) == _bits(st)
+        fast = _exponential_advance(s, s.dt)(init_state(s), 300)
+        assert _bits(fast) == _bits(st)
 
 
 class TestStepDirect:
@@ -583,6 +584,20 @@ class TestRun:
         assert _bits(partial.final_state) == _bits(final)
         with pytest.raises(IntegrationError, match="NaN"):
             step_exponential(final, s.dt, s)
+
+    def test_failed_step_keeps_its_state_and_trajectory_is_frozen(self, monkeypatch):
+        s = make_scenario(b="2 - (x-0.3)^2", d="1 + x", u0="(1 + x)*ind(0.2, 0.7)", n_cells=50)
+        t = run(s)
+        for name in Trajectory._fields:
+            with pytest.raises(AttributeError):
+                setattr(t, name, getattr(t, name))
+        states = [init_state(s)]
+        states.append(step_exponential(states[0], s.dt, s))
+        monkeypatch.setattr(integrator, "_mass_kernel", lambda tables: lambda *args: math.nan)
+        for st in states:
+            with pytest.raises(IntegrationError, match="NaN") as exc:
+                step_exponential(st, s.dt, s)
+            assert _bits(exc.value.state) == _bits(st)
 
     @pytest.mark.parametrize("u0", ["1 + x", "ind(0.2, 0.7)"])
     def test_direct_run_matches_repeated_steps_bitwise(self, u0):
